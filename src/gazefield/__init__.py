@@ -61,6 +61,7 @@ from .potential import (
     direct_potential,
     evolve_potential,
     poisson_solve,
+    stable_dt,
 )
 from .foa import (
     AttractionSign,

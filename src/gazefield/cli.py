@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import glob
 import io
-import math
 import os
 import struct
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .errors import (
     DimensionError,
     GazefieldError,
     NumericalError,
+    check_int,
+    check_real,
 )
 from .foa import (
     AttractionSign,
@@ -55,6 +57,7 @@ from .potential import (
     direct_potential,
     evolve_potential,
     poisson_solve,
+    stable_dt,
 )
 from .retina import (
     BlurSchedule,
@@ -91,28 +94,6 @@ __all__ = [
 # configuration
 # ---------------------------------------------------------------------------
 
-_MOTION_SOURCES = {m.value: m for m in MotionSource}
-_MODES = {m.value: m for m in Mode}
-_ATTRACTION_SIGNS = {"attract": AttractionSign.ATTRACT,
-                     "repel": AttractionSign.REPEL}
-_BOUNDARIES = {b.value: b for b in BoundaryPolicy}
-
-_FLOAT_KEYS = {
-    "alpha1", "alpha2", "beta", "sigma_ior", "hs_lambda", "hs_tol",
-    "gamma", "lambda_drag", "c", "h", "dissipation", "frame_dt",
-    "blur_sigma0", "blur_decay_rate", "blur_floor",
-}
-_INT_KEYS = {"hs_max_iters", "substeps_per_frame", "dump_every"}
-_ENUM_KEYS = {
-    "motion_source": _MOTION_SOURCES,
-    "mode": _MODES,
-    "attraction_sign": _ATTRACTION_SIGNS,
-    "boundary": _BOUNDARIES,
-}
-_SPECIAL_KEYS = {"initial_foa"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | set(_ENUM_KEYS) | _SPECIAL_KEYS
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Every knob of one simulation run.
@@ -120,42 +101,37 @@ class SimConfig:
     The two step sizes are not stored: both the potential stepper and the
     particle advance by frame_dt / substeps_per_frame, derived at run
     time, and stability of that step is checked here at construction so a
-    bad combination fails before any frame is read.
+    bad combination fails before any frame is read.  Fields shared with
+    the stepper and particle settings take their defaults from there.
     """
 
     mass: MassParams = MassParams()
     ior: IorParams = IorParams()
     hs: HsParams = HsParams()
     blur: BlurSchedule = BlurSchedule()
-    gamma: float = 1.0
-    lambda_drag: float = 1.0
-    c: float = 1.0
-    h: float = 1.0
-    mode: Mode = Mode.DAMPED_WAVE
-    dissipation: float = 1.0
-    attraction_sign: AttractionSign = AttractionSign.ATTRACT
-    boundary: BoundaryPolicy = BoundaryPolicy.REFLECT
+    gamma: float = TelegraphParams.gamma
+    lambda_drag: float = TelegraphParams.lambda_drag
+    c: float = TelegraphParams.c
+    h: float = TelegraphParams.h
+    mode: Mode = TelegraphParams.mode
+    dissipation: float = FoaParams.dissipation
+    attraction_sign: AttractionSign = FoaParams.attraction_sign
+    boundary: BoundaryPolicy = FoaParams.boundary
     frame_dt: float = 1.0 / 30.0
     substeps_per_frame: int = 8
     dump_every: int = 0
     initial_foa: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.frame_dt, (int, float))
-                and math.isfinite(self.frame_dt) and self.frame_dt > 0):
-            raise ConfigError(f"frame_dt must be a positive real, got {self.frame_dt}")
-        if not (isinstance(self.substeps_per_frame, int)
-                and self.substeps_per_frame >= 1):
-            raise ConfigError(
-                f"substeps_per_frame must be an integer >= 1, got {self.substeps_per_frame}")
-        if not (isinstance(self.dump_every, int) and self.dump_every >= 0):
-            raise ConfigError(
-                f"dump_every must be an integer >= 0, got {self.dump_every}")
+        object.__setattr__(self, "frame_dt",
+                           check_real("frame_dt", self.frame_dt, 0, lo_open=True))
+        object.__setattr__(self, "substeps_per_frame",
+                           check_int("substeps_per_frame", self.substeps_per_frame, 1))
+        object.__setattr__(self, "dump_every", check_int("dump_every", self.dump_every, 0))
         if self.initial_foa is not None:
             x, y = self.initial_foa
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ConfigError(f"initial_foa must be finite, got {self.initial_foa}")
-            object.__setattr__(self, "initial_foa", (float(x), float(y)))
+            object.__setattr__(self, "initial_foa", (check_real("initial_foa x", x),
+                                                     check_real("initial_foa y", y)))
         # constructing the derived parameter sets validates ranges and the
         # stability of the shared substep before any frame is touched
         self.telegraph_params()
@@ -176,13 +152,70 @@ class SimConfig:
                          boundary=self.boundary)
 
 
+def _parse_initial_foa(text: str) -> tuple[float, float] | None:
+    # "center" is None: resolved against the frame size at run time
+    if text == "center":
+        return None
+    try:
+        x, y = (float(part) for part in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"config key 'initial_foa': expected 'center' or 'x,y', got {text!r}") from None
+    return (x, y)
+
+
+# config key -> (SimConfig sub-config field or None, field name, value type)
+_CONFIG_KEYS = {
+    "alpha1": ("mass", "alpha1", float),
+    "alpha2": ("mass", "alpha2", float),
+    "motion_source": ("mass", "motion_source", MotionSource),
+    "beta": ("ior", "beta", float),
+    "sigma_ior": ("ior", "sigma_ior", float),
+    "hs_lambda": ("hs", "lam", float),
+    "hs_max_iters": ("hs", "max_iters", int),
+    "hs_tol": ("hs", "tol", float),
+    "blur_sigma0": ("blur", "sigma0", float),
+    "blur_decay_rate": ("blur", "decay_rate", float),
+    "blur_floor": ("blur", "floor", float),
+    "gamma": (None, "gamma", float),
+    "lambda_drag": (None, "lambda_drag", float),
+    "c": (None, "c", float),
+    "h": (None, "h", float),
+    "mode": (None, "mode", Mode),
+    "dissipation": (None, "dissipation", float),
+    "attraction_sign": (None, "attraction_sign", AttractionSign),
+    "boundary": (None, "boundary", BoundaryPolicy),
+    "frame_dt": (None, "frame_dt", float),
+    "substeps_per_frame": (None, "substeps_per_frame", int),
+    "dump_every": (None, "dump_every", int),
+    "initial_foa": (None, "initial_foa", _parse_initial_foa),
+}
+
+
+def _parse_value(what: str, kind, text: str):
+    """Convert one setting: a number, an integer, an enum spelled as its
+    lowercased member name, or whatever a parser function returns."""
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        members = {m.name.lower(): m for m in kind}
+        if text not in members:
+            raise ConfigError(f"{what}: expected one of {sorted(members)}, got {text!r}")
+        return members[text]
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what}: not {noun}: {text!r}") from None
+
+
 def parse_config(text: str) -> SimConfig:
     """Build a SimConfig from flat ``key = value`` lines.
 
     ``#`` starts a comment anywhere on a line; blank lines are skipped;
     unknown and duplicate keys are hard errors so misspellings fail loudly.
+    Keys left out keep the dataclass defaults.
     """
-    raw: dict[str, str] = {}
+    top: dict = {}
+    nested: dict[str, dict] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -191,79 +224,18 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, _, value = body.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        if key in raw:
+        owner, name, kind = _CONFIG_KEYS[key]
+        fields = top if owner is None else nested.setdefault(owner, {})
+        if name in fields:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"config line {lineno}: empty value for {key!r}")
-        raw[key] = value
-
-    def take_float(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: not a number: {raw[key]!r}") from None
-
-    def take_int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: not an integer: {raw[key]!r}") from None
-
-    def take_enum(key: str, default):
-        if key not in raw:
-            return default
-        table = _ENUM_KEYS[key]
-        if raw[key] not in table:
-            raise ConfigError(
-                f"config key {key!r}: expected one of {sorted(table)}, got {raw[key]!r}")
-        return table[raw[key]]
-
-    initial = None
-    if "initial_foa" in raw:
-        value = raw["initial_foa"]
-        if value != "center":
-            parts = value.split(",")
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"config key 'initial_foa': expected 'center' or 'x,y', got {value!r}")
-            try:
-                initial = (float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise ConfigError(
-                    f"config key 'initial_foa': not a coordinate pair: {value!r}") from None
-
-    return SimConfig(
-        mass=MassParams(alpha1=take_float("alpha1", 1.0),
-                        alpha2=take_float("alpha2", 1.0),
-                        motion_source=take_enum("motion_source",
-                                                MotionSource.TEMPORAL_DERIVATIVE)),
-        ior=IorParams(beta=take_float("beta", 1.0),
-                      sigma_ior=take_float("sigma_ior", 4.0)),
-        hs=HsParams(lam=take_float("hs_lambda", 0.01),
-                    max_iters=take_int("hs_max_iters", 500),
-                    tol=take_float("hs_tol", 1e-4)),
-        blur=BlurSchedule(sigma0=take_float("blur_sigma0", 0.0),
-                          decay_rate=take_float("blur_decay_rate", 0.0),
-                          floor=take_float("blur_floor", 0.0)),
-        gamma=take_float("gamma", 1.0),
-        lambda_drag=take_float("lambda_drag", 1.0),
-        c=take_float("c", 1.0),
-        h=take_float("h", 1.0),
-        mode=take_enum("mode", Mode.DAMPED_WAVE),
-        dissipation=take_float("dissipation", 1.0),
-        attraction_sign=take_enum("attraction_sign", AttractionSign.ATTRACT),
-        boundary=take_enum("boundary", BoundaryPolicy.REFLECT),
-        frame_dt=take_float("frame_dt", 1.0 / 30.0),
-        substeps_per_frame=take_int("substeps_per_frame", 8),
-        dump_every=take_int("dump_every", 0),
-        initial_foa=initial,
-    )
+        fields[name] = _parse_value(f"config key {key!r}", kind, value)
+    for owner, fields in nested.items():
+        top[owner] = replace(getattr(SimConfig, owner), **fields)
+    return SimConfig(**top)
 
 
 def load_config(path: str) -> SimConfig:
@@ -541,23 +513,13 @@ def _cmd_poisson(args) -> int:
 
 def _cmd_converge(args) -> int:
     mu = read_field(io.BytesIO(_read_bytes(args.source)))
-    try:
-        cs = [float(p) for p in args.c.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"--c expects comma-separated numbers, got {args.c!r}") from None
+    cs = [_parse_value("--c", float, p) for p in args.c.split(",") if p.strip()]
     if not cs:
         raise ConfigError("--c needs at least one speed")
-    mode = _MODES.get(args.mode)
-    if mode is None:
-        raise ConfigError(f"--mode must be one of {sorted(_MODES)}, got {args.mode!r}")
+    mode = _parse_value("--mode", Mode, args.mode)
     dt = args.dt
     if dt is None:
-        c_max = max(cs)
-        if mode is Mode.HEAT:
-            dt = 0.9 * args.h * args.h * args.drag / (4.0 * c_max * c_max)
-        else:
-            dt = 0.9 * args.h / (math.sqrt(2.0) * c_max
-                                 * max(1.0, 1.0 / math.sqrt(args.gamma)))
+        dt = 0.9 * stable_dt(mode, args.gamma, args.drag, max(cs), args.h)
     base = TelegraphParams(gamma=args.gamma, lambda_drag=args.drag, c=max(cs),
                            h=args.h, dt=dt, mode=mode)
     errors = convergence_in_c(mu, cs, args.horizon, base)

@@ -4,9 +4,16 @@ Every error raised by library code derives from GazefieldError so callers
 can catch one base class.  The CLI maps subclasses onto exit codes:
 configuration problems exit 2, bad input data exits 3, numerical failures
 exit 4.
+
+Scalar arguments are validated by one rule, check_real and check_int: a
+value is accepted when it is a real (or integral) number that is not a
+bool, is finite, and lies in the documented range.  numpy scalars pass.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class GazefieldError(Exception):
@@ -63,3 +70,33 @@ class SingularityError(NumericalError):
     def __init__(self, message: str, pixel: tuple[int, int]):
         super().__init__(f"{message} at pixel (x={pixel[0]}, y={pixel[1]})")
         self.pixel = pixel
+
+
+def check_real(name: str, v, lo: float | None = None, hi: float | None = None,
+               lo_open: bool = False) -> float:
+    """Return v as a float if it is a finite real in [lo, hi] (or (lo, hi]).
+
+    A None bound is not checked.  Raises ParameterError otherwise.
+    """
+    # a plain float skips the abstract-class check, which is slow
+    real = type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+    try:
+        ok = (real and math.isfinite(v)
+              and (lo is None or (v > lo if lo_open else v >= lo))
+              and (hi is None or v <= hi))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if ok:
+        return float(v)
+    bounds = ("" if lo is None else f" {'>' if lo_open else '>='} {lo}") \
+        + ("" if hi is None else f" and <= {hi}")
+    raise ParameterError(f"{name} must be a finite real{bounds}, got {v!r}")
+
+
+def check_int(name: str, v, lo: int, hi: int | None = None) -> int:
+    """Return v as an int if it is an integer (not a bool) in [lo, hi]."""
+    if (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and v >= lo and (hi is None or v <= hi)):
+        return int(v)
+    upper = "" if hi is None else f" and <= {hi}"
+    raise ParameterError(f"{name} must be an integer >= {lo}{upper}, got {v!r}")

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DataError, DomainError, ParameterError
+from .errors import DataError, DomainError, NumericalError, ParameterError, check_real
 from .retina import Field2D, gradient
 
 __all__ = [
@@ -48,12 +48,6 @@ class BoundaryPolicy(Enum):
     CLAMP = "clamp"
 
 
-def _finite(name, v):
-    if not (isinstance(v, (int, float)) and math.isfinite(v)):
-        raise ParameterError(f"{name} must be a finite real, got {v}")
-    return float(v)
-
-
 @dataclass(frozen=True)
 class FoaParams:
     """Particle settings: viscous drag (1/s), step size (s), force sign,
@@ -66,12 +60,9 @@ class FoaParams:
     boundary: BoundaryPolicy = BoundaryPolicy.REFLECT
 
     def __post_init__(self):
-        object.__setattr__(self, "dissipation", _finite("dissipation", self.dissipation))
-        object.__setattr__(self, "dt", _finite("dt", self.dt))
-        if self.dissipation < 0:
-            raise ParameterError(f"dissipation must be >= 0, got {self.dissipation}")
-        if self.dt <= 0:
-            raise ParameterError(f"dt must be > 0, got {self.dt}")
+        object.__setattr__(self, "dissipation",
+                           check_real("dissipation", self.dissipation, 0))
+        object.__setattr__(self, "dt", check_real("dt", self.dt, 0, lo_open=True))
         if not isinstance(self.attraction_sign, AttractionSign):
             raise ParameterError(
                 f"attraction_sign must be an AttractionSign, got {self.attraction_sign!r}")
@@ -91,7 +82,7 @@ class FoaState:
 
     def __post_init__(self):
         for name in ("x", "y", "vx", "vy"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
 
     @property
     def position(self) -> tuple[float, float]:
@@ -182,26 +173,34 @@ def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
     exits the grid is folded back per the boundary policy: REFLECT mirrors
     the position and negates the normal velocity, CLAMP projects onto the
     edge and zeroes it.
+
+    Raises NumericalError when one step moves farther than the grid extent
+    on either axis: the force or the speed has run away.
     """
     gx, gy = sample_gradient(u, (s.x, s.y), h)
     sign = p.attraction_sign.value
     vx = s.vx + p.dt * (-p.dissipation * s.vx + sign * gx)
     vy = s.vy + p.dt * (-p.dissipation * s.vy + sign * gy)
-    x = s.x + p.dt * vx
-    y = s.y + p.dt * vy
-
+    step_x, step_y = p.dt * vx, p.dt * vy
     xmax, ymax = float(u.width - 1), float(u.height - 1)
+    # written so a NaN step fails too
+    if not (abs(step_x) <= xmax and abs(step_y) <= ymax):
+        raise NumericalError(
+            f"particle step ({step_x:g}, {step_y:g}) from ({s.x:g}, {s.y:g}) "
+            f"exceeds the {u.width}x{u.height} grid")
+    x = s.x + step_x
+    y = s.y + step_y
+
+    # one step lands within one grid extent of the grid, so one fold suffices
     if p.boundary is BoundaryPolicy.REFLECT:
-        while not 0.0 <= x <= xmax:
-            if x < 0.0:
-                x, vx = -x, -vx
-            else:
-                x, vx = 2.0 * xmax - x, -vx
-        while not 0.0 <= y <= ymax:
-            if y < 0.0:
-                y, vy = -y, -vy
-            else:
-                y, vy = 2.0 * ymax - y, -vy
+        if x < 0.0:
+            x, vx = -x, -vx
+        elif x > xmax:
+            x, vx = 2.0 * xmax - x, -vx
+        if y < 0.0:
+            y, vy = -y, -vy
+        elif y > ymax:
+            y, vy = 2.0 * ymax - y, -vy
     else:
         if x < 0.0:
             x, vx = 0.0, 0.0
@@ -238,10 +237,8 @@ def detect_saccades(path: Scanpath, speed_threshold: float,
     """
     if len(path) == 0:
         raise DataError("cannot segment an empty scanpath")
-    for name, v in (("speed_threshold", speed_threshold),
-                    ("min_fixation", min_fixation)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise ParameterError(f"{name} must be a positive real, got {v}")
+    check_real("speed_threshold", speed_threshold, 0, lo_open=True)
+    check_real("min_fixation", min_fixation, 0, lo_open=True)
 
     flags = [s.speed > speed_threshold for s in path.samples]
 

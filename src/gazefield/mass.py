@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, check_real
 from .retina import Field2D, VectorField2D
 
 __all__ = [
@@ -44,10 +44,7 @@ class MassParams:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name} must be a finite real >= 0, got {v}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
         if self.alpha1 + self.alpha2 <= 0:
             raise ParameterError("alpha1 + alpha2 must be positive")
         if not isinstance(self.motion_source, MotionSource):
@@ -62,13 +59,9 @@ class IorParams:
     sigma_ior: float = 4.0
 
     def __post_init__(self):
-        if not (isinstance(self.beta, (int, float)) and 0 < self.beta <= 1):
-            raise ParameterError(f"beta must lie in (0, 1], got {self.beta}")
-        if not (isinstance(self.sigma_ior, (int, float)) and math.isfinite(self.sigma_ior)
-                and self.sigma_ior > 0):
-            raise ParameterError(f"sigma_ior must be a positive real, got {self.sigma_ior}")
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "sigma_ior", float(self.sigma_ior))
+        object.__setattr__(self, "beta", check_real("beta", self.beta, 0, 1, lo_open=True))
+        object.__setattr__(self, "sigma_ior",
+                           check_real("sigma_ior", self.sigma_ior, 0, lo_open=True))
 
 
 class IorField(Field2D):
@@ -113,11 +106,8 @@ def ior_step(ior: IorField, a: tuple[float, float], dt: float, p: IorParams) -> 
     I' = I*e^(-beta*dt) + (1 - e^(-beta*dt))*G.  Both weights are in [0, 1]
     and G <= 1, so the field stays in [0, 1] for any dt.
     """
-    ax, ay = float(a[0]), float(a[1])
-    if not (math.isfinite(ax) and math.isfinite(ay)):
-        raise ParameterError(f"gaze position must be finite, got {a}")
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
-        raise ParameterError(f"dt must be a positive real, got {dt}")
+    ax, ay = check_real("gaze x", a[0]), check_real("gaze y", a[1])
+    dt = check_real("dt", dt, 0, lo_open=True)
     ys, xs = np.mgrid[0:ior.height, 0:ior.width].astype(np.float64)
     source = np.exp(-((xs - ax) ** 2 + (ys - ay) ** 2) / (2.0 * p.sigma_ior ** 2))
     decay = math.exp(-p.beta * dt)

@@ -12,7 +12,6 @@ numerical rank, which tells where the motion is fully determined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,8 @@ from .errors import (
     DimensionError,
     ParameterError,
     SingularityError,
+    check_int,
+    check_real,
 )
 from .retina import Field2D, FlowField, VectorField2D, gradient, temporal_derivative
 
@@ -50,16 +51,9 @@ class HsParams:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam)
-                and self.lam > 0):
-            raise ParameterError(f"lam must be a positive real, got {self.lam}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters}")
-        if not (isinstance(self.tol, (int, float)) and math.isfinite(self.tol)
-                and self.tol > 0):
-            raise ParameterError(f"tol must be a positive real, got {self.tol}")
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "lam", check_real("lam", self.lam, 0, lo_open=True))
+        object.__setattr__(self, "max_iters", check_int("max_iters", self.max_iters, 1))
+        object.__setattr__(self, "tol", check_real("tol", self.tol, 0, lo_open=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +90,8 @@ class FeatureStack:
                 raise DimensionError(
                     f"channel {i} shape {ch.grad.dx.shape} differs from channel 0 {shape}"
                 )
-        if not (isinstance(self.ridge, (int, float)) and math.isfinite(self.ridge)
-                and self.ridge >= 0):
-            raise ParameterError(f"ridge must be a finite real >= 0, got {self.ridge}")
         object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "ridge", float(self.ridge))
+        object.__setattr__(self, "ridge", check_real("ridge", self.ridge, 0))
 
     def __len__(self) -> int:
         return len(self.channels)
@@ -160,8 +151,7 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
         raise DimensionError(
             f"flow needs at least 3x3 frames, got {b_prev.width}x{b_prev.height}"
         )
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
-        raise ParameterError(f"dt must be a positive real, got {dt}")
+    dt = check_real("dt", dt, 0, lo_open=True)
     if not (np.all(np.isfinite(b_prev.values)) and np.all(np.isfinite(b_next.values))):
         raise DataError("non-finite frame values")
 

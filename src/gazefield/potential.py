@@ -21,15 +21,20 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConvergenceError,
+    DataError,
     DimensionError,
     GridSizeError,
+    NumericalError,
     ParameterError,
+    check_int,
+    check_real,
 )
 from .retina import Field2D, gradient, laplacian
 
 __all__ = [
     "Mode",
     "TelegraphParams",
+    "stable_dt",
     "PotentialState",
     "poisson_solve",
     "direct_potential",
@@ -48,15 +53,30 @@ class Mode(Enum):
     DAMPED_WAVE = "damped_wave"
 
 
+def stable_dt(mode: Mode, gamma: float, lambda_drag: float, c: float,
+              h: float) -> float:
+    """Largest step the explicit stepper takes stably in the given mode.
+
+    Heat mode obeys the explicit diffusion bound h^2*lambda/(4c^2); wave
+    modes obey the 2D CFL bound h/(sqrt(2)*c_eff) with the effective front
+    speed c_eff = c*max(1, 1/sqrt(gamma)) (inertia below 1 propagates
+    faster than c, so the plain c-based bound alone would admit unstable
+    steps).
+    """
+    c = check_real("c", c, 0, lo_open=True)
+    h = check_real("h", h, 0, lo_open=True)
+    if mode is Mode.HEAT:
+        lam = check_real("heat mode lambda_drag", lambda_drag, 0, lo_open=True)
+        return h * h * lam / (4.0 * c * c)
+    gamma = check_real(f"{mode.value} mode gamma", gamma, 0, lo_open=True)
+    return h / (math.sqrt(2.0) * c * max(1.0, 1.0 / math.sqrt(gamma)))
+
+
 @dataclass(frozen=True)
 class TelegraphParams:
     """Stepper settings for gamma*u_tt + lambda*u_t = c^2*(lap u + mu).
 
-    Stability is checked at construction: heat mode obeys the explicit
-    diffusion bound dt <= h^2*lambda/(4c^2); wave modes obey the 2D CFL
-    bound with the effective front speed c/sqrt(gamma) when gamma < 1
-    (inertia below 1 propagates faster than c, so the plain c-based bound
-    alone would admit unstable steps).
+    Stability is checked at construction: dt may not exceed stable_dt.
     """
 
     gamma: float = 1.0
@@ -67,42 +87,22 @@ class TelegraphParams:
     mode: Mode = Mode.DAMPED_WAVE
 
     def __post_init__(self):
-        for name, lo in (("gamma", 0.0), ("lambda_drag", 0.0)):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= lo):
-                raise ParameterError(f"{name} must be a finite real >= {lo}, got {v}")
-            object.__setattr__(self, name, float(v))
+        for name in ("gamma", "lambda_drag"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
         for name in ("c", "h", "dt"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be a positive real, got {v}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name,
+                               check_real(name, getattr(self, name), 0, lo_open=True))
         if not isinstance(self.mode, Mode):
             raise ParameterError(f"mode must be a Mode, got {self.mode!r}")
-
-        eps = 1e-12
-        if self.mode is Mode.HEAT:
-            if self.gamma != 0.0:
-                raise ConfigError("heat mode requires gamma = 0")
-            if self.lambda_drag <= 0.0:
-                raise ConfigError("heat mode requires lambda_drag > 0")
-            bound = self.h * self.h * self.lambda_drag / (4.0 * self.c * self.c)
-            if self.dt > bound * (1.0 + eps):
-                raise ConfigError(
-                    f"diffusion stability violated: dt={self.dt:g} exceeds "
-                    f"h^2*lambda/(4c^2)={bound:g}"
-                )
-        else:
-            if self.gamma <= 0.0:
-                raise ConfigError(f"{self.mode.value} mode requires gamma > 0")
-            if self.mode is Mode.WAVE and self.lambda_drag != 0.0:
-                raise ConfigError("wave mode requires lambda_drag = 0")
-            speed = self.c * max(1.0, 1.0 / math.sqrt(self.gamma))
-            if speed * self.dt / self.h > 1.0 / math.sqrt(2.0) * (1.0 + eps):
-                raise ConfigError(
-                    f"CFL violated: effective speed {speed:g} * dt {self.dt:g} / "
-                    f"h {self.h:g} exceeds 1/sqrt(2)"
-                )
+        if self.mode is Mode.HEAT and self.gamma != 0.0:
+            raise ConfigError("heat mode requires gamma = 0")
+        if self.mode is Mode.WAVE and self.lambda_drag != 0.0:
+            raise ConfigError("wave mode requires lambda_drag = 0")
+        bound = stable_dt(self.mode, self.gamma, self.lambda_drag, self.c, self.h)
+        if self.dt > bound * (1.0 + 1e-12):
+            raise ConfigError(
+                f"{self.mode.value} stability violated: dt={self.dt:g} exceeds "
+                f"the bound {bound:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +155,9 @@ def poisson_solve(mu: Field2D, h: float = 1.0, tol: float = 1e-8,
     """
     if mu.width < 3 or mu.height < 3:
         raise DimensionError(f"poisson_solve needs at least 3x3, got {mu.width}x{mu.height}")
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be a positive real, got {tol}")
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise ParameterError(f"h must be a positive real, got {h}")
+    check_real("tol", tol, 0, lo_open=True)
+    check_int("max_iters", max_iters, 0)
+    h = check_real("h", h, 0, lo_open=True)
     if boundary is not None and boundary.values.shape != mu.values.shape:
         raise DimensionError(
             f"boundary shape {boundary.values.shape} does not match mu {mu.values.shape}"
@@ -205,8 +204,7 @@ def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
             f"direct_potential is limited to {_MAX_DIRECT}x{_MAX_DIRECT}, "
             f"got {mu.width}x{mu.height}"
         )
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise ParameterError(f"h must be a positive real, got {h}")
+    h = check_real("h", h, 0, lo_open=True)
 
     ys, xs = np.mgrid[0:mu.height, 0:mu.width]
     px = (xs.reshape(-1) * h).astype(np.float64)
@@ -235,7 +233,8 @@ def evolve_potential(state: PotentialState, mu: Field2D,
     algebraically the classic three-level centered scheme on u.
 
     Stability was already enforced when p was constructed, so the state is
-    never touched by an inadmissible step.
+    never touched by an inadmissible step.  The inputs are finite, so a
+    non-finite result can only be overflow; it raises NumericalError.
     """
     if state.u.values.shape != mu.values.shape:
         raise DimensionError(
@@ -245,20 +244,20 @@ def evolve_potential(state: PotentialState, mu: Field2D,
         raise DimensionError(f"stepper needs at least 3x3, got {mu.width}x{mu.height}")
 
     inner = np.s_[1:-1, 1:-1]
-    drive = laplacian(state.u, p.h).values[inner] + mu.values[inner]
-
-    if p.mode is Mode.HEAT:
+    try:
+        drive = laplacian(state.u, p.h).values[inner] + mu.values[inner]
         u_new = state.u.values.copy()
-        u_new[inner] += (p.dt * p.c * p.c / p.lambda_drag) * drive
-        return PotentialState(Field2D(u_new), Field2D.zeros(mu.width, mu.height))
-
-    half_drag = 0.5 * p.lambda_drag * p.dt
-    ut_new = np.zeros_like(state.u_t.values)
-    ut_new[inner] = ((p.gamma - half_drag) * state.u_t.values[inner]
-                     + p.dt * p.c * p.c * drive) / (p.gamma + half_drag)
-    u_new = state.u.values.copy()
-    u_new[inner] += p.dt * ut_new[inner]
-    return PotentialState(Field2D(u_new), Field2D(ut_new))
+        ut_new = np.zeros_like(state.u_t.values)
+        if p.mode is Mode.HEAT:
+            u_new[inner] += (p.dt * p.c * p.c / p.lambda_drag) * drive
+        else:
+            half_drag = 0.5 * p.lambda_drag * p.dt
+            ut_new[inner] = ((p.gamma - half_drag) * state.u_t.values[inner]
+                             + p.dt * p.c * p.c * drive) / (p.gamma + half_drag)
+            u_new[inner] += p.dt * ut_new[inner]
+        return PotentialState(Field2D(u_new), Field2D(ut_new))
+    except DataError as e:
+        raise NumericalError(f"potential overflow: {e}") from e
 
 
 def convergence_in_c(mu: Field2D, c_list, horizon: float,
@@ -275,13 +274,10 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     """
     from dataclasses import replace
 
-    cs = [float(c) for c in c_list]
-    if any(not (math.isfinite(c) and c > 0) for c in cs):
-        raise ParameterError(f"c_list must hold positive reals, got {c_list}")
+    cs = [check_real("c_list entry", c, 0, lo_open=True) for c in c_list]
     if any(b <= a for a, b in zip(cs, cs[1:])):
         raise ParameterError(f"c_list must be strictly ascending, got {c_list}")
-    if not (isinstance(horizon, (int, float)) and math.isfinite(horizon) and horizon > 0):
-        raise ParameterError(f"horizon must be a positive real, got {horizon}")
+    check_real("horizon", horizon, 0, lo_open=True)
 
     u_ref = poisson_solve(mu, h=base.h, tol=reference_tol, max_iters=200000)
     g_ref = gradient(u_ref, base.h)

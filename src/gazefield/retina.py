@@ -23,8 +23,9 @@ import numpy as np
 from .errors import (
     DataError,
     DimensionError,
-    ParameterError,
     PgmParseError,
+    check_int,
+    check_real,
 )
 
 __all__ = [
@@ -136,11 +137,9 @@ class FrameSequence:
                 raise DimensionError(
                     f"frame {i} shape {f.values.shape} differs from frame 0 shape {shape}"
                 )
-        if not (isinstance(self.dt_frame, (int, float)) and math.isfinite(self.dt_frame)
-                and self.dt_frame > 0):
-            raise ParameterError(f"dt_frame must be a positive real, got {self.dt_frame}")
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "dt_frame", float(self.dt_frame))
+        object.__setattr__(self, "dt_frame",
+                           check_real("dt_frame", self.dt_frame, 0, lo_open=True))
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -164,16 +163,12 @@ class BlurSchedule:
 
     def __post_init__(self):
         for name in ("sigma0", "decay_rate", "floor"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name} must be a finite real >= 0, got {v}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
 
 
 def schedule_sigma(schedule: BlurSchedule, t: float) -> float:
     """Smoothing width at time t: max(floor, sigma0 * exp(-decay_rate * t))."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ParameterError(f"t must be a finite real >= 0, got {t}")
+    t = check_real("t", t, 0)
     return max(schedule.floor, schedule.sigma0 * math.exp(-schedule.decay_rate * t))
 
 
@@ -265,8 +260,7 @@ def save_pgm(f: Field2D, maxval: int = 255) -> bytes:
     above 255 selects two-byte big-endian samples.  load_pgm recovers the
     quantized values exactly.
     """
-    if not (isinstance(maxval, int) and 1 <= maxval <= 65535):
-        raise ParameterError(f"maxval must be an integer in [1, 65535], got {maxval}")
+    check_int("maxval", maxval, 1, 65535)
     q = np.rint(np.clip(f.values, 0.0, 1.0) * maxval)
     dtype = ">u2" if maxval > 255 else "u1"
     header = f"P5\n{f.width} {f.height}\n{maxval}\n".encode("ascii")
@@ -277,18 +271,12 @@ def save_pgm(f: Field2D, maxval: int = 255) -> bytes:
 # Grid calculus
 # ---------------------------------------------------------------------------
 
-def _check_spacing(h: float) -> float:
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise ParameterError(f"grid spacing h must be a positive real, got {h}")
-    return float(h)
-
-
 def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     """Discrete gradient: central differences interior, one-sided on the boundary.
 
     Requires width, height >= 2.
     """
-    h = _check_spacing(h)
+    h = check_real("grid spacing h", h, 0, lo_open=True)
     v = f.values
     if f.width < 2 or f.height < 2:
         raise DimensionError(f"gradient needs at least 2x2, got {f.width}x{f.height}")
@@ -310,7 +298,7 @@ def laplacian(f: Field2D, h: float = 1.0) -> Field2D:
     pixels see the plain compact stencil; the potential solvers only ever
     consume those.  Requires width, height >= 3.
     """
-    h = _check_spacing(h)
+    h = check_real("grid spacing h", h, 0, lo_open=True)
     if f.width < 3 or f.height < 3:
         raise DimensionError(f"laplacian needs at least 3x3, got {f.width}x{f.height}")
     p = np.pad(f.values, 1, mode="edge")
@@ -325,9 +313,8 @@ def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
         raise DimensionError(
             f"frame shapes differ: {prev.values.shape} vs {nxt.values.shape}"
         )
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
-        raise ParameterError(f"dt must be a positive real, got {dt}")
-    return Field2D((nxt.values - prev.values) / float(dt))
+    dt = check_real("dt", dt, 0, lo_open=True)
+    return Field2D((nxt.values - prev.values) / dt)
 
 
 def magnitude(vf: VectorField2D) -> Field2D:
@@ -365,11 +352,10 @@ def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
     gradient: every output difference is a convex combination of input
     differences under edge replication.
     """
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0):
-        raise ParameterError(f"sigma must be a finite real >= 0, got {sigma}")
+    sigma = check_real("sigma", sigma, 0)
     if sigma == 0:
         return f
-    kernel = _gaussian_kernel(float(sigma))
+    kernel = _gaussian_kernel(sigma)
     out = _convolve_axis(f.values, kernel, axis=1)
     out = _convolve_axis(out, kernel, axis=0)
     return Field2D(out)

@@ -8,11 +8,9 @@ the pipeline is deterministic.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import ParameterError
+from .errors import check_int, check_real
 from .retina import Field2D
 
 __all__ = [
@@ -25,18 +23,12 @@ __all__ = [
 ]
 
 
-def _check_size(width: int, height: int):
-    if not (isinstance(width, int) and isinstance(height, int)
-            and width >= 1 and height >= 1):
-        raise ParameterError(f"frame size must be positive integers, got {width}x{height}")
-
-
 def blob_image(width: int, height: int, cx: float, cy: float,
                sigma: float = 3.0, amp: float = 1.0) -> Field2D:
     """Gaussian brightness bump, clipped to [0, 1]."""
-    _check_size(width, height)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ParameterError(f"sigma must be a positive real, got {sigma}")
+    check_int("width", width, 1)
+    check_int("height", height, 1)
+    check_real("sigma", sigma, 0, lo_open=True)
     ys, xs = np.mgrid[0:height, 0:width]
     v = amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
     return Field2D(np.clip(v, 0.0, 1.0))
@@ -52,16 +44,15 @@ def two_blob_image(width: int, height: int, sigma: float = 3.0,
 
 def black_frames(width: int, height: int, count: int) -> list[Field2D]:
     """All-zero brightness frames."""
-    _check_size(width, height)
-    if count < 2:
-        raise ParameterError(f"need at least 2 frames, got {count}")
+    check_int("width", width, 1)
+    check_int("height", height, 1)
+    check_int("count", count, 2)
     return [Field2D.zeros(width, height) for _ in range(count)]
 
 
 def static_frames(image: Field2D, count: int) -> list[Field2D]:
     """The same image repeated."""
-    if count < 2:
-        raise ParameterError(f"need at least 2 frames, got {count}")
+    check_int("count", count, 2)
     return [image] * count
 
 
@@ -70,10 +61,8 @@ def moving_blob_frames(width: int, height: int, count: int,
                        dt: float, sigma: float = 3.0, amp: float = 1.0
                        ) -> list[Field2D]:
     """A blob translating at constant velocity (pixels/s), one frame per dt."""
-    if count < 2:
-        raise ParameterError(f"need at least 2 frames, got {count}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ParameterError(f"dt must be a positive real, got {dt}")
+    check_int("count", count, 2)
+    check_real("dt", dt, 0, lo_open=True)
     x0, y0 = float(start[0]), float(start[1])
     vx, vy = float(velocity[0]), float(velocity[1])
     return [blob_image(width, height, x0 + k * dt * vx, y0 + k * dt * vy,
@@ -83,8 +72,7 @@ def moving_blob_frames(width: int, height: int, count: int,
 
 def add_noise(frames: list[Field2D], amplitude: float, seed: int) -> list[Field2D]:
     """Independent uniform pixel noise in [0, amplitude], clipped to [0, 1]."""
-    if not (math.isfinite(amplitude) and amplitude >= 0):
-        raise ParameterError(f"amplitude must be a finite real >= 0, got {amplitude}")
+    check_real("amplitude", amplitude, 0)
     if amplitude == 0:
         return list(frames)
     rng = np.random.default_rng(seed)

@@ -4,6 +4,9 @@ import io
 import math
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ from gazefield import (
     Scanpath,
     load_pgm,
 )
+import gazefield
 from gazefield import synth
 from gazefield.cli import (
+    _CONFIG_KEYS,
     FieldDump,
     SimConfig,
     export_field,
@@ -42,6 +47,11 @@ from gazefield.cli import (
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def config_value(cfg, key):
+    owner, name, _ = _CONFIG_KEYS[key]
+    return getattr(cfg if owner is None else getattr(cfg, owner), name)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +153,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("c = 100\nsubsteps_per_frame = 2\n")
         parse_config("c = 100\nsubsteps_per_frame = 8\n")
+
+    @pytest.mark.parametrize("field", ["substeps_per_frame", "dump_every"])
+    def test_bool_counts_rejected(self, field):
+        with pytest.raises(ConfigError):
+            SimConfig(**{field: True})
+
+    def test_readme_config_table_matches_parser(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| key | default | meaning |") + 2
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            key, default, _ = (cell.strip() for cell in line.strip("|").split("|", 2))
+            rows[key] = default
+        assert set(rows) == set(_CONFIG_KEYS)
+        defaults = parse_config("")
+        for key, cell in rows.items():
+            got = config_value(parse_config(f"{key} = {cell}\n"), key)
+            want = config_value(defaults, key)
+            if isinstance(want, float):
+                assert got == pytest.approx(want, rel=1e-6), key
+            else:
+                assert got == want, key
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -487,6 +522,24 @@ class TestCommands:
         assert run_cli("simulate", str(cfgfile),
                        str(blob_frames_dir / "frame_*.pgm"),
                        "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("config", [
+        "alpha1 = 1e300\n",  # the particle runs away
+        "alpha1 = 1e308\nc = 100\nlambda_drag = 4\n",  # the potential overflows
+    ])
+    def test_simulate_blow_up_exits_4_promptly(self, tmp_path, blob_frames_dir, config):
+        # a separate process, so a hang fails by timeout instead of stalling
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config, encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(gazefield.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "gazefield.cli", "simulate",
+             str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 4, proc.stderr
 
     def test_poisson_command_matches_library(self, tmp_path):
         from gazefield import poisson_solve

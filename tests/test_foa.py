@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gazefield.errors import DataError, DomainError, ParameterError
+from gazefield.errors import DataError, DomainError, NumericalError, ParameterError
 from gazefield.foa import (
     AttractionSign,
     BoundaryPolicy,
@@ -240,6 +240,14 @@ class TestFoaStep:
             return out
 
         assert run() == run()
+
+    @pytest.mark.parametrize("boundary", list(BoundaryPolicy))
+    def test_runaway_step_raises_numerical_error(self, boundary):
+        # a step longer than the grid extent is a runaway; folding it back
+        # one mirror at a time would take hundreds of millions of passes here
+        p = FoaParams(boundary=boundary)
+        with pytest.raises(NumericalError, match="exceeds the 64x64 grid"):
+            foa_step(FoaState(10, 10, 1e13, 0), Field2D.zeros(64, 64), p)
 
 
 class TestEnergy:

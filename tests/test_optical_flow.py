@@ -180,6 +180,22 @@ class TestHornSchunck:
         with pytest.raises(ParameterError):
             horn_schunck(Field2D.zeros(4, 4), Field2D.zeros(4, 4), 0.0, HsParams())
 
+    @pytest.mark.parametrize("kw, ok", [
+        (dict(lam=np.float32(0.05)), True),
+        (dict(max_iters=np.int64(20)), True),
+        (dict(tol=np.float64(1e-3)), True),
+        (dict(max_iters=True), False),
+        (dict(max_iters=20.0), False),
+    ])
+    def test_params_scalar_rule(self, kw, ok):
+        # a real (integer for max_iters) that is not a bool, finite, in range
+        if ok:
+            p = HsParams(**kw)
+            assert all(getattr(p, name) == value for name, value in kw.items())
+        else:
+            with pytest.raises(ParameterError):
+                HsParams(**kw)
+
 
 def test_objective_monotone_along_sweeps():
     # the energy the sweeps minimize must not rise after the first iterate

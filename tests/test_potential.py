@@ -17,6 +17,7 @@ from gazefield.errors import (
     ConvergenceError,
     DimensionError,
     GridSizeError,
+    NumericalError,
     ParameterError,
 )
 from gazefield.potential import (
@@ -97,10 +98,19 @@ class TestTelegraphParams:
     @pytest.mark.parametrize("kw", [
         dict(gamma=-1.0), dict(lambda_drag=-0.1), dict(c=0.0),
         dict(h=-1.0), dict(dt=0.0), dict(c=math.nan), dict(mode="heat"),
+        dict(c=True), dict(dt="0.005"), dict(c=10 ** 400),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ParameterError):
             TelegraphParams(**kw)
+
+
+    @pytest.mark.parametrize("kw", [
+        dict(c=np.float32(2.0)), dict(h=np.int64(2)), dict(dt=np.float64(0.004)),
+    ])
+    def test_accepts_numpy_scalars(self, kw):
+        p = TelegraphParams(**kw)
+        assert all(type(getattr(p, name)) is float for name in kw)
 
 
 class TestPotentialState:
@@ -186,6 +196,11 @@ class TestPoissonSolve:
         assert exc.value.residual > 0
         assert math.isfinite(exc.value.residual)
 
+    @pytest.mark.parametrize("max_iters", [2.5, -1, True])
+    def test_max_iters_must_be_a_count(self, max_iters):
+        with pytest.raises(ParameterError):
+            poisson_solve(Field2D.zeros(6, 6), max_iters=max_iters)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DimensionError):
             poisson_solve(Field2D.zeros(2, 2))
@@ -266,6 +281,13 @@ class TestEvolvePotential:
         ut[1:-1, 1:-1] = dt * c * c * mu.values[1:-1, 1:-1] / (gamma + 0.5 * lam * dt)
         assert np.allclose(st.u_t.values, ut, atol=1e-15)
         assert np.allclose(st.u.values, dt * ut, atol=1e-15)
+
+    def test_overflow_is_numerical_error(self):
+        # finite inputs, so a non-finite step result can only be overflow
+        mu = Field2D(np.full((8, 8), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow"):
+            evolve_potential(PotentialState.zero(8, 8), mu,
+                             TelegraphParams(c=100, dt=0.007))
 
     def test_boundary_ring_held_fixed(self):
         u0 = np.zeros((7, 7))

@@ -379,6 +379,12 @@ class TestGaussianBlur:
             sigma = float(rng.uniform(0.2, 3.0))
             assert grad_max_norm(gaussian_blur(f, sigma)) <= grad_max_norm(f) + 1e-12
 
+    @pytest.mark.parametrize("sigma", [np.float32(1.0), np.float64(1.0), np.int64(1)])
+    def test_numpy_scalar_sigma_matches_float(self, sigma):
+        f = Field2D(np.random.default_rng(3).uniform(size=(6, 7)))
+        np.testing.assert_array_equal(gaussian_blur(f, sigma).values,
+                                      gaussian_blur(f, 1.0).values)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ParameterError):
             gaussian_blur(Field2D.zeros(4, 4), -0.5)
