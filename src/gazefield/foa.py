@@ -12,13 +12,14 @@ speed threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericalError, ParameterError, check_real
-from .retina import Field2D, gradient
+from .errors import (DataError, DimensionError, DomainError, NumericalError,
+                     ParameterError, check_real)
+from .retina import Field2D
 
 __all__ = [
     "AttractionSign",
@@ -132,14 +133,31 @@ class Scanpath:
         return np.array([(s.x, s.y) for s in self.samples], dtype=np.float64)
 
 
-def _bilinear(arr: np.ndarray, x: float, y: float) -> float:
+def _cell(shape: tuple[int, int], x: float, y: float) -> tuple[int, int, float, float]:
     # callers guarantee 0 <= x <= w-1, 0 <= y <= h-1
-    h, w = arr.shape
+    h, w = shape
     x0 = min(int(math.floor(x)), w - 2)
     y0 = min(int(math.floor(y)), h - 2)
-    fx, fy = x - x0, y - y0
-    return float((1 - fy) * ((1 - fx) * arr[y0, x0] + fx * arr[y0, x0 + 1])
-                 + fy * ((1 - fx) * arr[y0 + 1, x0] + fx * arr[y0 + 1, x0 + 1]))
+    return x0, y0, x - x0, y - y0
+
+
+def _lerp(c00, c01, c10, c11, fx: float, fy: float):
+    return (1 - fy) * ((1 - fx) * c00 + fx * c01) + fy * ((1 - fx) * c10 + fx * c11)
+
+
+def _bilinear(arr: np.ndarray, x: float, y: float) -> float:
+    x0, y0, fx, fy = _cell(arr.shape, x, y)
+    return float(_lerp(arr[y0, x0], arr[y0, x0 + 1], arr[y0 + 1, x0],
+                       arr[y0 + 1, x0 + 1], fx, fy))
+
+
+def _stencil(i: int, n: int, h: float) -> tuple[int, int, float]:
+    # the difference retina.gradient takes at node i of n along one axis
+    if i == 0:
+        return 1, 0, h
+    if i == n - 1:
+        return i, i - 1, h
+    return i + 1, i - 1, 2.0 * h
 
 
 def _check_inside(u: Field2D, x: float, y: float):
@@ -154,14 +172,28 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
 
     The nodal gradient (central differences inside, one-sided at edges) is
     interpolated bilinearly, so the sampled force varies continuously as
-    the particle moves across cells.
+    the particle moves across cells.  Only the 4 corners of the cell that
+    holds the position are differentiated, with the expressions and
+    divisors of retina.gradient, so the result is bitwise the one the
+    full-grid gradient gives.
     """
     x, y = float(pos[0]), float(pos[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"position must be finite, got {pos}")
     _check_inside(u, x, y)
-    g = gradient(u, h)
-    return (_bilinear(g.dx, x, y), _bilinear(g.dy, x, y))
+    h = check_real("grid spacing h", h, 0, lo_open=True)
+    if u.width < 2 or u.height < 2:
+        raise DimensionError(f"gradient needs at least 2x2, got {u.width}x{u.height}")
+    v = u.values
+    x0, y0, fx, fy = _cell(v.shape, x, y)
+    dx, dy = [], []
+    for r in (y0, y0 + 1):
+        for c in (x0, x0 + 1):
+            fwd, back, div = _stencil(c, u.width, h)
+            dx.append((v[r, fwd] - v[r, back]) / div)
+            fwd, back, div = _stencil(r, u.height, h)
+            dy.append((v[fwd, c] - v[back, c]) / div)
+    return float(_lerp(*dx, fx, fy)), float(_lerp(*dy, fx, fy))
 
 
 def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
@@ -256,5 +288,5 @@ def detect_saccades(path: Scanpath, speed_threshold: float,
             for i in range(a, b):
                 flags[i] = True
 
-    return Scanpath(tuple(replace(s, saccade=f)
+    return Scanpath(tuple(FoaSample(s.t, s.x, s.y, s.vx, s.vy, f)
                           for s, f in zip(path.samples, flags)))

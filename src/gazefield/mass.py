@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, check_real
+from .errors import DataError, DimensionError, NumericalError, ParameterError, check_real
 from .retina import Field2D, VectorField2D
 
 __all__ = [
@@ -87,7 +87,9 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
 
     The inhibition gates only the detail term; the motion term passes
     through untouched.  motion must already hold the magnitude named by
-    p.motion_source (|db/dt| or |v|), so the result is nonnegative.
+    p.motion_source (|db/dt| or |v|), so the result is nonnegative.  The
+    inputs are finite, so a non-finite result can only be overflow; it
+    raises NumericalError.
     """
     if not (b_grad.dx.shape == motion.values.shape == ior.values.shape):
         raise DimensionError(
@@ -95,7 +97,11 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
             f"inhibition {ior.values.shape}"
         )
     detail = np.hypot(b_grad.dx, b_grad.dy)
-    return Field2D(p.alpha1 * detail * (1.0 - ior.values) + p.alpha2 * motion.values)
+    mu = p.alpha1 * detail * (1.0 - ior.values) + p.alpha2 * motion.values
+    try:
+        return Field2D._own(mu)
+    except DataError as e:
+        raise NumericalError(f"mass overflow: {e}") from e
 
 
 def ior_step(ior: IorField, a: tuple[float, float], dt: float, p: IorParams) -> IorField:
@@ -108,7 +114,8 @@ def ior_step(ior: IorField, a: tuple[float, float], dt: float, p: IorParams) -> 
     """
     ax, ay = check_real("gaze x", a[0]), check_real("gaze y", a[1])
     dt = check_real("dt", dt, 0, lo_open=True)
-    ys, xs = np.mgrid[0:ior.height, 0:ior.width].astype(np.float64)
+    xs = np.arange(ior.width, dtype=np.float64)
+    ys = np.arange(ior.height, dtype=np.float64)[:, None]
     source = np.exp(-((xs - ax) ** 2 + (ys - ay) ** 2) / (2.0 * p.sigma_ior ** 2))
     decay = math.exp(-p.beta * dt)
     return IorField(decay * ior.values + (1.0 - decay) * source)

@@ -29,7 +29,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .retina import Field2D, gradient, laplacian
+from .retina import Field2D, gradient
 
 __all__ = [
     "Mode",
@@ -230,7 +230,9 @@ def evolve_potential(state: PotentialState, mu: Field2D,
     u_t reported as zero.  Wave modes advance (u, u_t) with the centered
     staggered scheme: u_t lives at half steps, the drag term is averaged
     across the step, and u then advances with the fresh u_t, which is
-    algebraically the classic three-level centered scheme on u.
+    algebraically the classic three-level centered scheme on u.  The 5-point
+    stencil is taken on interior slices only, with the operand order and
+    divisor of retina.laplacian, so the step is bitwise the same.
 
     Stability was already enforced when p was constructed, so the state is
     never touched by an inadmissible step.  The inputs are finite, so a
@@ -244,18 +246,20 @@ def evolve_potential(state: PotentialState, mu: Field2D,
         raise DimensionError(f"stepper needs at least 3x3, got {mu.width}x{mu.height}")
 
     inner = np.s_[1:-1, 1:-1]
+    u = state.u.values
+    drive = (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
+             - 4.0 * u[inner]) / (p.h * p.h) + mu.values[inner]
+    u_new = u.copy()
+    ut_new = np.zeros_like(u)
+    if p.mode is Mode.HEAT:
+        u_new[inner] += (p.dt * p.c * p.c / p.lambda_drag) * drive
+    else:
+        half_drag = 0.5 * p.lambda_drag * p.dt
+        ut_new[inner] = ((p.gamma - half_drag) * state.u_t.values[inner]
+                         + p.dt * p.c * p.c * drive) / (p.gamma + half_drag)
+        u_new[inner] += p.dt * ut_new[inner]
     try:
-        drive = laplacian(state.u, p.h).values[inner] + mu.values[inner]
-        u_new = state.u.values.copy()
-        ut_new = np.zeros_like(state.u_t.values)
-        if p.mode is Mode.HEAT:
-            u_new[inner] += (p.dt * p.c * p.c / p.lambda_drag) * drive
-        else:
-            half_drag = 0.5 * p.lambda_drag * p.dt
-            ut_new[inner] = ((p.gamma - half_drag) * state.u_t.values[inner]
-                             + p.dt * p.c * p.c * drive) / (p.gamma + half_drag)
-            u_new[inner] += p.dt * ut_new[inner]
-        return PotentialState(Field2D(u_new), Field2D(ut_new))
+        return PotentialState(Field2D._own(u_new), Field2D._own(ut_new))
     except DataError as e:
         raise NumericalError(f"potential overflow: {e}") from e
 

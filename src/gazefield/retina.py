@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 
-def _as_readonly_2d(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+def _as_readonly_2d(values, name: str, copy: bool = True) -> np.ndarray:
+    arr = (np.array if copy else np.asarray)(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(f"{name} must be a non-empty 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -79,6 +79,13 @@ class Field2D:
     @classmethod
     def zeros(cls, width: int, height: int) -> "Field2D":
         return cls(np.zeros((height, width)))
+
+    @classmethod
+    def _own(cls, values: np.ndarray) -> "Field2D":
+        """Validate and freeze, without copying, an array the caller hands over."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", _as_readonly_2d(values, "field", copy=False))
+        return f
 
     @classmethod
     def from_flat(cls, width: int, height: int, data) -> "Field2D":

@@ -526,6 +526,7 @@ class TestCommands:
     @pytest.mark.parametrize("config", [
         "alpha1 = 1e300\n",  # the particle runs away
         "alpha1 = 1e308\nc = 100\nlambda_drag = 4\n",  # the potential overflows
+        "alpha2 = 1e308\n",  # the mass overflows
     ])
     def test_simulate_blow_up_exits_4_promptly(self, tmp_path, blob_frames_dir, config):
         # a separate process, so a hang fails by timeout instead of stalling

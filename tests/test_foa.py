@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gazefield.errors import DataError, DomainError, NumericalError, ParameterError
+from gazefield.errors import (
+    DataError,
+    DimensionError,
+    DomainError,
+    NumericalError,
+    ParameterError,
+)
 from gazefield.foa import (
     AttractionSign,
     BoundaryPolicy,
@@ -26,6 +32,20 @@ def gaussian_bump(n: int, cx: float, cy: float, amp: float = 5.0,
     ys, xs = np.mgrid[0:n, 0:n]
     return Field2D(amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2)
                                 / (2.0 * sigma * sigma)))
+
+
+def full_grid_sample(u: Field2D, x: float, y: float, h: float) -> tuple[float, float]:
+    # reference: the whole-grid nodal gradient, interpolated bilinearly
+    g = gradient(u, h)
+    x0 = min(math.floor(x), u.width - 2)
+    y0 = min(math.floor(y), u.height - 2)
+    fx, fy = x - x0, y - y0
+
+    def lerp(a):
+        return float((1 - fy) * ((1 - fx) * a[y0, x0] + fx * a[y0, x0 + 1])
+                     + fy * ((1 - fx) * a[y0 + 1, x0] + fx * a[y0 + 1, x0 + 1]))
+
+    return lerp(g.dx), lerp(g.dy)
 
 
 def make_path(speeds, dt=0.1):
@@ -118,6 +138,32 @@ class TestSampleGradient:
         u = Field2D.zeros(9, 6)
         with pytest.raises(DomainError):
             sample_gradient(u, pos)
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("shape", [(6, 9), (2, 3), (3, 2), (2, 2)],
+                             ids=lambda s: f"{s[1]}x{s[0]}")
+    def test_bitwise_matches_full_grid_gradient(self, shape, h):
+        rows, cols = shape
+        rng = np.random.default_rng(11)
+        u = Field2D(rng.standard_normal(shape))
+        xmax, ymax = cols - 1.0, rows - 1.0
+        positions = [(0.0, 0.0), (xmax, 0.0), (0.0, ymax), (xmax, ymax)]
+        positions += [(xmax, float(y)) for y in rng.uniform(0, ymax, 5)]
+        positions += [(float(x), ymax) for x in rng.uniform(0, xmax, 5)]
+        positions += [(float(x), float(y)) for x, y in
+                      zip(rng.uniform(0, xmax, 40), rng.uniform(0, ymax, 40))]
+        positions += [(float(x), float(y)) for x in range(cols) for y in range(rows)]
+        for x, y in positions:
+            assert sample_gradient(u, (x, y), h) == full_grid_sample(u, x, y, h), (x, y)
+
+    @pytest.mark.parametrize("width, height, pos", [(1, 5, (0, 2)), (5, 1, (2, 0))])
+    def test_grid_narrower_than_two_raises(self, width, height, pos):
+        with pytest.raises(DimensionError):
+            sample_gradient(Field2D.zeros(width, height), pos)
+
+    def test_zero_spacing_raises(self):
+        with pytest.raises(ParameterError):
+            sample_gradient(Field2D.zeros(4, 4), (1.5, 1.5), h=0)
 
 
 class TestFoaStep:

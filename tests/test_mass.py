@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from gazefield import DimensionError, Field2D, ParameterError, VectorField2D, gradient
+from gazefield import (
+    DimensionError,
+    Field2D,
+    NumericalError,
+    ParameterError,
+    VectorField2D,
+    gradient,
+)
 from gazefield.mass import (
     IorField,
     IorParams,
@@ -92,6 +99,13 @@ class TestMassDensity:
         mu_high = mass_density(g, motion, IorField(high), p).values
         assert np.all(mu_high <= mu_low + 1e-13)
 
+    def test_overflow_is_numerical_error(self):
+        # finite inputs, so a non-finite result can only be overflow
+        g = VectorField2D(np.zeros((4, 4)), np.zeros((4, 4)))
+        motion = Field2D(np.full((4, 4), 10.0))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow"):
+            mass_density(g, motion, IorField.zeros(4, 4), MassParams(alpha2=1e308))
+
     def test_dimension_mismatch(self):
         g = VectorField2D(np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(DimensionError):
@@ -150,6 +164,17 @@ class TestIorStep:
         assert np.abs(r2 - ode_rate).max() < 1e-6
         # halving dt halves the defect (first-order consistency)
         assert np.abs(r2 - ode_rate).max() < 0.6 * np.abs(r1 - ode_rate).max() + 1e-9
+
+    def test_bitwise_matches_full_grid_coordinates(self):
+        rng = np.random.default_rng(109)
+        p = IorParams(beta=0.7, sigma_ior=2.5)
+        ior = IorField(rng.uniform(0, 1, (6, 11)))
+        a, dt = (3.3, 4.1), 0.2
+        ys, xs = np.mgrid[0:6, 0:11].astype(np.float64)
+        source = np.exp(-((xs - a[0]) ** 2 + (ys - a[1]) ** 2) / (2.0 * p.sigma_ior ** 2))
+        decay = math.exp(-p.beta * dt)
+        want = decay * ior.values + (1.0 - decay) * source
+        assert np.array_equal(ior_step(ior, a, dt, p).values, want)
 
     def test_bad_inputs(self):
         p = IorParams()

@@ -28,6 +28,7 @@ from gazefield.potential import (
     direct_potential,
     evolve_potential,
     poisson_solve,
+    stable_dt,
 )
 from gazefield.retina import Field2D, gradient, laplacian
 
@@ -36,6 +37,22 @@ def interior_lap(u: Field2D, h: float) -> np.ndarray:
     # interior rows of the 5-point laplacian see only in-grid neighbors,
     # so the boundary closure of the full-grid operator is irrelevant here
     return laplacian(u, h).values[1:-1, 1:-1]
+
+
+def full_grid_step(state: PotentialState, mu: Field2D, p: TelegraphParams):
+    # reference: the step built on the whole-grid laplacian
+    inner = np.s_[1:-1, 1:-1]
+    drive = laplacian(state.u, p.h).values[inner] + mu.values[inner]
+    u_new = state.u.values.copy()
+    ut_new = np.zeros_like(state.u_t.values)
+    if p.mode is Mode.HEAT:
+        u_new[inner] += (p.dt * p.c * p.c / p.lambda_drag) * drive
+    else:
+        half_drag = 0.5 * p.lambda_drag * p.dt
+        ut_new[inner] = ((p.gamma - half_drag) * state.u_t.values[inner]
+                         + p.dt * p.c * p.c * drive) / (p.gamma + half_drag)
+        u_new[inner] += p.dt * ut_new[inner]
+    return u_new, ut_new
 
 
 def plain_energy(state: PotentialState, c: float, h: float) -> float:
@@ -288,6 +305,25 @@ class TestEvolvePotential:
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow"):
             evolve_potential(PotentialState.zero(8, 8), mu,
                              TelegraphParams(c=100, dt=0.007))
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("mode, gamma, lam", [
+        (Mode.HEAT, 0.0, 1.5), (Mode.WAVE, 1.0, 0.0), (Mode.DAMPED_WAVE, 0.7, 2.0),
+    ])
+    def test_bitwise_matches_full_grid_laplacian(self, mode, gamma, lam, h):
+        rng = np.random.default_rng(13)
+        # non-zero edge ring and u_t, so every stencil term is live
+        st = PotentialState(Field2D(rng.standard_normal((7, 9))),
+                            Field2D(rng.standard_normal((7, 9))))
+        mu = Field2D(rng.uniform(0, 1, (7, 9)))
+        c = 1.3
+        dt = 0.9 * stable_dt(mode, gamma, lam, c, h)
+        p = TelegraphParams(gamma=gamma, lambda_drag=lam, c=c, h=h, dt=dt, mode=mode)
+        for _ in range(5):
+            want_u, want_ut = full_grid_step(st, mu, p)
+            st = evolve_potential(st, mu, p)
+            assert np.array_equal(st.u.values, want_u)
+            assert np.array_equal(st.u_t.values, want_ut)
 
     def test_boundary_ring_held_fixed(self):
         u0 = np.zeros((7, 7))
