@@ -262,6 +262,11 @@ class FieldDump:
     ior: IorField
 
 
+# error category -> CLI exit code; the first entry that matches wins
+_EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4, GazefieldError: 1,
+               OSError: 3}
+
+
 @contextmanager
 def _stage(frame_index: int, name: str):
     # failures anywhere in the loop surface with the frame and stage that
@@ -269,14 +274,7 @@ def _stage(frame_index: int, name: str):
     try:
         yield
     except GazefieldError as e:
-        if isinstance(e, ConfigError):
-            root = ConfigError
-        elif isinstance(e, DataError):
-            root = DataError
-        elif isinstance(e, NumericalError):
-            root = NumericalError
-        else:
-            root = GazefieldError
+        root = next(cls for cls in _EXIT_CODES if isinstance(e, cls))
         raise root(f"frame {frame_index}, stage {name}: {e}") from e
 
 
@@ -291,8 +289,12 @@ def run_simulation(frames: FrameSequence,
     evolution each followed by one particle step.  The scanpath holds the
     initial state plus one sample per substep; dumps snapshot (mass,
     potential, inhibition) every dump_every-th frame.  Deterministic:
-    identical inputs give bit-identical results.
+    identical inputs give bit-identical results.  frames.dt_frame must
+    equal cfg.frame_dt, so every stage runs on one clock.
     """
+    if frames.dt_frame != cfg.frame_dt:
+        raise ConfigError(f"frame sequence dt_frame {frames.dt_frame!r} differs from "
+                          f"config frame_dt {cfg.frame_dt!r}")
     tp = cfg.telegraph_params()
     fp = cfg.foa_params()
     w, h_px = frames.width, frames.height
@@ -311,26 +313,30 @@ def run_simulation(frames: FrameSequence,
     ior = IorField.zeros(w, h_px)
     pot = PotentialState.zero(w, h_px)
     substeps = cfg.substeps_per_frame
-    dt_sub = cfg.substep_dt
+    dt_frame, dt_sub = cfg.frame_dt, cfg.substep_dt
     samples = [FoaSample(0.0, state.x, state.y, state.vx, state.vy)]
     dumps: list[FieldDump] = []
 
+    sigma_prev = b_next = None
     for k in range(len(frames) - 1):
         with _stage(k, "blur"):
-            sigma = schedule_sigma(cfg.blur, k * frames.dt_frame)
-            b_now = gaussian_blur(frames.frames[k], sigma)
+            sigma = schedule_sigma(cfg.blur, k * dt_frame)
+            # frame k was blurred with this sigma as the previous b_next
+            b_now = (b_next if sigma == sigma_prev
+                     else gaussian_blur(frames.frames[k], sigma))
             b_next = gaussian_blur(frames.frames[k + 1], sigma)
+            sigma_prev = sigma
         with _stage(k, "differentiation"):
             grad_b = gradient(b_now, cfg.h)
-            ddt = temporal_derivative(b_now, b_next, frames.dt_frame)
+            ddt = temporal_derivative(b_now, b_next, dt_frame)
         with _stage(k, "motion"):
             if cfg.mass.motion_source is MotionSource.FLOW_MAGNITUDE:
-                flow = horn_schunck(b_now, b_next, frames.dt_frame, cfg.hs)
+                flow = horn_schunck(b_now, b_next, dt_frame, cfg.hs)
                 motion = magnitude(flow)
             else:
-                motion = Field2D(np.abs(ddt.values))
+                motion = Field2D._own(np.abs(ddt.values), "motion")
         with _stage(k, "inhibition"):
-            ior = ior_step(ior, (state.x, state.y), frames.dt_frame, cfg.ior)
+            ior = ior_step(ior, (state.x, state.y), dt_frame, cfg.ior)
         with _stage(k, "mass"):
             mu = mass_density(grad_b, motion, ior, cfg.mass)
         for j in range(substeps):
@@ -426,12 +432,7 @@ def export_flow(v: FlowField, sink) -> None:
 
 def read_flow(source) -> FlowField:
     """Read the two-record flow layout written by export_flow."""
-    dx = read_field(source)
-    dy = read_field(source)
-    if dx.values.shape != dy.values.shape:
-        raise DimensionError(
-            f"flow components disagree: {dx.values.shape} vs {dy.values.shape}")
-    return FlowField(dx.values, dy.values)
+    return FlowField(read_field(source).values, read_field(source).values)
 
 
 # ---------------------------------------------------------------------------
@@ -620,21 +621,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except GazefieldError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

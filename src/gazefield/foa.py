@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DataError, DimensionError, DomainError, NumericalError,
                      ParameterError, check_real)
-from .retina import Field2D
+from .retina import Field2D, _stencil
 
 __all__ = [
     "AttractionSign",
@@ -151,15 +151,6 @@ def _bilinear(arr: np.ndarray, x: float, y: float) -> float:
                        arr[y0 + 1, x0 + 1], fx, fy))
 
 
-def _stencil(i: int, n: int, h: float) -> tuple[int, int, float]:
-    # the difference retina.gradient takes at node i of n along one axis
-    if i == 0:
-        return 1, 0, h
-    if i == n - 1:
-        return i, i - 1, h
-    return i + 1, i - 1, 2.0 * h
-
-
 def _check_inside(u: Field2D, x: float, y: float):
     if not (0.0 <= x <= u.width - 1 and 0.0 <= y <= u.height - 1):
         raise DomainError(
@@ -173,13 +164,13 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
     The nodal gradient (central differences inside, one-sided at edges) is
     interpolated bilinearly, so the sampled force varies continuously as
     the particle moves across cells.  Only the 4 corners of the cell that
-    holds the position are differentiated, with the expressions and
-    divisors of retina.gradient, so the result is bitwise the one the
-    full-grid gradient gives.
+    holds the position are differentiated, each by retina._stencil, the
+    difference rule of retina.gradient, and the corners are blended by
+    _lerp, the rule of _bilinear, so the result is bitwise the one the
+    full-grid gradient gives.  A position off the grid, NaN or infinite
+    included, raises DomainError.
     """
     x, y = float(pos[0]), float(pos[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"position must be finite, got {pos}")
     _check_inside(u, x, y)
     h = check_real("grid spacing h", h, 0, lo_open=True)
     if u.width < 2 or u.height < 2:
@@ -194,6 +185,16 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
             fwd, back, div = _stencil(r, u.height, h)
             dy.append((v[fwd, c] - v[back, c]) / div)
     return float(_lerp(*dx, fx, fy)), float(_lerp(*dy, fx, fy))
+
+
+def _fold(x: float, v: float, top: float, policy: BoundaryPolicy) -> tuple[float, float]:
+    # one axis of a step that lands within one grid extent of [0, top]
+    if 0.0 <= x <= top:
+        return x, v
+    edge = 0.0 if x < 0.0 else top
+    if policy is BoundaryPolicy.REFLECT:
+        return 2.0 * edge - x, -v
+    return edge, 0.0
 
 
 def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
@@ -220,28 +221,9 @@ def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
         raise NumericalError(
             f"particle step ({step_x:g}, {step_y:g}) from ({s.x:g}, {s.y:g}) "
             f"exceeds the {u.width}x{u.height} grid")
-    x = s.x + step_x
-    y = s.y + step_y
-
-    # one step lands within one grid extent of the grid, so one fold suffices
-    if p.boundary is BoundaryPolicy.REFLECT:
-        if x < 0.0:
-            x, vx = -x, -vx
-        elif x > xmax:
-            x, vx = 2.0 * xmax - x, -vx
-        if y < 0.0:
-            y, vy = -y, -vy
-        elif y > ymax:
-            y, vy = 2.0 * ymax - y, -vy
-    else:
-        if x < 0.0:
-            x, vx = 0.0, 0.0
-        elif x > xmax:
-            x, vx = xmax, 0.0
-        if y < 0.0:
-            y, vy = 0.0, 0.0
-        elif y > ymax:
-            y, vy = ymax, 0.0
+    # the step is within one grid extent, so one fold per axis suffices
+    x, vx = _fold(s.x + step_x, vx, xmax, p.boundary)
+    y, vy = _fold(s.y + step_y, vy, ymax, p.boundary)
     return FoaState(x, y, vx, vy)
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError, ParameterError, check_real
+from .errors import DimensionError, ParameterError, check_real
 from .retina import Field2D, VectorField2D
 
 __all__ = [
@@ -76,10 +76,6 @@ class IorField(Field2D):
                 f"[{v.min():.3g}, {v.max():.3g}]"
             )
 
-    @classmethod
-    def zeros(cls, width: int, height: int) -> "IorField":
-        return cls(np.zeros((height, width)))
-
 
 def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
                  p: MassParams) -> Field2D:
@@ -87,9 +83,8 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
 
     The inhibition gates only the detail term; the motion term passes
     through untouched.  motion must already hold the magnitude named by
-    p.motion_source (|db/dt| or |v|), so the result is nonnegative.  The
-    inputs are finite, so a non-finite result can only be overflow; it
-    raises NumericalError.
+    p.motion_source (|db/dt| or |v|), so the result is nonnegative.
+    Overflow raises NumericalError.
     """
     if not (b_grad.dx.shape == motion.values.shape == ior.values.shape):
         raise DimensionError(
@@ -98,10 +93,7 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
         )
     detail = np.hypot(b_grad.dx, b_grad.dy)
     mu = p.alpha1 * detail * (1.0 - ior.values) + p.alpha2 * motion.values
-    try:
-        return Field2D._own(mu)
-    except DataError as e:
-        raise NumericalError(f"mass overflow: {e}") from e
+    return Field2D._own(mu, "mass")
 
 
 def ior_step(ior: IorField, a: tuple[float, float], dt: float, p: IorParams) -> IorField:

@@ -24,7 +24,8 @@ from .errors import (
     check_int,
     check_real,
 )
-from .retina import Field2D, FlowField, VectorField2D, gradient, temporal_derivative
+from .retina import (Field2D, FlowField, VectorField2D, _neighbour_sum, gradient,
+                     temporal_derivative)
 
 __all__ = [
     "HsParams",
@@ -107,14 +108,14 @@ def conjugation_residual(grad: VectorField2D, ddt: Field2D, v: FlowField) -> Fie
         raise DimensionError(
             f"shapes differ: grad {grad.dx.shape}, ddt {ddt.values.shape}, v {v.dx.shape}"
         )
-    return Field2D(grad.dx * v.dx + grad.dy * v.dy + ddt.values)
+    return Field2D._own(grad.dx * v.dx + grad.dy * v.dy + ddt.values,
+                        "conjugation residual")
 
 
 def _neighbor_average(c: np.ndarray) -> np.ndarray:
     # 4-neighbor mean; out-of-grid neighbors replicate the edge sample,
     # which is the discrete zero-Neumann closure for the flow
-    p = np.pad(c, 1, mode="edge")
-    return 0.25 * (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:])
+    return 0.25 * _neighbour_sum(np.pad(c, 1, mode="edge"))
 
 
 def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarray,
@@ -152,8 +153,6 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
             f"flow needs at least 3x3 frames, got {b_prev.width}x{b_prev.height}"
         )
     dt = check_real("dt", dt, 0, lo_open=True)
-    if not (np.all(np.isfinite(b_prev.values)) and np.all(np.isfinite(b_next.values))):
-        raise DataError("non-finite frame values")
 
     g_prev = gradient(b_prev)
     g_next = gradient(b_next)
@@ -169,7 +168,7 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
         vx, vy = nvx, nvy
         if delta < p.tol:
             break
-    return FlowField(vx, vy)
+    return FlowField._own(vx, vy, "flow")
 
 
 def hs_objective(b_grad: VectorField2D, b_t: Field2D, v: FlowField,
@@ -244,4 +243,4 @@ def feature_group_flow(stack: FeatureStack) -> tuple[FlowField, Field2D]:
     det = (a11 + stack.ridge) * (a22 + stack.ridge) - a12 * a12
     vx = ((a22 + stack.ridge) * b1 - a12 * b2) / det
     vy = ((a11 + stack.ridge) * b2 - a12 * b1) / det
-    return FlowField(vx, vy), Field2D(rank)
+    return FlowField._own(vx, vy, "flow"), Field2D._own(rank, "rank")

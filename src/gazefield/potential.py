@@ -21,15 +21,13 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DataError,
     DimensionError,
     GridSizeError,
-    NumericalError,
     ParameterError,
     check_int,
     check_real,
 )
-from .retina import Field2D, gradient
+from .retina import Field2D, _five_point, _neighbour_sum, gradient
 
 __all__ = [
     "Mode",
@@ -125,9 +123,7 @@ class PotentialState:
 
 
 def _interior_residual(u: np.ndarray, mu: np.ndarray, h: float) -> float:
-    lap = (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
-           - 4.0 * u[1:-1, 1:-1]) / (h * h)
-    return float(np.abs(lap + mu[1:-1, 1:-1]).max())
+    return float(np.abs(_five_point(u, h) + mu[1:-1, 1:-1]).max())
 
 
 def poisson_solve(mu: Field2D, h: float = 1.0, tol: float = 1e-8,
@@ -178,14 +174,13 @@ def poisson_solve(mu: Field2D, h: float = 1.0, tol: float = 1e-8,
     residual = _interior_residual(u, m, h)
     for _ in range(max_iters):
         if residual < tol:
-            return Field2D(u)
+            return Field2D._own(u, "potential")
         for parity in (0, 1):
-            nb = u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
-            relaxed = (1.0 - omega) * u[1:-1, 1:-1] + omega * 0.25 * (nb + f)
+            relaxed = (1.0 - omega) * u[1:-1, 1:-1] + omega * 0.25 * (_neighbour_sum(u) + f)
             u[1:-1, 1:-1] = np.where(checker == parity, relaxed, u[1:-1, 1:-1])
         residual = _interior_residual(u, m, h)
     if residual < tol:
-        return Field2D(u)
+        return Field2D._own(u, "potential")
     raise ConvergenceError(
         f"relaxation did not reach tol={tol:g} within {max_iters} sweeps", residual
     )
@@ -230,13 +225,13 @@ def evolve_potential(state: PotentialState, mu: Field2D,
     u_t reported as zero.  Wave modes advance (u, u_t) with the centered
     staggered scheme: u_t lives at half steps, the drag term is averaged
     across the step, and u then advances with the fresh u_t, which is
-    algebraically the classic three-level centered scheme on u.  The 5-point
-    stencil is taken on interior slices only, with the operand order and
-    divisor of retina.laplacian, so the step is bitwise the same.
+    algebraically the classic three-level centered scheme on u.  The
+    5-point stencil is retina._five_point on u's interior, the one that
+    retina.laplacian applies, so the step is bitwise the same.
 
     Stability was already enforced when p was constructed, so the state is
-    never touched by an inadmissible step.  The inputs are finite, so a
-    non-finite result can only be overflow; it raises NumericalError.
+    never touched by an inadmissible step.  The result is adopted with
+    Field2D._own, so overflow raises NumericalError.
     """
     if state.u.values.shape != mu.values.shape:
         raise DimensionError(
@@ -247,8 +242,7 @@ def evolve_potential(state: PotentialState, mu: Field2D,
 
     inner = np.s_[1:-1, 1:-1]
     u = state.u.values
-    drive = (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
-             - 4.0 * u[inner]) / (p.h * p.h) + mu.values[inner]
+    drive = _five_point(u, p.h) + mu.values[inner]
     u_new = u.copy()
     ut_new = np.zeros_like(u)
     if p.mode is Mode.HEAT:
@@ -258,10 +252,8 @@ def evolve_potential(state: PotentialState, mu: Field2D,
         ut_new[inner] = ((p.gamma - half_drag) * state.u_t.values[inner]
                          + p.dt * p.c * p.c * drive) / (p.gamma + half_drag)
         u_new[inner] += p.dt * ut_new[inner]
-    try:
-        return PotentialState(Field2D._own(u_new), Field2D._own(ut_new))
-    except DataError as e:
-        raise NumericalError(f"potential overflow: {e}") from e
+    return PotentialState(Field2D._own(u_new, "potential"),
+                          Field2D._own(ut_new, "potential"))
 
 
 def convergence_in_c(mu: Field2D, c_list, horizon: float,

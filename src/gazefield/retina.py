@@ -6,6 +6,14 @@ position vector ``(x, y)`` addresses column x and row y.  Containers are
 frozen: once constructed they hold a read-only array and never mutate, so
 they can be shared freely between pipeline stages.
 
+There are two ways into a field.  A caller's array goes through the
+constructor (``Field2D(values)``), which copies it; a non-finite value there
+is bad input, a DataError.  A result a function computed from fields that
+were already validated is adopted with ``Field2D._own`` (or
+``VectorField2D._own``), which freezes that fresh array in place without a
+copy; the inputs were finite, so a non-finite value there is overflow, a
+NumericalError.
+
 Derivatives use central differences in the interior and one-sided
 differences on the boundary.  The 5-point Laplacian and the smoothing
 kernel both close their stencils by edge replication, so constants map to
@@ -23,6 +31,7 @@ import numpy as np
 from .errors import (
     DataError,
     DimensionError,
+    NumericalError,
     PgmParseError,
     check_int,
     check_real,
@@ -44,12 +53,20 @@ __all__ = [
 ]
 
 
-def _as_readonly_2d(values, name: str, copy: bool = True) -> np.ndarray:
-    arr = (np.array if copy else np.asarray)(values, dtype=np.float64)
+def _as_readonly_2d(values, name: str) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(f"{name} must be a non-empty 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite values")
+    arr.setflags(write=False)
+    return arr
+
+
+def _adopt(arr: np.ndarray, what: str) -> np.ndarray:
+    # arr was computed from finite fields, so a non-finite value is overflow
+    if not np.all(np.isfinite(arr)):
+        raise NumericalError(f"{what} overflow: result contains non-finite values")
     arr.setflags(write=False)
     return arr
 
@@ -81,10 +98,10 @@ class Field2D:
         return cls(np.zeros((height, width)))
 
     @classmethod
-    def _own(cls, values: np.ndarray) -> "Field2D":
-        """Validate and freeze, without copying, an array the caller hands over."""
+    def _own(cls, values: np.ndarray, what: str) -> "Field2D":
+        """Adopt an array computed from validated fields: frozen, not copied."""
         f = object.__new__(cls)
-        object.__setattr__(f, "values", _as_readonly_2d(values, "field", copy=False))
+        object.__setattr__(f, "values", _adopt(values, what))
         return f
 
     @classmethod
@@ -112,6 +129,14 @@ class VectorField2D:
                 f"component shapes differ: dx {self.dx.shape} vs dy {self.dy.shape}"
             )
 
+    @classmethod
+    def _own(cls, dx: np.ndarray, dy: np.ndarray, what: str) -> "VectorField2D":
+        """Adopt two equal-shape components as Field2D._own adopts one array."""
+        vf = object.__new__(cls)
+        object.__setattr__(vf, "dx", _adopt(dx, what))
+        object.__setattr__(vf, "dy", _adopt(dy, what))
+        return vf
+
     @property
     def width(self) -> int:
         return self.dx.shape[1]
@@ -136,14 +161,12 @@ class FrameSequence:
         frames = tuple(self.frames)
         if len(frames) < 2:
             raise DimensionError("frame sequence needs at least 2 frames")
-        shape = frames[0].values.shape
         for i, f in enumerate(frames):
             if not isinstance(f, Field2D):
                 raise DataError(f"frame {i} is not a Field2D")
-            if f.values.shape != shape:
-                raise DimensionError(
-                    f"frame {i} shape {f.values.shape} differs from frame 0 shape {shape}"
-                )
+            if f.values.shape != frames[0].values.shape:
+                raise DimensionError(f"frame {i} shape {f.values.shape} differs "
+                                     f"from frame 0 shape {frames[0].values.shape}")
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "dt_frame",
                            check_real("dt_frame", self.dt_frame, 0, lo_open=True))
@@ -278,6 +301,16 @@ def save_pgm(f: Field2D, maxval: int = 255) -> bytes:
 # Grid calculus
 # ---------------------------------------------------------------------------
 
+def _stencil(i: int, n: int, h: float) -> tuple[int, int, float]:
+    # the difference gradient takes at node i of n along one axis:
+    # (v[fwd] - v[back]) / div, one-sided at either end, central inside
+    if i == 0:
+        return 1, 0, h
+    if i == n - 1:
+        return i, i - 1, h
+    return i + 1, i - 1, 2.0 * h
+
+
 def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     """Discrete gradient: central differences interior, one-sided on the boundary.
 
@@ -295,7 +328,17 @@ def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     dy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2.0 * h)
     dy[0, :] = (v[1, :] - v[0, :]) / h
     dy[-1, :] = (v[-1, :] - v[-2, :]) / h
-    return VectorField2D(dx, dy)
+    return VectorField2D._own(dx, dy, "gradient")
+
+
+def _neighbour_sum(a: np.ndarray) -> np.ndarray:
+    """up + down + left + right at the interior nodes of a."""
+    return a[:-2, 1:-1] + a[2:, 1:-1] + a[1:-1, :-2] + a[1:-1, 2:]
+
+
+def _five_point(a: np.ndarray, h: float) -> np.ndarray:
+    """5-point Laplacian of a at its interior nodes."""
+    return (_neighbour_sum(a) - 4.0 * a[1:-1, 1:-1]) / (h * h)
 
 
 def laplacian(f: Field2D, h: float = 1.0) -> Field2D:
@@ -308,10 +351,7 @@ def laplacian(f: Field2D, h: float = 1.0) -> Field2D:
     h = check_real("grid spacing h", h, 0, lo_open=True)
     if f.width < 3 or f.height < 3:
         raise DimensionError(f"laplacian needs at least 3x3, got {f.width}x{f.height}")
-    p = np.pad(f.values, 1, mode="edge")
-    lap = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
-           - 4.0 * p[1:-1, 1:-1]) / (h * h)
-    return Field2D(lap)
+    return Field2D._own(_five_point(np.pad(f.values, 1, mode="edge"), h), "laplacian")
 
 
 def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
@@ -321,12 +361,12 @@ def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
             f"frame shapes differ: {prev.values.shape} vs {nxt.values.shape}"
         )
     dt = check_real("dt", dt, 0, lo_open=True)
-    return Field2D((nxt.values - prev.values) / dt)
+    return Field2D._own((nxt.values - prev.values) / dt, "temporal derivative")
 
 
 def magnitude(vf: VectorField2D) -> Field2D:
     """Pointwise Euclidean norm of a vector field."""
-    return Field2D(np.hypot(vf.dx, vf.dy))
+    return Field2D._own(np.hypot(vf.dx, vf.dy), "magnitude")
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -365,4 +405,4 @@ def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
     kernel = _gaussian_kernel(sigma)
     out = _convolve_axis(f.values, kernel, axis=1)
     out = _convolve_axis(out, kernel, axis=0)
-    return Field2D(out)
+    return Field2D._own(out, "blur")

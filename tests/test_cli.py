@@ -23,7 +23,9 @@ from gazefield import (
     MotionSource,
     Mode,
     Scanpath,
+    gaussian_blur,
     load_pgm,
+    schedule_sigma,
 )
 import gazefield
 from gazefield import synth
@@ -405,6 +407,31 @@ class TestRunSimulation:
         path, _ = run_simulation(FrameSequence(tuple(frames), cfg.frame_dt), cfg)
         assert all(map(math.isfinite, (path.samples[-1].x, path.samples[-1].y)))
 
+    def test_frame_clock_must_match_config(self):
+        frames = FrameSequence(tuple(synth.black_frames(8, 8, 3)), 0.04)
+        with pytest.raises(ConfigError, match="frame_dt"):
+            run_simulation(frames, SimConfig())
+
+    def test_each_frame_is_blurred_once_per_sigma(self, monkeypatch):
+        # sigma decays from 2 to its floor 1 by frame 3, then stays there
+        cfg = parse_config("c = 20\nsubsteps_per_frame = 1\nblur_sigma0 = 2\n"
+                           "blur_decay_rate = 10\nblur_floor = 1\n")
+        calls = []
+
+        def counting_blur(f, sigma):
+            calls.append((id(f), sigma))
+            return gaussian_blur(f, sigma)
+
+        monkeypatch.setattr("gazefield.cli.gaussian_blur", counting_blur)
+        frames = synth.moving_blob_frames(16, 16, 8, (5.0, 8.0), (6.0, 0.0),
+                                          cfg.frame_dt)
+        run_simulation(FrameSequence(tuple(frames), cfg.frame_dt), cfg)
+        sigmas = [schedule_sigma(cfg.blur, k * cfg.frame_dt) for k in range(7)]
+        assert sigmas[3:] == [1.0] * 4
+        assert len(calls) == len(set(calls)) == 11
+        assert set(calls) == {(id(frames[i]), s)
+                              for k, s in enumerate(sigmas) for i in (k, k + 1)}
+
     def test_stage_errors_name_frame_and_stage(self):
         with pytest.raises(DataError, match=r"frame 3, stage mass"):
             with _stage(3, "mass"):
@@ -527,6 +554,7 @@ class TestCommands:
         "alpha1 = 1e300\n",  # the particle runs away
         "alpha1 = 1e308\nc = 100\nlambda_drag = 4\n",  # the potential overflows
         "alpha2 = 1e308\n",  # the mass overflows
+        "frame_dt = 1e-310\n",  # the temporal derivative overflows
     ])
     def test_simulate_blow_up_exits_4_promptly(self, tmp_path, blob_frames_dir, config):
         # a separate process, so a hang fails by timeout instead of stalling

@@ -16,6 +16,7 @@ from gazefield import (
     DimensionError,
     Field2D,
     FrameSequence,
+    NumericalError,
     ParameterError,
     PgmParseError,
     VectorField2D,
@@ -127,6 +128,10 @@ class TestFrameSequence:
         frames = (Field2D.zeros(4, 4), Field2D.zeros(4, 4))
         with pytest.raises(ParameterError):
             FrameSequence(frames, 0.0)
+
+    def test_first_frame_must_be_a_field(self):
+        with pytest.raises(DataError):
+            FrameSequence((np.zeros((4, 4)), Field2D.zeros(4, 4)), 0.04)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +279,16 @@ class TestLaplacian:
         # replication makes the stencil sum telescope away
         assert lap.sum() == pytest.approx(0.0, abs=1e-11)
 
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
+    def test_bitwise_matches_oracle_operand_order(self, h):
+        # the oracle sums up, down, left, right, then subtracts the centre;
+        # the potential steppers share this stencil, so the order is pinned
+        # here.  Magnitudes spread over 12 decades so a reordered sum rounds
+        # differently.
+        rng = np.random.default_rng(44)
+        v = rng.uniform(-1.0, 1.0, (7, 9)) * 10.0 ** rng.integers(-6, 7, (7, 9))
+        np.testing.assert_array_equal(laplacian(Field2D(v), h).values, lap_oracle(v, h))
+
     def test_constant_zero_everywhere(self):
         lap = laplacian(Field2D(np.full((6, 6), 3.0))).values
         np.testing.assert_allclose(lap, 0.0, atol=1e-14)
@@ -336,6 +351,18 @@ class TestTemporalDerivative:
 def test_magnitude():
     vf = VectorField2D(np.full((2, 2), 3.0), np.full((2, 2), 4.0))
     np.testing.assert_allclose(magnitude(vf).values, 5.0)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: temporal_derivative(Field2D.zeros(3, 3), Field2D(np.ones((3, 3))), 1e-310),
+    lambda: gradient(Field2D(np.arange(9.0).reshape(3, 3)), 1e-310),
+    lambda: magnitude(VectorField2D(np.full((2, 2), 1.5e308), np.full((2, 2), 1.5e308))),
+    lambda: laplacian(Field2D(np.arange(9.0).reshape(3, 3)), 1e-160),
+], ids=["temporal_derivative", "gradient", "magnitude", "laplacian"])
+def test_overflow_from_finite_fields_is_numerical_error(compute):
+    # the inputs are finite, so a non-finite result is overflow, not bad data
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="overflow"):
+        compute()
 
 
 # ---------------------------------------------------------------------------
