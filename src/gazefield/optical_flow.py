@@ -8,11 +8,20 @@ system by synchronous (Jacobi) sweeps.  Stacking several feature channels
 makes the per-pixel system square or overdetermined; the group solver then
 inverts the 2x2 normal equations pixel by pixel and reports the local
 numerical rank, which tells where the motion is fully determined.
+
+Every flow sweep runs on one kernel, ``_Sweeps``: vx and vy live stacked in
+two edge-padded flat buffers that alternate as current and next iterate,
+and a sweep is a fixed list of in-place 1-d ufuncs over them, with the
+neighbor mean taken as 0.25 * (up + down + left + right) and the update as
+ax - gx * ((gx*ax + gy*ay + bt) / (lam + gx*gx + gy*gy)).  ``horn_schunck``
+allocates it once per solve; the public ``hs_jacobi_step`` builds one for
+a single sweep, so both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +33,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .retina import (Field2D, FlowField, VectorField2D, _neighbour_sum, gradient,
-                     temporal_derivative)
+from .retina import Field2D, FlowField, VectorField2D, gradient, temporal_derivative
 
 __all__ = [
     "HsParams",
@@ -112,24 +120,129 @@ def conjugation_residual(grad: VectorField2D, ddt: Field2D, v: FlowField) -> Fie
                         "conjugation residual")
 
 
-def _neighbor_average(c: np.ndarray) -> np.ndarray:
-    # 4-neighbor mean; out-of-grid neighbors replicate the edge sample,
-    # which is the discrete zero-Neumann closure for the flow
-    return 0.25 * _neighbour_sum(np.pad(c, 1, mode="edge"))
+class _Iterate(NamedTuple):
+    # one edge-padded (vx, vy) buffer and the views a sweep reads and writes
+    span: np.ndarray   # (2, m): the first interior node to the last
+    up: np.ndarray     # the span shifted by -(w+2)
+    down: np.ndarray   # by +(w+2)
+    left: np.ndarray   # by -1
+    right: np.ndarray  # by +1
+    grid: np.ndarray   # (2, h+2, w+2)
+    args: tuple        # (vx, vy, gx, gy, bt, lam), the arrays as interior views
+
+
+class _Sweeps:
+    """One flow solve's buffers, allocated once and swept in place.
+
+    An h x w grid is stored row-major with a one-node ghost ring, vx and vy
+    stacked in a (2, (h+2)*(w+2)) array, so node (y, x) sits at flat index
+    (y+1)*(w+2) + x+1 and its neighbours sit -+(w+2) and -+1 away.  Two such
+    arrays alternate as the current and the next iterate.  A sweep runs on
+    one contiguous span, from the first interior node to the last.  The
+    ghost columns inside that span carry zero gradient and zero bt, so they
+    take a finite neighbour mean, which the edge replication overwrites.
+    """
+
+    def __init__(self, vx, vy, gx, gy, bt, lam: float):
+        h, w = np.shape(gx)
+        wp = w + 2
+        lo, hi = wp + 1, h * wp + w + 1
+
+        def padded(*arrays):
+            buf = np.zeros((len(arrays), (h + 2) * wp))
+            grid = buf.reshape(len(arrays), h + 2, wp)
+            for k, a in enumerate(arrays):
+                grid[k, 1:-1, 1:-1] = a
+            return buf, grid
+
+        g, g_grid = padded(gx, gy)
+        b, b_grid = padded(bt)
+        self._g = g[:, lo:hi]
+        self._bt = b[0, lo:hi]
+        # scratch for the products of a sweep and for |next - current|
+        self._tmp = np.empty_like(self._g)
+        # lam + gx*gx + gy*gy, in that order, once per solve
+        self._den = np.multiply(self._g[0], self._g[0])
+        np.add(self._den, lam, out=self._den)
+        np.multiply(self._g[1], self._g[1], out=self._tmp[1])
+        np.add(self._den, self._tmp[1], out=self._den)
+
+        coefficients = (*g_grid[:, 1:-1, 1:-1], b_grid[0, 1:-1, 1:-1], lam)
+        self._iterates = []
+        for v in ((vx, vy), (0.0, 0.0)):
+            buf, grid = padded(*v)
+            self._iterates.append(_Iterate(
+                buf[:, lo:hi], buf[:, lo - wp:hi - wp], buf[:, lo + wp:hi + wp],
+                buf[:, lo - 1:hi - 1], buf[:, lo + 1:hi + 1], grid,
+                (*grid[:, 1:-1, 1:-1], *coefficients)))
+        _replicate_edges(self._iterates[0].grid)
+        self.delta = np.inf  # max |next - current| of the last sweep
+
+    @property
+    def args(self) -> tuple:
+        """hs_jacobi_step's arguments for the current iterate, as views."""
+        return self._iterates[0].args
+
+    def sweep(self) -> None:
+        cur, nxt = self._iterates
+        x, t, g = nxt.span, self._tmp, self._g
+        # (ax, ay): 0.25 * (up + down + left + right), _neighbour_sum's order
+        np.add(cur.up, cur.down, out=x)
+        np.add(x, cur.left, out=x)
+        np.add(x, cur.right, out=x)
+        np.multiply(x, 0.25, out=x)
+        # scale = (gx*ax + gy*ay + bt) / den
+        np.multiply(g, x, out=t)
+        scale = t[0]
+        np.add(scale, t[1], out=scale)
+        np.add(scale, self._bt, out=scale)
+        np.divide(scale, self._den, out=scale)
+        # (ax - gx*scale, ay - gy*scale)
+        np.multiply(g[1], scale, out=t[1])
+        np.multiply(g[0], scale, out=t[0])
+        np.subtract(x, t, out=x)
+        _replicate_edges(nxt.grid)
+        # every ghost in the span now copies an interior node of its
+        # iterate, so the max over the span is the max over the interior
+        np.subtract(x, cur.span, out=t)
+        np.abs(t, out=t)
+        self.delta = t.max()
+        self._iterates.reverse()
+
+
+def _replicate_edges(grid: np.ndarray) -> None:
+    # out-of-grid neighbours replicate the edge sample, the discrete
+    # zero-Neumann closure for the flow
+    grid[:, 1:-1, 0] = grid[:, 1:-1, 1]
+    grid[:, 1:-1, -1] = grid[:, 1:-1, -2]
+    grid[:, 0] = grid[:, 1]
+    grid[:, -1] = grid[:, -2]
 
 
 def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarray,
-                   bt: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+                   bt: np.ndarray, lam: float, *,
+                   _ws: _Sweeps | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous relaxation sweep of the stationarity system.
 
     Each pixel is replaced by the exact minimizer of its local model
     (constraint residual plus lam-weighted distance to the neighbor mean),
     which is the classic update v <- vbar - grad (grad . vbar + bt) / (lam + |grad|^2).
+
+    The sweep runs on edge-padded float64 buffers (see ``_Sweeps``): the
+    neighbor mean is 0.25 * (up + down + left + right), with out-of-grid
+    neighbors replicating the edge sample, and the update is
+    ``ax - gx * ((gx*ax + gy*ay + bt) / (lam + gx*gx + gy*gy))``, in that
+    operand order.  ``horn_schunck`` passes its own ``_ws``, whose views the
+    arrays then are; the sweep runs in place on it and returns views of the
+    new iterate.  Without ``_ws`` the inputs are copied in and the result
+    is returned as two new arrays.
     """
-    ax = _neighbor_average(vx)
-    ay = _neighbor_average(vy)
-    scale = (gx * ax + gy * ay + bt) / (lam + gx * gx + gy * gy)
-    return ax - gx * scale, ay - gy * scale
+    if _ws is None:
+        ws = _Sweeps(vx, vy, gx, gy, bt, lam)
+        ws.sweep()
+        return ws.args[0].copy(), ws.args[1].copy()
+    _ws.sweep()
+    return _ws.args[:2]
 
 
 def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> FlowField:
@@ -138,7 +251,7 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
     The constraint gradient is the average of both frames' spatial
     gradients; the temporal term is the forward difference.  Sweeps stop
     when the max-norm of one update drops below p.tol or p.max_iters is
-    reached.
+    reached; each sweep is one call of ``hs_jacobi_step``.
 
     Returns
     -------
@@ -158,17 +271,17 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
     g_next = gradient(b_next)
     gx = 0.5 * (g_prev.dx + g_next.dx)
     gy = 0.5 * (g_prev.dy + g_next.dy)
+    del g_prev, g_next
     bt = temporal_derivative(b_prev, b_next, dt).values
+    ws = _Sweeps(0.0, 0.0, gx, gy, bt, p.lam)
+    del gx, gy, bt  # the workspace holds padded copies
 
-    vx = np.zeros_like(gx)
-    vy = np.zeros_like(gy)
     for _ in range(p.max_iters):
-        nvx, nvy = hs_jacobi_step(vx, vy, gx, gy, bt, p.lam)
-        delta = max(np.abs(nvx - vx).max(), np.abs(nvy - vy).max())
-        vx, vy = nvx, nvy
-        if delta < p.tol:
+        hs_jacobi_step(*ws.args, _ws=ws)
+        if ws.delta < p.tol:
             break
-    return FlowField._own(vx, vy, "flow")
+    vx, vy = ws.args[:2]
+    return FlowField._own(vx.copy(), vy.copy(), "flow")
 
 
 def hs_objective(b_grad: VectorField2D, b_t: Field2D, v: FlowField,

@@ -32,6 +32,7 @@ from .errors import (
     DataError,
     DimensionError,
     NumericalError,
+    ParameterError,
     PgmParseError,
     check_int,
     check_real,
@@ -398,10 +399,18 @@ def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
     unchanged.  Smoothing never increases the max-norm of the discrete
     gradient: every output difference is a convex combination of input
     differences under edge replication.
+
+    Raises ParameterError, before allocating anything, when the radius
+    ceil(3*sigma) exceeds the larger grid side.
     """
     sigma = check_real("sigma", sigma, 0)
     if sigma == 0:
         return f
+    side = max(f.width, f.height)
+    # ceil(x) > side exactly when x > side, and 3*sigma may overflow to inf
+    if 3.0 * sigma > side:
+        raise ParameterError(f"sigma {sigma} needs a kernel radius ceil(3*sigma) "
+                             f"above the larger grid side {side}")
     kernel = _gaussian_kernel(sigma)
     out = _convolve_axis(f.values, kernel, axis=1)
     out = _convolve_axis(out, kernel, axis=0)

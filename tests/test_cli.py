@@ -570,6 +570,25 @@ class TestCommands:
             capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 4, proc.stderr
 
+    @pytest.mark.parametrize("config", [
+        "blur_sigma0 = 1e300\n",  # no kernel of that radius can be allocated
+        "blur_sigma0 = 11\n",  # radius 33 on 32x32 frames
+    ])
+    def test_simulate_blur_wider_than_frame_exits_2_promptly(self, tmp_path,
+                                                             blob_frames_dir, config):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config, encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(gazefield.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "gazefield.cli", "simulate",
+             str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "stage blur" in proc.stderr and "larger grid side 32" in proc.stderr
+
     def test_poisson_command_matches_library(self, tmp_path):
         from gazefield import poisson_solve
         rng = np.random.default_rng(5)

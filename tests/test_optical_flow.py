@@ -63,6 +63,56 @@ def hs_setup(a, b, dt):
     return gx, gy, bt
 
 
+def padded_jacobi_step(vx, vy, gx, gy, bt, lam):
+    # the sweep as first written: an edge-padded copy of each component,
+    # up + down + left + right at its interior, then the pixelwise update
+    def neighbour_mean(c):
+        p = np.pad(c, 1, mode="edge")
+        return 0.25 * (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:])
+
+    ax = neighbour_mean(vx)
+    ay = neighbour_mean(vy)
+    scale = (gx * ax + gy * ay + bt) / (lam + gx * gx + gy * gy)
+    return ax - gx * scale, ay - gy * scale
+
+
+def padded_horn_schunck(a, b, dt, p):
+    """The solve as first written; returns vx, vy and each sweep's update."""
+    gx, gy, bt = hs_setup(a, b, dt)
+    vx = np.zeros_like(gx)
+    vy = np.zeros_like(gy)
+    deltas = []
+    for _ in range(p.max_iters):
+        nvx, nvy = padded_jacobi_step(vx, vy, gx, gy, bt, p.lam)
+        deltas.append(max(np.abs(nvx - vx).max(), np.abs(nvy - vy).max()))
+        vx, vy = nvx, nvy
+        if deltas[-1] < p.tol:
+            break
+    return vx, vy, deltas
+
+
+def flow_pair(shape, seed):
+    # a blob moving 1 px along x and 0.5 px along y, plus texture noise
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    s = max(h, w) / 6.0
+
+    def blob(cx, cy):
+        return np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * s * s))
+
+    a = blob(w / 2.0, h / 2.0) + 0.05 * rng.uniform(size=shape)
+    b = blob(w / 2.0 + 1.0, h / 2.0 + 0.5) + 0.05 * rng.uniform(size=shape)
+    return a, b
+
+
+def early_stop_params(a, b, lam, cap):
+    # a tol that the padded reference first meets well before the cap:
+    # just above the smallest update among its first cap // 2 sweeps
+    deltas = padded_horn_schunck(a, b, 1.0, HsParams(lam=lam, max_iters=cap // 2, tol=1e-300))[2]
+    return HsParams(lam=lam, max_iters=cap, tol=float(np.nextafter(min(deltas), np.inf)))
+
+
 # ---------------------------------------------------------------------------
 # conjugation_residual
 # ---------------------------------------------------------------------------
@@ -214,6 +264,69 @@ def test_objective_monotone_along_sweeps():
             values.append(hs_objective(grad, Field2D(bt), VectorField2D(vx, vy), lam))
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev + 1e-12 * max(abs(prev), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the sweep kernel against the padded reference
+# ---------------------------------------------------------------------------
+
+HS_SHAPES = [(3, 3), (3, 6), (7, 4), (33, 33), (64, 64)]
+HS_CAP = 40
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("shape", HS_SHAPES)
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+    def test_horn_schunck_bitwise_matches_padded_reference(self, shape, lam):
+        a, b = flow_pair(shape, seed=61)
+        # transposed, the larger update moves from vx to vy
+        for a, b in ((a, b), (a.T.copy(), b.T.copy())):
+            # one sweep, the cap, and a tol that stops the sweeps early
+            cases = [(HsParams(lam=lam, max_iters=1), range(1, 2)),
+                     (HsParams(lam=lam, max_iters=HS_CAP, tol=1e-300),
+                      range(HS_CAP, HS_CAP + 1)),
+                     (early_stop_params(a, b, lam, HS_CAP), range(1, HS_CAP // 2 + 1))]
+            for p, sweep_range in cases:
+                vx, vy, deltas = padded_horn_schunck(a, b, 1.0, p)
+                assert len(deltas) in sweep_range
+                v = horn_schunck(Field2D(a), Field2D(b), 1.0, p)
+                assert np.array_equal(v.dx, vx) and np.array_equal(v.dy, vy), p
+
+    @pytest.mark.parametrize("shape", HS_SHAPES + [(1, 1), (1, 5), (2, 2)])
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+    def test_public_step_bitwise_matches_padded_reference(self, shape, lam):
+        rng = np.random.default_rng(67)
+        vx, vy, gx, gy = rng.standard_normal((4,) + shape)
+        bt = rng.uniform(-2.0, 2.0, shape)
+        inputs = [c.copy() for c in (vx, vy, gx, gy, bt)]
+        want = padded_jacobi_step(vx, vy, gx, gy, bt, lam)
+        got = hs_jacobi_step(vx, vy, gx, gy, bt, lam)
+        for g, w in zip(got, want):
+            assert g.shape == shape and np.array_equal(g, w)
+        # the inputs are read, never written
+        for before, after in zip(inputs, (vx, vy, gx, gy, bt)):
+            assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("shape", [(3, 6), (33, 33)])
+    def test_one_hs_jacobi_step_call_per_sweep(self, shape, monkeypatch):
+        # the benchmark counts sweeps by rebinding this module-level name
+        import gazefield.optical_flow as of
+        calls = []
+        original = of.hs_jacobi_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(of, "hs_jacobi_step", counting)
+        a, b = flow_pair(shape, seed=71)
+        horn_schunck(Field2D(a), Field2D(b), 1.0, HsParams(lam=0.1, max_iters=HS_CAP, tol=1e-300))
+        assert len(calls) == HS_CAP
+        calls.clear()
+        p = early_stop_params(a, b, 0.1, HS_CAP)
+        stopped_at = len(padded_horn_schunck(a, b, 1.0, p)[2])
+        horn_schunck(Field2D(a), Field2D(b), 1.0, p)
+        assert len(calls) == stopped_at <= HS_CAP // 2
 
 
 def test_barbers_pole_normal_flow():

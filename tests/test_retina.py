@@ -416,6 +416,16 @@ class TestGaussianBlur:
         with pytest.raises(ParameterError):
             gaussian_blur(Field2D.zeros(4, 4), -0.5)
 
+    def test_kernel_radius_bounded_by_larger_side(self):
+        # radius ceil(3*sigma): 8 at sigma 2.5 fits an 8x8 grid, 9 does not
+        f = Field2D(np.random.default_rng(11).uniform(size=(8, 8)))
+        np.testing.assert_allclose(gaussian_blur(f, 2.5).values,
+                                   blur_oracle(f.values, 2.5), atol=1e-12)
+        assert gaussian_blur(Field2D.zeros(8, 3), 2.5).values.shape == (3, 8)
+        for sigma in (3.0, 1e300):
+            with pytest.raises(ParameterError, match="larger grid side 8"):
+                gaussian_blur(f, sigma)
+
     def test_semigroup_far_from_boundary(self):
         # blur(blur(f,s1),s2) ~ blur(f, sqrt(s1^2+s2^2)) away from the edges.
         # Truncating at ceil(3*sigma) clips a different variance fraction for
