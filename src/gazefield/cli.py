@@ -31,9 +31,9 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
-    DimensionError,
     GazefieldError,
     NumericalError,
+    check_grid,
     check_int,
     check_real,
 )
@@ -282,15 +282,15 @@ def run_simulation(frames: FrameSequence,
                    cfg: SimConfig) -> tuple[Scanpath, list[FieldDump]]:
     """Drive the full pipeline over a frame sequence.
 
-    Per frame: smooth both endpoint frames per the schedule, take spatial
-    and temporal derivatives (plus dense flow when the mass wants it),
-    decay-and-deposit inhibition at the current gaze point, assemble the
-    mass density, then run substeps_per_frame rounds of potential
+    Per frame: smooth both endpoint frames per the schedule, take the spatial
+    gradient and the motion term (|db/dt|, or the dense flow's speed when the
+    mass wants it), decay-and-deposit inhibition at the gaze point, assemble
+    the mass density, then run substeps_per_frame rounds of potential
     evolution each followed by one particle step.  The scanpath holds the
     initial state plus one sample per substep; dumps snapshot (mass,
     potential, inhibition) every dump_every-th frame.  Deterministic:
-    identical inputs give bit-identical results.  frames.dt_frame must
-    equal cfg.frame_dt, so every stage runs on one clock.
+    identical inputs give bit-identical results.  frames.dt_frame must equal
+    cfg.frame_dt, so every stage runs on one clock.
     """
     if frames.dt_frame != cfg.frame_dt:
         raise ConfigError(f"frame sequence dt_frame {frames.dt_frame!r} differs from "
@@ -298,8 +298,7 @@ def run_simulation(frames: FrameSequence,
     tp = cfg.telegraph_params()
     fp = cfg.foa_params()
     w, h_px = frames.width, frames.height
-    if w < 3 or h_px < 3:
-        raise DimensionError(f"simulation needs frames of at least 3x3, got {w}x{h_px}")
+    check_grid("run_simulation", (h_px, w), min_side=3)
     if cfg.initial_foa is None:
         state = FoaState((w - 1) / 2.0, (h_px - 1) / 2.0)
     else:
@@ -328,12 +327,11 @@ def run_simulation(frames: FrameSequence,
             sigma_prev = sigma
         with _stage(k, "differentiation"):
             grad_b = gradient(b_now, cfg.h)
-            ddt = temporal_derivative(b_now, b_next, dt_frame)
         with _stage(k, "motion"):
             if cfg.mass.motion_source is MotionSource.FLOW_MAGNITUDE:
-                flow = horn_schunck(b_now, b_next, dt_frame, cfg.hs)
-                motion = magnitude(flow)
+                motion = magnitude(horn_schunck(b_now, b_next, dt_frame, cfg.hs))
             else:
+                ddt = temporal_derivative(b_now, b_next, dt_frame)
                 motion = Field2D._own(np.abs(ddt.values), "motion")
         with _stage(k, "inhibition"):
             ior = ior_step(ior, (state.x, state.y), dt_frame, cfg.ior)
@@ -400,7 +398,11 @@ def import_scanpath(data: bytes) -> Scanpath:
 
 
 def export_field(f: Field2D, sink) -> None:
-    """Write a field: "FOAF", u32le width and height, row-major f32le values."""
+    """Write a field: "FOAF", u32le width and height, row-major f32le values.
+
+    Raises NumericalError, writing nothing, for a value beyond float32 range."""
+    if max(f.values.max(), -f.values.min()) > np.finfo(np.float32).max:
+        raise NumericalError(f"field magnitude {np.abs(f.values).max():g} exceeds float32")
     sink.write(b"FOAF" + struct.pack("<II", f.width, f.height)
                + f.values.astype("<f4").tobytes())
 

@@ -5,9 +5,11 @@ can catch one base class.  The CLI maps subclasses onto exit codes:
 configuration problems exit 2, bad input data exits 3, numerical failures
 exit 4.
 
-Scalar arguments are validated by one rule, check_real and check_int: a
-value is accepted when it is a real (or integral) number that is not a
-bool, is finite, and lies in the documented range.  numpy scalars pass.
+Arguments are validated by one rule per kind: check_real and check_int
+accept a finite real (or integral) number, not a bool, in the documented
+range (numpy scalars pass); check_member accepts a member of the setting's
+Enum; both raise ParameterError.  check_grid raises DimensionError unless
+the grids one function combines share one shape whose sides reach its minimum.
 """
 
 from __future__ import annotations
@@ -100,3 +102,21 @@ def check_int(name: str, v, lo: int, hi: int | None = None) -> int:
         return int(v)
     upper = "" if hi is None else f" and <= {hi}"
     raise ParameterError(f"{name} must be an integer >= {lo}{upper}, got {v!r}")
+
+
+def check_grid(what: str, shape: tuple, *others: tuple, min_side: int = 1) -> None:
+    """Raise DimensionError, naming what and the grids as WxH, unless every
+    (height, width) shape in others equals shape and both its sides reach min_side."""
+    for other in others:
+        if other != shape:
+            raise DimensionError(f"{what}: grid {other[1]}x{other[0]} does not match "
+                                 f"{shape[1]}x{shape[0]}")
+    if shape[0] < min_side or shape[1] < min_side:
+        raise DimensionError(f"{what} needs at least {min_side}x{min_side}, "
+                             f"got {shape[1]}x{shape[0]}")
+
+
+def check_member(name: str, v, kind: type) -> None:
+    """Raise ParameterError unless v is a member of the Enum kind."""
+    if not isinstance(v, kind):
+        raise ParameterError(f"{name} must be a member of {kind.__name__}, got {v!r}")

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (DataError, DimensionError, DomainError, NumericalError,
-                     ParameterError, check_real)
+from .errors import (DataError, DomainError, NumericalError, check_grid, check_member,
+                     check_real)
 from .retina import Field2D, _stencil
 
 __all__ = [
@@ -64,12 +64,8 @@ class FoaParams:
         object.__setattr__(self, "dissipation",
                            check_real("dissipation", self.dissipation, 0))
         object.__setattr__(self, "dt", check_real("dt", self.dt, 0, lo_open=True))
-        if not isinstance(self.attraction_sign, AttractionSign):
-            raise ParameterError(
-                f"attraction_sign must be an AttractionSign, got {self.attraction_sign!r}")
-        if not isinstance(self.boundary, BoundaryPolicy):
-            raise ParameterError(
-                f"boundary must be a BoundaryPolicy, got {self.boundary!r}")
+        check_member("attraction_sign", self.attraction_sign, AttractionSign)
+        check_member("boundary", self.boundary, BoundaryPolicy)
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,7 @@ class Scanpath:
 
     def positions(self) -> np.ndarray:
         """(n, 2) array of sample positions."""
-        return np.array([(s.x, s.y) for s in self.samples], dtype=np.float64)
+        return np.array([(s.x, s.y) for s in self.samples], dtype=np.float64).reshape(-1, 2)
 
 
 def _cell(shape: tuple[int, int], x: float, y: float) -> tuple[int, int, float, float]:
@@ -173,8 +169,7 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
     x, y = float(pos[0]), float(pos[1])
     _check_inside(u, x, y)
     h = check_real("grid spacing h", h, 0, lo_open=True)
-    if u.width < 2 or u.height < 2:
-        raise DimensionError(f"gradient needs at least 2x2, got {u.width}x{u.height}")
+    check_grid("sample_gradient", u.values.shape, min_side=2)
     v = u.values
     x0, y0, fx, fy = _cell(v.shape, x, y)
     dx, dy = [], []

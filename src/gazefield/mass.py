@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, check_real
+from .errors import ParameterError, check_grid, check_member, check_real
 from .retina import Field2D, VectorField2D
 
 __all__ = [
@@ -47,8 +47,7 @@ class MassParams:
             object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
         if self.alpha1 + self.alpha2 <= 0:
             raise ParameterError("alpha1 + alpha2 must be positive")
-        if not isinstance(self.motion_source, MotionSource):
-            raise ParameterError(f"motion_source must be a MotionSource, got {self.motion_source!r}")
+        check_member("motion_source", self.motion_source, MotionSource)
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,7 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
     p.motion_source (|db/dt| or |v|), so the result is nonnegative.
     Overflow raises NumericalError.
     """
-    if not (b_grad.dx.shape == motion.values.shape == ior.values.shape):
-        raise DimensionError(
-            f"shapes differ: grad {b_grad.dx.shape}, motion {motion.values.shape}, "
-            f"inhibition {ior.values.shape}"
-        )
+    check_grid("mass_density", b_grad.dx.shape, motion.values.shape, ior.values.shape)
     detail = np.hypot(b_grad.dx, b_grad.dy)
     mu = p.alpha1 * detail * (1.0 - ior.values) + p.alpha2 * motion.values
     return Field2D._own(mu, "mass")

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import (
     DataError,
-    DimensionError,
     ParameterError,
     SingularityError,
+    check_grid,
     check_int,
     check_real,
 )
@@ -73,11 +73,7 @@ class FeatureChannel:
     ddt: Field2D
 
     def __post_init__(self):
-        if self.grad.dx.shape != self.ddt.values.shape:
-            raise DimensionError(
-                f"channel gradient shape {self.grad.dx.shape} does not match "
-                f"temporal derivative shape {self.ddt.values.shape}"
-            )
+        check_grid("FeatureChannel", self.grad.dx.shape, self.ddt.values.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +91,7 @@ class FeatureStack:
         for i, ch in enumerate(channels):
             if not isinstance(ch, FeatureChannel):
                 raise DataError(f"channel {i} is not a FeatureChannel")
-            if ch.grad.dx.shape != shape:
-                raise DimensionError(
-                    f"channel {i} shape {ch.grad.dx.shape} differs from channel 0 {shape}"
-                )
+            check_grid(f"FeatureStack channel {i}", shape, ch.grad.dx.shape)
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "ridge", check_real("ridge", self.ridge, 0))
 
@@ -112,10 +105,7 @@ def conjugation_residual(grad: VectorField2D, ddt: Field2D, v: FlowField) -> Fie
     Zero means the feature is conjugated with the flow: its value rides
     along v without changing.
     """
-    if not (grad.dx.shape == ddt.values.shape == v.dx.shape):
-        raise DimensionError(
-            f"shapes differ: grad {grad.dx.shape}, ddt {ddt.values.shape}, v {v.dx.shape}"
-        )
+    check_grid("conjugation_residual", grad.dx.shape, ddt.values.shape, v.dx.shape)
     return Field2D._own(grad.dx * v.dx + grad.dy * v.dy + ddt.values,
                         "conjugation residual")
 
@@ -257,14 +247,7 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
     -------
     FlowField in pixels/second.
     """
-    if b_prev.values.shape != b_next.values.shape:
-        raise DimensionError(
-            f"frame shapes differ: {b_prev.values.shape} vs {b_next.values.shape}"
-        )
-    if b_prev.width < 3 or b_prev.height < 3:
-        raise DimensionError(
-            f"flow needs at least 3x3 frames, got {b_prev.width}x{b_prev.height}"
-        )
+    check_grid("horn_schunck", b_prev.values.shape, b_next.values.shape, min_side=3)
     dt = check_real("dt", dt, 0, lo_open=True)
 
     g_prev = gradient(b_prev)
@@ -295,11 +278,7 @@ def hs_objective(b_grad: VectorField2D, b_t: Field2D, v: FlowField,
     descends monotonically; per-pixel gradient-square forms with full
     weight lam are not Lyapunov for it.  The total is scaled by h^2.
     """
-    if not (b_grad.dx.shape == b_t.values.shape == v.dx.shape):
-        raise DimensionError(
-            f"shapes differ: grad {b_grad.dx.shape}, b_t {b_t.values.shape}, "
-            f"v {v.dx.shape}"
-        )
+    check_grid("hs_objective", b_grad.dx.shape, b_t.values.shape, v.dx.shape)
     data = b_grad.dx * v.dx + b_grad.dy * v.dy + b_t.values
     total = float(np.sum(data ** 2))
     for c in (v.dx, v.dy):

@@ -21,10 +21,11 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DimensionError,
     GridSizeError,
     ParameterError,
+    check_grid,
     check_int,
+    check_member,
     check_real,
 )
 from .retina import Field2D, _five_point, _neighbour_sum, gradient
@@ -90,8 +91,7 @@ class TelegraphParams:
         for name in ("c", "h", "dt"):
             object.__setattr__(self, name,
                                check_real(name, getattr(self, name), 0, lo_open=True))
-        if not isinstance(self.mode, Mode):
-            raise ParameterError(f"mode must be a Mode, got {self.mode!r}")
+        check_member("mode", self.mode, Mode)
         if self.mode is Mode.HEAT and self.gamma != 0.0:
             raise ConfigError("heat mode requires gamma = 0")
         if self.mode is Mode.WAVE and self.lambda_drag != 0.0:
@@ -111,11 +111,7 @@ class PotentialState:
     u_t: Field2D
 
     def __post_init__(self):
-        if self.u.values.shape != self.u_t.values.shape:
-            raise DimensionError(
-                f"u shape {self.u.values.shape} differs from u_t shape "
-                f"{self.u_t.values.shape}"
-            )
+        check_grid("PotentialState", self.u.values.shape, self.u_t.values.shape)
 
     @classmethod
     def zero(cls, width: int, height: int) -> "PotentialState":
@@ -149,15 +145,12 @@ def poisson_solve(mu: Field2D, h: float = 1.0, tol: float = 1e-8,
     ConvergenceError carrying the final residual if max_iters sweeps do not
     reach tol.
     """
-    if mu.width < 3 or mu.height < 3:
-        raise DimensionError(f"poisson_solve needs at least 3x3, got {mu.width}x{mu.height}")
+    check_grid("poisson_solve", mu.values.shape, min_side=3)
     check_real("tol", tol, 0, lo_open=True)
     check_int("max_iters", max_iters, 0)
     h = check_real("h", h, 0, lo_open=True)
-    if boundary is not None and boundary.values.shape != mu.values.shape:
-        raise DimensionError(
-            f"boundary shape {boundary.values.shape} does not match mu {mu.values.shape}"
-        )
+    if boundary is not None:
+        check_grid("poisson_solve boundary", mu.values.shape, boundary.values.shape)
 
     m = mu.values
     u = np.zeros_like(m)
@@ -233,12 +226,7 @@ def evolve_potential(state: PotentialState, mu: Field2D,
     never touched by an inadmissible step.  The result is adopted with
     Field2D._own, so overflow raises NumericalError.
     """
-    if state.u.values.shape != mu.values.shape:
-        raise DimensionError(
-            f"state shape {state.u.values.shape} does not match mu {mu.values.shape}"
-        )
-    if mu.width < 3 or mu.height < 3:
-        raise DimensionError(f"stepper needs at least 3x3, got {mu.width}x{mu.height}")
+    check_grid("evolve_potential", mu.values.shape, state.u.values.shape, min_side=3)
 
     inner = np.s_[1:-1, 1:-1]
     u = state.u.values

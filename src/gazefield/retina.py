@@ -34,6 +34,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     PgmParseError,
+    check_grid,
     check_int,
     check_real,
 )
@@ -125,10 +126,7 @@ class VectorField2D:
     def __post_init__(self):
         object.__setattr__(self, "dx", _as_readonly_2d(self.dx, "dx component"))
         object.__setattr__(self, "dy", _as_readonly_2d(self.dy, "dy component"))
-        if self.dx.shape != self.dy.shape:
-            raise DimensionError(
-                f"component shapes differ: dx {self.dx.shape} vs dy {self.dy.shape}"
-            )
+        check_grid("VectorField2D", self.dx.shape, self.dy.shape)
 
     @classmethod
     def _own(cls, dx: np.ndarray, dy: np.ndarray, what: str) -> "VectorField2D":
@@ -165,9 +163,7 @@ class FrameSequence:
         for i, f in enumerate(frames):
             if not isinstance(f, Field2D):
                 raise DataError(f"frame {i} is not a Field2D")
-            if f.values.shape != frames[0].values.shape:
-                raise DimensionError(f"frame {i} shape {f.values.shape} differs "
-                                     f"from frame 0 shape {frames[0].values.shape}")
+            check_grid(f"FrameSequence frame {i}", frames[0].values.shape, f.values.shape)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "dt_frame",
                            check_real("dt_frame", self.dt_frame, 0, lo_open=True))
@@ -319,8 +315,7 @@ def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
     v = f.values
-    if f.width < 2 or f.height < 2:
-        raise DimensionError(f"gradient needs at least 2x2, got {f.width}x{f.height}")
+    check_grid("gradient", v.shape, min_side=2)
     dx = np.empty_like(v)
     dy = np.empty_like(v)
     dx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
@@ -350,17 +345,13 @@ def laplacian(f: Field2D, h: float = 1.0) -> Field2D:
     consume those.  Requires width, height >= 3.
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
-    if f.width < 3 or f.height < 3:
-        raise DimensionError(f"laplacian needs at least 3x3, got {f.width}x{f.height}")
+    check_grid("laplacian", f.values.shape, min_side=3)
     return Field2D._own(_five_point(np.pad(f.values, 1, mode="edge"), h), "laplacian")
 
 
 def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
     """Forward-difference rate of change (nxt - prev) / dt."""
-    if prev.values.shape != nxt.values.shape:
-        raise DimensionError(
-            f"frame shapes differ: {prev.values.shape} vs {nxt.values.shape}"
-        )
+    check_grid("temporal_derivative", prev.values.shape, nxt.values.shape)
     dt = check_real("dt", dt, 0, lo_open=True)
     return Field2D._own((nxt.values - prev.values) / dt, "temporal derivative")
 

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,12 @@ from gazefield import (
     FrameSequence,
     MotionSource,
     Mode,
+    NumericalError,
     Scanpath,
     gaussian_blur,
     load_pgm,
     schedule_sigma,
+    temporal_derivative,
 )
 import gazefield
 from gazefield import synth
@@ -326,6 +329,31 @@ class TestFieldIo:
         np.testing.assert_array_equal(back.dx, dx.astype("<f4").astype(np.float64))
         np.testing.assert_array_equal(back.dy, dy.astype("<f4").astype(np.float64))
 
+    @pytest.mark.parametrize("big", [3.5e38, -3.5e38, 1e300])
+    def test_value_beyond_float32_raises_before_writing_the_record(self, big):
+        values, zeros = np.zeros((3, 4)), np.zeros((3, 4))
+        values[1, 2] = big
+        buf = io.BytesIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the float32 cast would warn
+            with pytest.raises(NumericalError, match="float32"):
+                export_field(Field2D(values), buf)
+            with pytest.raises(NumericalError, match="float32"):
+                export_flow(gazefield.FlowField(values, zeros), buf)
+            assert buf.getvalue() == b""
+            # a flow is two records: the dx record is whole, dy is not begun
+            with pytest.raises(NumericalError, match="float32"):
+                export_flow(gazefield.FlowField(zeros, values), buf)
+        back = io.BytesIO(buf.getvalue())
+        assert read_field(back).values.tolist() == zeros.tolist()
+        assert back.read() == b""
+
+    def test_float32_extremes_still_export(self):
+        f32_max = float(np.finfo(np.float32).max)
+        buf = io.BytesIO()
+        export_field(Field2D(np.array([[f32_max, -f32_max]])), buf)
+        assert read_field(io.BytesIO(buf.getvalue())).values.tolist() == [[f32_max, -f32_max]]
+
     def test_flow_component_shape_mismatch(self):
         buf = io.BytesIO()
         export_field(Field2D(np.zeros((2, 2))), buf)
@@ -431,6 +459,24 @@ class TestRunSimulation:
         assert len(calls) == len(set(calls)) == 11
         assert set(calls) == {(id(frames[i]), s)
                               for k, s in enumerate(sigmas) for i in (k, k + 1)}
+
+    @pytest.mark.parametrize("source, want", [("temporal_derivative", 5),
+                                              ("flow_magnitude", 0)])
+    def test_temporal_derivative_only_for_its_motion_source(self, monkeypatch,
+                                                           source, want):
+        cfg = parse_config(f"c = 20\nsubsteps_per_frame = 1\nmotion_source = {source}\n"
+                           "hs_max_iters = 5\n")
+        calls = []
+
+        def counting_ddt(prev, nxt, dt):
+            calls.append(dt)
+            return temporal_derivative(prev, nxt, dt)
+
+        monkeypatch.setattr("gazefield.cli.temporal_derivative", counting_ddt)
+        frames = synth.moving_blob_frames(16, 16, 6, (5.0, 8.0), (6.0, 0.0),
+                                          cfg.frame_dt)
+        run_simulation(FrameSequence(tuple(frames), cfg.frame_dt), cfg)
+        assert len(calls) == want
 
     def test_stage_errors_name_frame_and_stage(self):
         with pytest.raises(DataError, match=r"frame 3, stage mass"):
@@ -641,6 +687,27 @@ class TestCommands:
         with open(src, "wb") as fh:
             export_field(Field2D(np.zeros((8, 8))), fh)
         assert run_cli("converge", str(src), "--c", "fast") == 2
+
+    def test_flow_beyond_float32_exits_4(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        assert run_cli("synth", "moving-blob", "--out", str(frames), "--width", "16",
+                       "--height", "16", "--frames", "2") == 0
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("frame_dt = 1e-40\n", encoding="utf-8")
+        out = tmp_path / "v.foaf"
+        assert run_cli("flow", str(cfgfile), str(frames / "frame_0000.pgm"),
+                       str(frames / "frame_0001.pgm"), "--out", str(out)) == 4
+        assert "float32" in capsys.readouterr().err
+        assert not out.exists() or out.read_bytes() == b""
+
+    def test_poisson_oracle_beyond_float32_exits_4(self, tmp_path, capsys):
+        src = tmp_path / "mu.foaf"
+        with open(src, "wb") as fh:
+            export_field(Field2D(np.full((16, 16), 3e38)), fh)
+        out = tmp_path / "u.foaf"
+        assert run_cli("poisson", str(src), "--out", str(out), "--oracle") == 4
+        assert "float32" in capsys.readouterr().err
+        assert not out.exists() or out.read_bytes() == b""
 
     def test_flow_command_writes_two_records(self, tmp_path, blob_frames_dir):
         cfgfile = tmp_path / "run.cfg"

@@ -97,6 +97,9 @@ class TestScanpath:
         assert p.positions().shape == (3, 2)
         assert np.array_equal(p.positions()[:, 0], [0.0, 1.0, 2.0])
 
+    def test_empty_path_positions_keep_two_columns(self):
+        assert Scanpath(()).positions().shape == (0, 2)
+
     def test_rejects_foreign_samples(self):
         with pytest.raises(DataError):
             Scanpath(((0.0, 1.0, 2.0),))
