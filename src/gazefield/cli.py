@@ -19,10 +19,12 @@ from __future__ import annotations
 import argparse
 import glob
 import io
+import itertools
 import os
 import struct
 import sys
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
+    DimensionError,
     GazefieldError,
     NumericalError,
     check_grid,
@@ -278,8 +281,28 @@ def _stage(frame_index: int, name: str):
         raise root(f"frame {frame_index}, stage {name}: {e}") from e
 
 
-def run_simulation(frames: FrameSequence,
-                   cfg: SimConfig) -> tuple[Scanpath, list[FieldDump]]:
+def _checked_frames(frames: Iterable[Field2D]) -> Iterator[Field2D]:
+    # each frame is pulled (for a lazy source: read) inside its own load
+    # stage, so a frame that fails to load, is not a field or differs in
+    # size from frame 0 is reported with its index
+    it = iter(frames)
+    shape = None
+    for k in itertools.count():
+        with _stage(k, "load"):
+            try:
+                f = next(it)
+            except StopIteration:
+                return
+            if not isinstance(f, Field2D):
+                raise DataError(f"frame {k} is not a Field2D")
+            shape = shape or f.values.shape
+            check_grid(f"run_simulation frame {k}", shape, f.values.shape)
+        yield f
+
+
+def run_simulation(frames: FrameSequence | Iterable[Field2D], cfg: SimConfig, *,
+                   on_dump: Callable[[FieldDump], None] | None = None,
+                   ) -> tuple[Scanpath, list[FieldDump]]:
     """Drive the full pipeline over a frame sequence.
 
     Per frame: smooth both endpoint frames per the schedule, take the spatial
@@ -289,15 +312,32 @@ def run_simulation(frames: FrameSequence,
     evolution each followed by one particle step.  The scanpath holds the
     initial state plus one sample per substep; dumps snapshot (mass,
     potential, inhibition) every dump_every-th frame.  Deterministic:
-    identical inputs give bit-identical results.  frames.dt_frame must equal
-    cfg.frame_dt, so every stage runs on one clock.
+    identical inputs give bit-identical results.
+
+    frames is a FrameSequence, whose dt_frame must equal cfg.frame_dt so
+    every stage runs on one clock, or any iterable of Field2D frames taken
+    to be cfg.frame_dt apart.  It is consumed once, front to back, and only
+    the two frames of the current step are held, so a generator that reads
+    each frame on demand keeps memory flat in clip length.  The grid comes
+    from the first frame; each later frame is checked as it arrives, and a
+    bad one raises DataError naming its index (stage "load").
+
+    Each dump goes to on_dump as soon as its frame finishes, and the
+    returned dump list is then empty; with on_dump None the dumps are
+    collected and returned.
     """
-    if frames.dt_frame != cfg.frame_dt:
-        raise ConfigError(f"frame sequence dt_frame {frames.dt_frame!r} differs from "
-                          f"config frame_dt {cfg.frame_dt!r}")
+    if isinstance(frames, FrameSequence):
+        if frames.dt_frame != cfg.frame_dt:
+            raise ConfigError(f"frame sequence dt_frame {frames.dt_frame!r} differs from "
+                              f"config frame_dt {cfg.frame_dt!r}")
+        frames = frames.frames
+    window = _checked_frames(frames)
+    f_now = next(window, None)
+    if f_now is None:
+        raise DimensionError("run_simulation needs at least 2 frames, got 0")
     tp = cfg.telegraph_params()
     fp = cfg.foa_params()
-    w, h_px = frames.width, frames.height
+    w, h_px = f_now.width, f_now.height
     check_grid("run_simulation", (h_px, w), min_side=3)
     if cfg.initial_foa is None:
         state = FoaState((w - 1) / 2.0, (h_px - 1) / 2.0)
@@ -315,15 +355,17 @@ def run_simulation(frames: FrameSequence,
     dt_frame, dt_sub = cfg.frame_dt, cfg.substep_dt
     samples = [FoaSample(0.0, state.x, state.y, state.vx, state.vy)]
     dumps: list[FieldDump] = []
+    if on_dump is None:
+        on_dump = dumps.append
 
+    k = -1
     sigma_prev = b_next = None
-    for k in range(len(frames) - 1):
+    for k, f_next in enumerate(window):
         with _stage(k, "blur"):
             sigma = schedule_sigma(cfg.blur, k * dt_frame)
             # frame k was blurred with this sigma as the previous b_next
-            b_now = (b_next if sigma == sigma_prev
-                     else gaussian_blur(frames.frames[k], sigma))
-            b_next = gaussian_blur(frames.frames[k + 1], sigma)
+            b_now = b_next if sigma == sigma_prev else gaussian_blur(f_now, sigma)
+            b_next = gaussian_blur(f_next, sigma)
             sigma_prev = sigma
         with _stage(k, "differentiation"):
             grad_b = gradient(b_now, cfg.h)
@@ -345,7 +387,11 @@ def run_simulation(frames: FrameSequence,
             samples.append(FoaSample((k * substeps + j + 1) * dt_sub,
                                      state.x, state.y, state.vx, state.vy))
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
-            dumps.append(FieldDump(k, mu, pot.u, ior))
+            with _stage(k, "dump"):
+                on_dump(FieldDump(k, mu, pot.u, ior))
+        f_now = f_next
+    if k < 0:
+        raise DimensionError("run_simulation needs at least 2 frames, got 1")
 
     return Scanpath(tuple(samples)), dumps
 
@@ -450,9 +496,18 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_bytes(path: str, writer) -> None:
+    # whole file or none: write under a temporary name in the same directory
+    # and rename over path only once writer has finished
+    tmp = f"{path}.part"
     try:
-        with open(path, "wb") as fh:
-            writer(fh)
+        try:
+            with open(tmp, "wb") as fh:
+                writer(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.remove(tmp)
+            raise
     except OSError as e:
         raise DataError(f"cannot write {path}: {e}") from e
 
@@ -468,24 +523,29 @@ def _cmd_simulate(args) -> int:
     if len(paths) < 2:
         raise DataError(f"frame pattern {' '.join(args.frames)!r} matched "
                         f"{len(paths)} files, need at least 2")
-    frames = FrameSequence(tuple(load_pgm(_read_bytes(p)) for p in paths),
-                           cfg.frame_dt)
-    path, dumps = run_simulation(frames, cfg)
-    if args.saccade_threshold is not None:
-        path = detect_saccades(path, args.saccade_threshold, args.min_fixation)
-
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "scanpath.csv")
-    _write_bytes(csv_path, lambda fh: export_scanpath(path, fh))
-    for d in dumps:
+    dumped = []
+
+    def write_dump(d: FieldDump) -> None:
         for name, field in (("mass", d.mass), ("potential", d.potential),
                             ("ior", d.ior)):
             out = os.path.join(args.out, f"{name}_{d.frame_index:06d}.foaf")
             _write_bytes(out, lambda fh, f=field: export_field(f, fh))
+        dumped.append(d.frame_index)
+
+    # one frame is read per step, so memory does not grow with the clip
+    frames = (load_pgm(_read_bytes(p)) for p in paths)
+    path, _ = run_simulation(frames, cfg, on_dump=write_dump)
+    if args.saccade_threshold is not None:
+        path = detect_saccades(path, args.saccade_threshold, args.min_fixation)
+
+    # written last, so a run that fails leaves no scanpath
+    csv_path = os.path.join(args.out, "scanpath.csv")
+    _write_bytes(csv_path, lambda fh: export_scanpath(path, fh))
     print(f"{csv_path}: {len(path)} samples over "
-          f"{(len(frames) - 1) * cfg.frame_dt:g} s")
-    if dumps:
-        print(f"{3 * len(dumps)} field dumps in {args.out}")
+          f"{(len(paths) - 1) * cfg.frame_dt:g} s")
+    if dumped:
+        print(f"{3 * len(dumped)} field dumps in {args.out}")
     return 0
 
 

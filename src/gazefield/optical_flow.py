@@ -87,11 +87,12 @@ class FeatureStack:
         channels = tuple(self.channels)
         if len(channels) < 1:
             raise ParameterError("feature stack needs at least one channel")
-        shape = channels[0].grad.dx.shape
         for i, ch in enumerate(channels):
+            # channel 0 passes this type check before its shape is read
             if not isinstance(ch, FeatureChannel):
-                raise DataError(f"channel {i} is not a FeatureChannel")
-            check_grid(f"FeatureStack channel {i}", shape, ch.grad.dx.shape)
+                raise DataError(f"FeatureStack channel {i} is not a FeatureChannel")
+            check_grid(f"FeatureStack channel {i}", channels[0].grad.dx.shape,
+                       ch.grad.dx.shape)
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "ridge", check_real("ridge", self.ridge, 0))
 

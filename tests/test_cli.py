@@ -721,3 +721,30 @@ class TestCommands:
             v = read_flow(fh)
         assert v.dx.shape == (32, 32)
         assert np.isfinite(v.dx).all() and np.isfinite(v.dy).all()
+
+    @pytest.mark.parametrize("command", ["poisson-oracle", "flow-dy"])
+    def test_failed_write_leaves_no_file_and_keeps_the_old_one(self, tmp_path, command):
+        # flow-dy: rows are constant, so gx = 0 keeps vx at 0 while vy overflows
+        # float32; the dx record is written before dy fails
+        if command == "poisson-oracle":
+            src = tmp_path / "mu.foaf"
+            with open(src, "wb") as fh:
+                export_field(Field2D(np.full((16, 16), 3e38)), fh)
+            argv = ["poisson", str(src), "--oracle"]
+        else:
+            ramp = np.repeat(np.linspace(0.0, 1.0, 16)[:, None], 16, axis=1)
+            a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+            a.write_bytes(gazefield.save_pgm(Field2D(ramp)))
+            b.write_bytes(gazefield.save_pgm(Field2D(ramp * 0.5)))
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text("frame_dt = 1e-40\n", encoding="utf-8")
+            argv = ["flow", str(cfgfile), str(a), str(b)]
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = outdir / "result.foaf"
+        assert run_cli(*argv, "--out", str(out)) == 4
+        assert list(outdir.iterdir()) == []
+        out.write_bytes(b"old")
+        assert run_cli(*argv, "--out", str(out)) == 4
+        assert list(outdir.iterdir()) == [out]
+        assert out.read_bytes() == b"old"

@@ -6,6 +6,7 @@ import pytest
 from gazefield import (
     AttractionSign,
     BoundaryPolicy,
+    DataError,
     DimensionError,
     FeatureChannel,
     FeatureStack,
@@ -101,6 +102,7 @@ CALL_SITES = {
                        lambda: FeatureChannel(grad(3, 3), field(4, 3))),
     "FeatureStack": (DimensionError, "FeatureStack",
                      lambda: FeatureStack((channel(3, 3), channel(3, 4)))),
+    "FeatureStack-type": (DataError, "FeatureStack", lambda: FeatureStack(("x",))),
     "conjugation_residual": (DimensionError, "conjugation_residual",
                              lambda: conjugation_residual(grad(3, 3), field(3, 3),
                                                           FlowField(np.zeros((4, 3)),
