@@ -20,6 +20,7 @@ import argparse
 import glob
 import io
 import itertools
+import math
 import os
 import struct
 import sys
@@ -439,6 +440,8 @@ def import_scanpath(data: bytes) -> Scanpath:
             t, x, y, vx, vy = (float(p) for p in parts[:5])
         except ValueError as e:
             raise DataError(f"scanpath CSV line {lineno}: {e}") from e
+        if not all(map(math.isfinite, (t, x, y, vx, vy))):
+            raise DataError(f"scanpath CSV line {lineno}: non-finite value")
         samples.append(FoaSample(t, x, y, vx, vy, parts[5] == "1"))
     return Scanpath(tuple(samples))
 

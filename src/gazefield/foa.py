@@ -108,7 +108,7 @@ class FoaSample:
 
 @dataclass(frozen=True)
 class Scanpath:
-    """Ordered gaze trace with strictly increasing timestamps."""
+    """Ordered gaze trace with finite, strictly increasing timestamps."""
 
     samples: tuple[FoaSample, ...]
 
@@ -118,8 +118,8 @@ class Scanpath:
             if not isinstance(s, FoaSample):
                 raise DataError(f"scanpath samples must be FoaSample, got {type(s)}")
         ts = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise DataError("scanpath timestamps must be strictly increasing")
+        if not (all(map(math.isfinite, ts)) and all(a < b for a, b in zip(ts, ts[1:]))):
+            raise DataError("scanpath timestamps must be finite and strictly increasing")
 
     def __len__(self) -> int:
         return len(self.samples)

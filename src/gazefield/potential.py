@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _MAX_DIRECT = 64  # direct_potential is O(N^2) over pixels; desk scale only
+_REFERENCE_TOL, _REFERENCE_MAX_ITERS = 1e-10, 200000  # convergence_in_c's SOR solve
 
 
 class Mode(Enum):
@@ -245,14 +246,13 @@ def evolve_potential(state: PotentialState, mu: Field2D,
 
 
 def convergence_in_c(mu: Field2D, c_list, horizon: float,
-                     base: TelegraphParams,
-                     reference_tol: float = 1e-10) -> list[float]:
+                     base: TelegraphParams) -> list[float]:
     """Gradient error against the relaxation solution for each speed in c_list.
 
     Every speed evolves a zero state for the given horizon with the same
     dt, h, and mode taken from base (base.c is ignored); the error is
-    |grad u_c - grad u_ref|_2 / |grad u_ref|_2 with u_ref the tight
-    relaxation solve under the same zero-Dirichlet boundary.  A zero
+    |grad u_c - grad u_ref|_2 / |grad u_ref|_2 with u_ref the relaxation
+    solve to tol 1e-10 under the same zero-Dirichlet boundary.  A zero
     reference gradient with a zero evolved gradient counts as error 0.
     The list is returned as computed; callers assert monotonicity.
     """
@@ -263,7 +263,7 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
         raise ParameterError(f"c_list must be strictly ascending, got {c_list}")
     check_real("horizon", horizon, 0, lo_open=True)
 
-    u_ref = poisson_solve(mu, h=base.h, tol=reference_tol, max_iters=200000)
+    u_ref = poisson_solve(mu, h=base.h, tol=_REFERENCE_TOL, max_iters=_REFERENCE_MAX_ITERS)
     g_ref = gradient(u_ref, base.h)
     ref_norm = math.sqrt(float(np.sum(g_ref.dx ** 2) + np.sum(g_ref.dy ** 2)))
 

@@ -24,6 +24,7 @@ on boundary pixels; they impose their own Dirichlet data there.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +204,8 @@ def schedule_sigma(schedule: BlurSchedule, t: float) -> float:
 # PGM input
 # ---------------------------------------------------------------------------
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# one header integer: the whitespace and '#' comments before it, then its digits
+_HEADER_INT = re.compile(rb"(?:[ \t\n\r\v\f]|#[^\n\r]*)*([0-9]*)")
 
 
 def load_pgm(data: bytes) -> Field2D:
@@ -229,33 +231,14 @@ def load_pgm(data: bytes) -> Field2D:
     if data[:2] != b"P5":
         raise PgmParseError("not a binary PGM, magic 'P5' missing", 0)
 
-    pos = 2
-
-    def skip_separators(pos: int) -> int:
-        # whitespace and '#' comments may separate header tokens
-        while pos < len(data):
-            b = data[pos:pos + 1]
-            if b in _WHITESPACE:
-                pos += 1
-            elif b == b"#":
-                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            else:
-                break
-        return pos
-
-    def read_int(pos: int, what: str) -> tuple[int, int, int]:
-        pos = skip_separators(pos)
-        start = pos
-        while pos < len(data) and data[pos:pos + 1].isdigit():
-            pos += 1
+    header, pos = [], 2
+    for what in ("width", "height", "maxval"):
+        m = _HEADER_INT.match(data, pos)
+        start, pos = m.span(1)
         if pos == start:
             raise PgmParseError(f"expected decimal {what}", start)
-        return int(data[start:pos]), pos, start
-
-    width, pos, w_off = read_int(pos, "width")
-    height, pos, h_off = read_int(pos, "height")
-    maxval, pos, m_off = read_int(pos, "maxval")
+        header += [int(m[1]), start]
+    width, w_off, height, h_off, maxval, m_off = header
     if width < 1:
         raise PgmParseError(f"width must be >= 1, got {width}", w_off)
     if height < 1:
@@ -264,7 +247,7 @@ def load_pgm(data: bytes) -> Field2D:
         raise PgmParseError(f"maxval must be in [1, 65535], got {maxval}", m_off)
 
     # exactly one whitespace byte separates maxval from the raster
-    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():  # ASCII whitespace, false when empty
         raise PgmParseError("expected single whitespace byte before raster", pos)
     pos += 1
 
@@ -311,19 +294,12 @@ def _stencil(i: int, n: int, h: float) -> tuple[int, int, float]:
 def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     """Discrete gradient: central differences interior, one-sided on the boundary.
 
-    Requires width, height >= 2.
+    This is ``np.gradient(values, h)``'s rule, the one ``_stencil`` matches
+    per node.  Requires width, height >= 2.
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
-    v = f.values
-    check_grid("gradient", v.shape, min_side=2)
-    dx = np.empty_like(v)
-    dy = np.empty_like(v)
-    dx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
-    dx[:, 0] = (v[:, 1] - v[:, 0]) / h
-    dx[:, -1] = (v[:, -1] - v[:, -2]) / h
-    dy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2.0 * h)
-    dy[0, :] = (v[1, :] - v[0, :]) / h
-    dy[-1, :] = (v[-1, :] - v[-2, :]) / h
+    check_grid("gradient", f.values.shape, min_side=2)
+    dy, dx = np.gradient(f.values, h)
     return VectorField2D._own(dx, dy, "gradient")
 
 

@@ -268,6 +268,15 @@ class TestScanpathCsv:
         with pytest.raises(DataError, match="ASCII"):
             import_scanpath("t,x,y,vx,vy,saccade\n0,1,2,0,0,0µ\n".encode("utf-8"))
 
+    @pytest.mark.parametrize("row", [
+        b"0,nan,1,0,0,0", b"nan,1,1,0,0,0", b"1,inf,2,0,0,1", b"0,1,2,-inf,0,0",
+        b"0,1,2,0,NaN,0",
+    ])
+    def test_import_rejects_non_finite_fields(self, row):
+        data = b"t,x,y,vx,vy,saccade\n-1,0,0,0,0,0\n" + row + b"\n"
+        with pytest.raises(DataError, match="line 3: non-finite"):
+            import_scanpath(data)
+
     def test_import_enforces_time_order(self):
         data = b"t,x,y,vx,vy,saccade\n1,0,0,0,0,0\n0.5,0,0,0,0,0\n"
         with pytest.raises(DataError):

@@ -92,6 +92,15 @@ class TestScanpath:
         with pytest.raises(DataError):
             Scanpath((a, b))
 
+    @pytest.mark.parametrize("ts", [
+        [0.0, math.nan, 1.0], [math.nan, 1.0], [0.0, math.nan], [math.nan],
+        [0.0, math.inf], [-math.inf, 0.0],
+    ])
+    def test_rejects_non_finite_timestamps(self, ts):
+        samples = tuple(FoaSample(t, 0.0, 0.0, 0.0, 0.0) for t in ts)
+        with pytest.raises(DataError, match="finite"):
+            Scanpath(samples)
+
     def test_positions_array(self):
         p = make_path([0.0, 1.0, 2.0])
         assert p.positions().shape == (3, 2)

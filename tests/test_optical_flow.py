@@ -6,6 +6,7 @@ oracle.  Pointwise ops are checked against independent per-pixel loops.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gazefield import (
     DataError,
     DimensionError,
     Field2D,
+    NumericalError,
     ParameterError,
     SingularityError,
     VectorField2D,
@@ -471,6 +473,54 @@ class TestFeatureGroupFlow:
             FeatureStack((ch_a, ch_b), 0.0)
         with pytest.raises(DimensionError):
             FeatureChannel(VectorField2D(z, z), Field2D(np.zeros((4, 4))))
+
+    def test_parallel_channels_are_rank_one(self):
+        # channel 2 = k * channel 1: G has one singular value, up to rounding
+        rng = np.random.default_rng(5)
+        shape = (40, 40)
+        g1 = (rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape))
+        k = rng.uniform(0.2, 3.0, shape)
+        ddts = [rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)]
+        stack = stack_from_arrays([g1, (k * g1[0], k * g1[1])], ddts, ridge=1.0)
+        _, rank = feature_group_flow(stack)
+        np.testing.assert_array_equal(rank.values, 1.0)
+
+    def test_every_aperture_pixel_is_named_without_warning(self):
+        # one pixel at a time gets parallel channels; with ridge = 0 each
+        # placement must raise SingularityError naming it, and never warn
+        rng = np.random.default_rng(5)
+        shape = (24, 24)
+        g1 = (rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape))
+        g2 = (rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape))
+        k = rng.uniform(0.2, 3.0, shape)
+        ddts = [rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)]
+        wrong = []
+        for y in range(shape[0]):
+            for x in range(shape[1]):
+                a = (g2[0].copy(), g2[1].copy())
+                a[0][y, x] = k[y, x] * g1[0][y, x]
+                a[1][y, x] = k[y, x] * g1[1][y, x]
+                stack = stack_from_arrays([g1, a], ddts, ridge=0.0)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        feature_group_flow(stack)
+                    wrong.append((x, y, "returned a flow"))
+                except SingularityError as e:
+                    if e.pixel != (x, y):
+                        wrong.append((x, y, f"named {e.pixel}"))
+                except Exception as e:  # a warning turned error, or another class
+                    wrong.append((x, y, repr(e)))
+        assert wrong == []
+
+    def test_negligible_ridge_singular_normal_equations_are_numerical(self):
+        # G = (1, 1): G^T G + 1e-20 I rounds to a singular matrix
+        ones = np.ones((3, 3))
+        stack = stack_from_arrays([(ones, ones)], [ones], ridge=1e-20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                feature_group_flow(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,40 @@ class TestLoadPgm:
         assert f.data.min() >= 0.0 and f.data.max() <= 1.0
 
 
+# (payload, message, byte offset) of malformed P5 headers
+PGM_HEADER_ERRORS = [
+    (b"P5#c\r0 2 255\n" + bytes(4), "width must be >= 1, got 0", 5),
+    (b"P5 #a\r\x0b#b\n\x0c7 x 255\n", "expected decimal height", 13),
+    (b"P5 2\x0b\x0cx 255\n", "expected decimal height", 6),
+    (b"P5\x0c2\x0b2\x0b255\x0c" + bytes(4), None, None),
+    (b"P5 2 2#255\n", "expected decimal maxval", 11),
+    (b"P5 #2 2 255\n" + bytes(4), "expected decimal width", 12),
+    (b"P5", "expected decimal width", 2),
+    (b"P5\n\n# only a comment", "expected decimal width", 20),
+    (b"P5 -3 3 255\n", "expected decimal width", 3),
+    (b"P5 3 -1 255\n", "expected decimal height", 5),
+    (b"P5 3 3 +255\n", "expected decimal maxval", 7),
+    (b"P5 00 2 255\n", "width must be >= 1, got 0", 3),
+    (b"P5 3 0 255\n", "height must be >= 1, got 0", 5),
+    (b"P5 3 3 0\n", "maxval must be in [1, 65535], got 0", 7),
+    (b"P5 3 3 65536\n", "maxval must be in [1, 65535], got 65536", 7),
+    (b"P5 3 3 255", "expected single whitespace byte before raster", 10),
+    (b"P5 3 3 255x" + bytes(9), "expected single whitespace byte before raster", 10),
+    (b"P5 3 3 255#\n" + bytes(9), "expected single whitespace byte before raster", 10),
+]
+
+
+@pytest.mark.parametrize("payload, message, offset", PGM_HEADER_ERRORS)
+def test_pgm_header_error_table(payload, message, offset):
+    if message is None:  # VT and FF separate tokens and end the header
+        assert load_pgm(payload).values.shape == (2, 2)
+        return
+    with pytest.raises(PgmParseError) as exc:
+        load_pgm(payload)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
 class TestSavePgm:
     def test_header_and_payload_8bit(self):
         f = Field2D(np.array([[0.0, 1.0], [0.5, 0.25]]))
@@ -254,6 +288,32 @@ class TestGradient:
     def test_too_small(self):
         with pytest.raises(DimensionError):
             gradient(Field2D(np.zeros((1, 5))))
+
+    @pytest.mark.parametrize("h", [1.0, 0.37])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2), (33, 64)])
+    def test_bitwise_matches_per_node_rule(self, shape, h):
+        # central (v[i+1] - v[i-1]) / (2h) inside, one-sided / h at the ends
+        v = np.random.default_rng(17).standard_normal(shape)
+        H, W = shape
+        dx = np.empty(shape)
+        dy = np.empty(shape)
+        for y in range(H):
+            for x in range(W):
+                if x == 0:
+                    dx[y, x] = (v[y, 1] - v[y, 0]) / h
+                elif x == W - 1:
+                    dx[y, x] = (v[y, x] - v[y, x - 1]) / h
+                else:
+                    dx[y, x] = (v[y, x + 1] - v[y, x - 1]) / (2 * h)
+                if y == 0:
+                    dy[y, x] = (v[1, x] - v[0, x]) / h
+                elif y == H - 1:
+                    dy[y, x] = (v[y, x] - v[y - 1, x]) / h
+                else:
+                    dy[y, x] = (v[y + 1, x] - v[y - 1, x]) / (2 * h)
+        g = gradient(Field2D(v), h)
+        np.testing.assert_array_equal(g.dx, dx)
+        np.testing.assert_array_equal(g.dy, dy)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
