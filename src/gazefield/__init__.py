@@ -25,7 +25,6 @@ from .retina import (
     BlurSchedule,
     Field2D,
     FlowField,
-    FrameSequence,
     VectorField2D,
     gaussian_blur,
     gradient,

@@ -67,7 +67,6 @@ from .retina import (
     BlurSchedule,
     Field2D,
     FlowField,
-    FrameSequence,
     gaussian_blur,
     gradient,
     load_pgm,
@@ -283,9 +282,9 @@ def _stage(frame_index: int, name: str):
 
 
 def _checked_frames(frames: Iterable[Field2D]) -> Iterator[Field2D]:
-    # each frame is pulled (for a lazy source: read) inside its own load
-    # stage, so a frame that fails to load, is not a field or differs in
-    # size from frame 0 is reported with its index
+    # each frame is pulled (a lazy source reads it) in its own load stage, so
+    # a frame that fails to load, is not a field or differs in size from
+    # frame 0 is reported with its index; fewer than 2 is a DimensionError
     it = iter(frames)
     shape = None
     for k in itertools.count():
@@ -293,15 +292,17 @@ def _checked_frames(frames: Iterable[Field2D]) -> Iterator[Field2D]:
             try:
                 f = next(it)
             except StopIteration:
-                return
+                break
             if not isinstance(f, Field2D):
                 raise DataError(f"frame {k} is not a Field2D")
             shape = shape or f.values.shape
             check_grid(f"run_simulation frame {k}", shape, f.values.shape)
         yield f
+    if k < 2:
+        raise DimensionError(f"run_simulation needs at least 2 frames, got {k}")
 
 
-def run_simulation(frames: FrameSequence | Iterable[Field2D], cfg: SimConfig, *,
+def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
                    on_dump: Callable[[FieldDump], None] | None = None,
                    ) -> tuple[Scanpath, list[FieldDump]]:
     """Drive the full pipeline over a frame sequence.
@@ -315,27 +316,19 @@ def run_simulation(frames: FrameSequence | Iterable[Field2D], cfg: SimConfig, *,
     potential, inhibition) every dump_every-th frame.  Deterministic:
     identical inputs give bit-identical results.
 
-    frames is a FrameSequence, whose dt_frame must equal cfg.frame_dt so
-    every stage runs on one clock, or any iterable of Field2D frames taken
+    frames is any iterable of Field2D frames, a tuple or a generator, taken
     to be cfg.frame_dt apart.  It is consumed once, front to back, and only
     the two frames of the current step are held, so a generator that reads
     each frame on demand keeps memory flat in clip length.  The grid comes
-    from the first frame; each later frame is checked as it arrives, and a
-    bad one raises DataError naming its index (stage "load").
+    from the first frame; each frame is checked as it arrives, and a bad
+    one raises DataError naming its index (stage "load").
 
     Each dump goes to on_dump as soon as its frame finishes, and the
     returned dump list is then empty; with on_dump None the dumps are
     collected and returned.
     """
-    if isinstance(frames, FrameSequence):
-        if frames.dt_frame != cfg.frame_dt:
-            raise ConfigError(f"frame sequence dt_frame {frames.dt_frame!r} differs from "
-                              f"config frame_dt {cfg.frame_dt!r}")
-        frames = frames.frames
     window = _checked_frames(frames)
-    f_now = next(window, None)
-    if f_now is None:
-        raise DimensionError("run_simulation needs at least 2 frames, got 0")
+    f_now = next(window)
     tp = cfg.telegraph_params()
     fp = cfg.foa_params()
     w, h_px = f_now.width, f_now.height
@@ -359,7 +352,6 @@ def run_simulation(frames: FrameSequence | Iterable[Field2D], cfg: SimConfig, *,
     if on_dump is None:
         on_dump = dumps.append
 
-    k = -1
     sigma_prev = b_next = None
     for k, f_next in enumerate(window):
         with _stage(k, "blur"):
@@ -391,8 +383,6 @@ def run_simulation(frames: FrameSequence | Iterable[Field2D], cfg: SimConfig, *,
             with _stage(k, "dump"):
                 on_dump(FieldDump(k, mu, pot.u, ior))
         f_now = f_next
-    if k < 0:
-        raise DimensionError("run_simulation needs at least 2 frames, got 1")
 
     return Scanpath(tuple(samples)), dumps
 
@@ -652,11 +642,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="error of the evolved potential vs the elliptic limit per speed")
     p.add_argument("source", help="mass density field file")
     p.add_argument("--c", required=True, help="comma-separated wave speeds, ascending")
-    p.add_argument("--mode", default="damped_wave")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--mode", default=TelegraphParams.mode.name.lower())
+    p.add_argument("--gamma", type=float, default=TelegraphParams.gamma)
     p.add_argument("--drag", type=float, default=4.0,
                    help="first-order damping coefficient")
-    p.add_argument("--h", type=float, default=1.0)
+    p.add_argument("--h", type=float, default=TelegraphParams.h)
     p.add_argument("--dt", type=float, default=None,
                    help="step size (default: 90%% of the stability bound)")
     p.add_argument("--horizon", type=float, default=30.0)
@@ -672,7 +662,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp", type=float, default=1.0)
     p.add_argument("--speed", type=float, default=6.0,
                    help="blob velocity in px/s (moving-blob)")
-    p.add_argument("--frame-dt", type=float, default=1.0 / 30.0)
+    p.add_argument("--frame-dt", type=float, default=SimConfig.frame_dt)
     p.add_argument("--noise", type=float, default=0.0,
                    help="uniform pixel noise amplitude")
     p.add_argument("--seed", type=int, default=0,

@@ -108,18 +108,22 @@ class FoaSample:
 
 @dataclass(frozen=True)
 class Scanpath:
-    """Ordered gaze trace with finite, strictly increasing timestamps."""
+    """Ordered gaze trace: finite samples with strictly increasing timestamps."""
 
     samples: tuple[FoaSample, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
-        for s in self.samples:
+        t_prev, finite = -math.inf, math.isfinite
+        for i, s in enumerate(self.samples):
             if not isinstance(s, FoaSample):
                 raise DataError(f"scanpath samples must be FoaSample, got {type(s)}")
-        ts = [s.t for s in self.samples]
-        if not (all(map(math.isfinite, ts)) and all(a < b for a, b in zip(ts, ts[1:]))):
-            raise DataError("scanpath timestamps must be finite and strictly increasing")
+            if not (finite(s.t) and finite(s.x) and finite(s.y) and finite(s.vx)
+                    and finite(s.vy)):
+                raise DataError(f"scanpath sample {i} has a non-finite field")
+            if not s.t > t_prev:
+                raise DataError(f"scanpath timestamps must increase strictly at sample {i}")
+            t_prev = s.t
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -222,7 +226,7 @@ def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
     return FoaState(x, y, vx, vy)
 
 
-def energy(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> float:
+def energy(s: FoaState, u: Field2D, p: FoaParams) -> float:
     """Kinetic plus potential energy, 0.5|v|^2 - sign*u(a).
 
     Conserved by the continuum dynamics when dissipation is zero; its

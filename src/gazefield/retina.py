@@ -43,7 +43,6 @@ from .errors import (
 __all__ = [
     "Field2D",
     "VectorField2D",
-    "FrameSequence",
     "BlurSchedule",
     "load_pgm",
     "save_pgm",
@@ -150,37 +149,6 @@ class VectorField2D:
 FlowField = VectorField2D
 
 
-@dataclass(frozen=True, eq=False)
-class FrameSequence:
-    """Uniformly sampled brightness frames, all the same size, dt_frame apart."""
-
-    frames: tuple
-    dt_frame: float
-
-    def __post_init__(self):
-        frames = tuple(self.frames)
-        if len(frames) < 2:
-            raise DimensionError("frame sequence needs at least 2 frames")
-        for i, f in enumerate(frames):
-            if not isinstance(f, Field2D):
-                raise DataError(f"frame {i} is not a Field2D")
-            check_grid(f"FrameSequence frame {i}", frames[0].values.shape, f.values.shape)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "dt_frame",
-                           check_real("dt_frame", self.dt_frame, 0, lo_open=True))
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].width
-
-    @property
-    def height(self) -> int:
-        return self.frames[0].height
-
-
 @dataclass(frozen=True)
 class BlurSchedule:
     """Coarse-to-fine smoothing schedule: sigma decays exponentially to a floor."""
@@ -206,6 +174,8 @@ def schedule_sigma(schedule: BlurSchedule, t: float) -> float:
 
 # one header integer: the whitespace and '#' comments before it, then its digits
 _HEADER_INT = re.compile(rb"(?:[ \t\n\r\v\f]|#[^\n\r]*)*([0-9]*)")
+# more significant digits than numpy's index type cannot size an array (nor pass int())
+_MAX_DIGITS = len(str(np.iinfo(np.intp).max))
 
 
 def load_pgm(data: bytes) -> Field2D:
@@ -237,7 +207,11 @@ def load_pgm(data: bytes) -> Field2D:
         start, pos = m.span(1)
         if pos == start:
             raise PgmParseError(f"expected decimal {what}", start)
-        header += [int(m[1]), start]
+        digits = m[1].lstrip(b"0")
+        if len(digits) > _MAX_DIGITS:
+            raise PgmParseError(f"{what} has {len(digits)} significant digits, more "
+                                f"than the {_MAX_DIGITS} a frame can use", start)
+        header += [int(digits or b"0"), start]
     width, w_off, height, h_off, maxval, m_off = header
     if width < 1:
         raise PgmParseError(f"width must be >= 1, got {width}", w_off)
@@ -362,16 +336,17 @@ def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
     """Separable Gaussian smoothing with edge replication.
 
     The kernel is truncated at radius ceil(3*sigma) and renormalized to sum
-    to one, so constants are preserved exactly.  sigma = 0 returns the input
-    unchanged.  Smoothing never increases the max-norm of the discrete
-    gradient: every output difference is a convex combination of input
-    differences under edge replication.
+    to one, so constants are preserved exactly.  A sigma below 0.025 (0
+    too) returns the input unchanged: its kernel is the centre tap alone.
+    Smoothing never increases the max-norm of the discrete gradient: every
+    output difference is a convex combination of input differences under
+    edge replication.
 
     Raises ParameterError, before allocating anything, when the radius
     ceil(3*sigma) exceeds the larger grid side.
     """
     sigma = check_real("sigma", sigma, 0)
-    if sigma == 0:
+    if sigma < 0.025:  # the side taps exp(-1/(2*sigma^2)) < exp(-800) underflow to 0
         return f
     side = max(f.width, f.height)
     # ceil(x) > side exactly when x > side, and 3*sigma may overflow to inf

@@ -16,7 +16,6 @@ from gazefield import (
     Field2D,
     FoaParams,
     FoaState,
-    FrameSequence,
     HsParams,
     Mode,
     ParameterError,
@@ -243,7 +242,7 @@ def test_08_inhibition_escape(capsys):
                        "dissipation = 0.1\nbeta = 1\nsigma_ior = 2\n"
                        "initial_foa = 12, 32\ndump_every = 1\n")
     img = synth.blob_image(64, 64, 12.0, 32.0, 3.0)
-    frames = FrameSequence(tuple(synth.static_frames(img, 181)), cfg.frame_dt)
+    frames = tuple(synth.static_frames(img, 181))
     path, dumps = run_simulation(frames, cfg)
     radius = 3.0 * cfg.ior.sigma_ior
     t_exit = next((s.t for s in path.samples
@@ -300,7 +299,7 @@ def test_10_two_blob_exploration(capsys):
     cfg = parse_config("alpha1 = 150\nc = 100\nlambda_drag = 4\n"
                        "dissipation = 0.5\nbeta = 1\nsigma_ior = 5\n")
     img = synth.two_blob_image(64, 64, 3.0, 1.0)
-    frames = FrameSequence(tuple(synth.static_frames(img, 601)), cfg.frame_dt)
+    frames = tuple(synth.static_frames(img, 601))
     serialized = []
     for _ in range(2):
         path, _ = run_simulation(frames, cfg)

@@ -20,11 +20,11 @@ from gazefield import (
     DimensionError,
     Field2D,
     FoaSample,
-    FrameSequence,
     MotionSource,
     Mode,
     NumericalError,
     Scanpath,
+    TelegraphParams,
     gaussian_blur,
     load_pgm,
     schedule_sigma,
@@ -46,6 +46,8 @@ from gazefield.cli import (
     read_field,
     read_flow,
     run_simulation,
+    _build_parser,
+    _parse_value,
     _stage,
 )
 
@@ -143,6 +145,8 @@ class TestParseConfig:
             parse_config("substeps_per_frame = 0\n")
         with pytest.raises(ConfigError):
             parse_config("dump_every = -1\n")
+        with pytest.raises(ConfigError):
+            parse_config("frame_dt = 0\n")
 
     def test_unstable_wave_step_rejected_before_frames(self):
         # c dt / h = 1000/240 far above the diagonal Courant bound
@@ -378,7 +382,7 @@ class TestFieldIo:
 class TestRunSimulation:
     def test_black_video_holds_center_exactly(self):
         cfg = parse_config("c = 20\nsubsteps_per_frame = 4\n")
-        frames = FrameSequence(tuple(synth.black_frames(32, 32, 16)), cfg.frame_dt)
+        frames = tuple(synth.black_frames(32, 32, 16))
         path, dumps = run_simulation(frames, cfg)
         assert len(path) == 1 + 15 * 4
         assert dumps == []
@@ -387,7 +391,7 @@ class TestRunSimulation:
 
     def test_sample_times_are_uniform(self):
         cfg = parse_config("c = 20\nsubsteps_per_frame = 4\n")
-        frames = FrameSequence(tuple(synth.black_frames(16, 16, 4)), cfg.frame_dt)
+        frames = tuple(synth.black_frames(16, 16, 4))
         path, _ = run_simulation(frames, cfg)
         dt = cfg.substep_dt
         for k, s in enumerate(path.samples):
@@ -395,7 +399,7 @@ class TestRunSimulation:
 
     def test_dump_cadence_and_shapes(self):
         cfg = parse_config("c = 20\nsubsteps_per_frame = 4\ndump_every = 2\n")
-        frames = FrameSequence(tuple(synth.black_frames(16, 12, 7)), cfg.frame_dt)
+        frames = tuple(synth.black_frames(16, 12, 7))
         _, dumps = run_simulation(frames, cfg)
         assert [d.frame_index for d in dumps] == [0, 2, 4]
         for d in dumps:
@@ -404,13 +408,13 @@ class TestRunSimulation:
 
     def test_initial_foa_outside_grid_rejected(self):
         cfg = parse_config("c = 20\ninitial_foa = 40, 8\n")
-        frames = FrameSequence(tuple(synth.black_frames(32, 32, 3)), cfg.frame_dt)
+        frames = tuple(synth.black_frames(32, 32, 3))
         with pytest.raises(ConfigError, match="outside grid"):
             run_simulation(frames, cfg)
 
     def test_tiny_frames_rejected(self):
         cfg = parse_config("c = 1\n")
-        frames = FrameSequence(tuple(synth.black_frames(2, 2, 3)), cfg.frame_dt)
+        frames = tuple(synth.black_frames(2, 2, 3))
         with pytest.raises(DimensionError):
             run_simulation(frames, cfg)
 
@@ -418,7 +422,7 @@ class TestRunSimulation:
         cfg = parse_config("c = 20\nsubsteps_per_frame = 4\nbeta = 1\n"
                            "sigma_ior = 3\ndump_every = 1\n")
         img = synth.two_blob_image(32, 32, 2.5, 1.0)
-        frames = FrameSequence(tuple(synth.static_frames(img, 13)), cfg.frame_dt)
+        frames = tuple(synth.static_frames(img, 13))
         _, dumps = run_simulation(frames, cfg)
         assert len(dumps) == 12
         for d in dumps:
@@ -427,7 +431,7 @@ class TestRunSimulation:
     def test_two_runs_serialize_identically(self):
         cfg = parse_config("c = 20\nsubsteps_per_frame = 4\nalpha1 = 40\n")
         img = synth.two_blob_image(32, 32, 2.5, 1.0)
-        frames = FrameSequence(tuple(synth.static_frames(img, 21)), cfg.frame_dt)
+        frames = tuple(synth.static_frames(img, 21))
         blobs = []
         for _ in range(2):
             path, _ = run_simulation(frames, cfg)
@@ -441,13 +445,8 @@ class TestRunSimulation:
                            "motion_source = flow_magnitude\nhs_max_iters = 40\n")
         frames = synth.moving_blob_frames(24, 24, 5, (8.0, 12.0), (6.0, 0.0),
                                           cfg.frame_dt)
-        path, _ = run_simulation(FrameSequence(tuple(frames), cfg.frame_dt), cfg)
+        path, _ = run_simulation(tuple(frames), cfg)
         assert all(map(math.isfinite, (path.samples[-1].x, path.samples[-1].y)))
-
-    def test_frame_clock_must_match_config(self):
-        frames = FrameSequence(tuple(synth.black_frames(8, 8, 3)), 0.04)
-        with pytest.raises(ConfigError, match="frame_dt"):
-            run_simulation(frames, SimConfig())
 
     def test_each_frame_is_blurred_once_per_sigma(self, monkeypatch):
         # sigma decays from 2 to its floor 1 by frame 3, then stays there
@@ -462,7 +461,7 @@ class TestRunSimulation:
         monkeypatch.setattr("gazefield.cli.gaussian_blur", counting_blur)
         frames = synth.moving_blob_frames(16, 16, 8, (5.0, 8.0), (6.0, 0.0),
                                           cfg.frame_dt)
-        run_simulation(FrameSequence(tuple(frames), cfg.frame_dt), cfg)
+        run_simulation(tuple(frames), cfg)
         sigmas = [schedule_sigma(cfg.blur, k * cfg.frame_dt) for k in range(7)]
         assert sigmas[3:] == [1.0] * 4
         assert len(calls) == len(set(calls)) == 11
@@ -484,8 +483,20 @@ class TestRunSimulation:
         monkeypatch.setattr("gazefield.cli.temporal_derivative", counting_ddt)
         frames = synth.moving_blob_frames(16, 16, 6, (5.0, 8.0), (6.0, 0.0),
                                           cfg.frame_dt)
-        run_simulation(FrameSequence(tuple(frames), cfg.frame_dt), cfg)
+        run_simulation(tuple(frames), cfg)
         assert len(calls) == want
+
+    @pytest.mark.parametrize("decay_rate, n", [(2000, 31), (20, 601)])
+    def test_decaying_blur_runs_past_kernel_underflow(self, decay_rate, n):
+        # sigma = 3 exp(-decay_rate t) with no floor: 2 sigma^2 underflows to
+        # zero at frame 6 of the short clip and at frame 562 of the long one
+        cfg = parse_config("alpha1 = 150\nc = 100\nlambda_drag = 4\nblur_sigma0 = 3\n"
+                           f"blur_decay_rate = {decay_rate}\n")
+        frames = synth.static_frames(synth.two_blob_image(64, 64, 3.0, 1.0), n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path, _ = run_simulation(frames, cfg)
+        assert len(path) == 1 + (n - 1) * cfg.substeps_per_frame
 
     def test_stage_errors_name_frame_and_stage(self):
         with pytest.raises(DataError, match=r"frame 3, stage mass"):
@@ -504,7 +515,7 @@ class TestRunSimulation:
         vx = 6.0
         frames = synth.moving_blob_frames(64, 64, 121, (16.0, 32.0), (vx, 0.0),
                                           cfg.frame_dt, sigma=3.0, amp=1.0)
-        path, _ = run_simulation(FrameSequence(tuple(frames), cfg.frame_dt), cfg)
+        path, _ = run_simulation(tuple(frames), cfg)
         errs = [math.hypot(s.x - (16.0 + vx * s.t), s.y - 32.0)
                 for s in path.samples if s.t > 2.0]
         assert sum(errs) / len(errs) < 4.0
@@ -708,6 +719,23 @@ class TestCommands:
                        str(frames / "frame_0001.pgm"), "--out", str(out)) == 4
         assert "float32" in capsys.readouterr().err
         assert not out.exists() or out.read_bytes() == b""
+
+    def test_flow_header_integer_past_int_limit_exits_3(self, tmp_path, capsys):
+        frame = tmp_path / "a.pgm"
+        frame.write_bytes(b"P5 " + b"9" * 5000 + b" 2 255\n" + bytes(4))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("", encoding="utf-8")
+        assert run_cli("flow", str(cfgfile), str(frame), str(frame),
+                       "--out", str(tmp_path / "v.foaf")) == 3
+        assert "width has 5000 significant digits" in capsys.readouterr().err
+
+    def test_parser_defaults_are_the_library_defaults(self):
+        parser = _build_parser()
+        args = parser.parse_args(["synth", "moving-blob", "--out", "frames"])
+        assert args.frame_dt == SimConfig.frame_dt
+        args = parser.parse_args(["converge", "mu.foaf", "--c", "1"])
+        assert (args.gamma, args.h) == (TelegraphParams.gamma, TelegraphParams.h)
+        assert _parse_value("--mode", Mode, args.mode) is TelegraphParams.mode
 
     def test_poisson_oracle_beyond_float32_exits_4(self, tmp_path, capsys):
         src = tmp_path / "mu.foaf"

@@ -13,7 +13,6 @@ from gazefield import (
     Field2D,
     FlowField,
     FoaParams,
-    FrameSequence,
     IorField,
     MassParams,
     Mode,
@@ -84,8 +83,6 @@ def channel(h, w):
 CALL_SITES = {
     "VectorField2D": (DimensionError, "VectorField2D",
                       lambda: VectorField2D(np.zeros((3, 3)), np.zeros((3, 4)))),
-    "FrameSequence": (DimensionError, "FrameSequence",
-                      lambda: FrameSequence((field(3, 3), field(3, 3), field(4, 3)), 0.1)),
     "gradient": (DimensionError, "gradient", lambda: gradient(field(1, 5))),
     "laplacian": (DimensionError, "laplacian", lambda: laplacian(field(5, 2))),
     "temporal_derivative": (DimensionError, "temporal_derivative",
@@ -128,9 +125,7 @@ CALL_SITES = {
                                lambda: evolve_potential(PotentialState.zero(5, 2),
                                                         field(2, 5), TelegraphParams())),
     "run_simulation": (DimensionError, "run_simulation",
-                       lambda: run_simulation(FrameSequence((field(2, 6),) * 3,
-                                                            SimConfig().frame_dt),
-                                              SimConfig())),
+                       lambda: run_simulation((field(2, 6),) * 3, SimConfig())),
     "FoaParams.attraction_sign": (ParameterError, "attraction_sign",
                                   lambda: FoaParams(attraction_sign="attract")),
     "FoaParams.boundary": (ParameterError, "boundary",

@@ -101,6 +101,15 @@ class TestScanpath:
         with pytest.raises(DataError, match="finite"):
             Scanpath(samples)
 
+    @pytest.mark.parametrize("field", ["x", "y", "vx", "vy"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_position_and_velocity(self, field, bad):
+        values = dict(t=1.0, x=0.0, y=1.0, vx=0.0, vy=0.0)
+        values[field] = bad
+        samples = (FoaSample(0.0, 0.0, 0.0, 0.0, 0.0), FoaSample(**values))
+        with pytest.raises(DataError, match="^scanpath sample 1 has a non-finite field"):
+            Scanpath(samples)
+
     def test_positions_array(self):
         p = make_path([0.0, 1.0, 2.0])
         assert p.positions().shape == (3, 2)

@@ -1,0 +1,31 @@
+"""README's "Library use" snippets run as written, so the example cannot drift."""
+
+import re
+from pathlib import Path
+
+from gazefield import save_pgm, synth
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_snippets():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def test_library_use_snippets_run(tmp_path, monkeypatch):
+    first, second = library_snippets()
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    clip = synth.moving_blob_frames(16, 16, 4, (5.0, 8.0), (6.0, 0.0), 1.0 / 30.0)
+    for k, f in enumerate(clip):
+        (frames / f"frame_{k:04d}.pgm").write_bytes(save_pgm(f))
+    monkeypatch.chdir(tmp_path)
+
+    namespace = {}
+    exec(compile(first, str(README), "exec"), namespace)
+    substeps = namespace["cfg"].substeps_per_frame
+    assert len(namespace["path"]) == 1 + 600 * substeps
+    exec(compile(second, str(README), "exec"), namespace)
+    assert len(namespace["path"]) == 1 + 3 * substeps

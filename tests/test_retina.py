@@ -6,6 +6,7 @@ constants were produced by running those oracles alone.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from gazefield import (
     DataError,
     DimensionError,
     Field2D,
-    FrameSequence,
     NumericalError,
     ParameterError,
     PgmParseError,
@@ -29,6 +29,7 @@ from gazefield import (
     schedule_sigma,
     temporal_derivative,
 )
+from gazefield.retina import _gaussian_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -115,25 +116,6 @@ class TestVectorField2D:
             VectorField2D(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
-class TestFrameSequence:
-    def test_needs_two_frames(self):
-        with pytest.raises(DimensionError):
-            FrameSequence((Field2D.zeros(4, 4),), 0.04)
-
-    def test_uniform_dims_required(self):
-        with pytest.raises(DimensionError):
-            FrameSequence((Field2D.zeros(4, 4), Field2D.zeros(5, 4)), 0.04)
-
-    def test_positive_dt(self):
-        frames = (Field2D.zeros(4, 4), Field2D.zeros(4, 4))
-        with pytest.raises(ParameterError):
-            FrameSequence(frames, 0.0)
-
-    def test_first_frame_must_be_a_field(self):
-        with pytest.raises(DataError):
-            FrameSequence((np.zeros((4, 4)), Field2D.zeros(4, 4)), 0.04)
-
-
 # ---------------------------------------------------------------------------
 # load_pgm
 # ---------------------------------------------------------------------------
@@ -177,6 +159,32 @@ class TestLoadPgm:
         with pytest.raises(PgmParseError) as exc:
             load_pgm(payload)
         assert exc.value.offset == payload.index(b"xx")
+
+    @pytest.mark.parametrize("field, offset", [("width", 3), ("height", 5),
+                                               ("maxval", 7)])
+    def test_header_integer_past_the_int_limit_names_its_offset(self, field, offset):
+        # 5000 digits is past int()'s default limit for digit strings
+        tokens = {"width": b"2", "height": b"2", "maxval": b"255"}
+        tokens[field] = b"9" * 5000
+        payload = b"P5 " + b" ".join(tokens.values()) + b"\n" + bytes(4)
+        with pytest.raises(PgmParseError) as exc:
+            load_pgm(payload)
+        limit = len(str(np.iinfo(np.intp).max))
+        assert str(exc.value) == (f"{field} has 5000 significant digits, more than "
+                                  f"the {limit} a frame can use (byte offset {offset})")
+        assert exc.value.offset == offset
+
+    def test_header_integer_one_digit_past_the_index_type_is_rejected(self):
+        digits = len(str(np.iinfo(np.intp).max))
+        with pytest.raises(PgmParseError, match="truncated"):
+            load_pgm(b"P5 " + b"9" * digits + b" 1 255\n" + bytes(4))
+        with pytest.raises(PgmParseError, match=f"{digits + 1} significant digits"):
+            load_pgm(b"P5 " + b"1" + b"0" * digits + b" 1 255\n" + bytes(4))
+
+    def test_zero_padded_header_integers_load(self):
+        payload = (b"P5 " + b"0" * 4399 + b"2 " + b"0" * 4399 + b"1 "
+                   + b"0" * 4397 + b"255\n" + bytes([0, 255]))
+        np.testing.assert_array_equal(load_pgm(payload).values, [[0.0, 1.0]])
 
     def test_values_land_in_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -435,6 +443,32 @@ class TestGaussianBlur:
         f = Field2D(rng.standard_normal((4, 6)))
         out = gaussian_blur(f, 0.0)
         np.testing.assert_array_equal(out.values, f.values)
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-170, 1e-160, 1e-154, 0.01, 0.0249])
+    def test_sigma_below_point_threshold_is_identity_without_warning(self, sigma):
+        # the side taps exp(-1/(2 sigma^2)) underflow to zero; for the smallest
+        # sigmas 2 sigma^2 does too, and a kernel built anyway would be NaN
+        f = Field2D(np.eye(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_blur(f, sigma) is f
+
+    @pytest.mark.parametrize("sigma", [0.025, 0.026, 0.03, 1.2, 24.0])
+    def test_kernel_bits_from_point_threshold_up(self, sigma):
+        radius = math.ceil(3.0 * sigma)
+        offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+        taps = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
+        assert np.array_equal(_gaussian_kernel(sigma), taps / taps.sum())
+
+    def test_blur_starts_where_the_side_taps_stop_underflowing(self):
+        # at 0.025 the kernel is still the centre tap alone; at 0.026 its
+        # side taps are subnormal, and the impulse leaks into its neighbours
+        v = np.zeros((5, 5))
+        v[2, 2] = 1.0
+        at = gaussian_blur(Field2D(v), 0.025)
+        assert np.array_equal(at.values, v)
+        above = gaussian_blur(Field2D(v), 0.026).values
+        assert 0.0 < above[2, 1] < 1e-300 and above[2, 2] == 1.0
 
     def test_constant_preserved_exactly(self):
         f = Field2D(np.full((8, 8), 0.37))

@@ -23,7 +23,6 @@ from gazefield import (
     DataError,
     DimensionError,
     Field2D,
-    FrameSequence,
     Mode,
     NumericalError,
     save_pgm,
@@ -47,12 +46,11 @@ def moving_frames(n, w=16, h=16):
 
 
 class TestIterableFrames:
-    def test_generator_and_sink_match_frame_sequence(self):
+    def test_generator_and_sink_match_list(self):
         cfg = parse_config("c = 20\nsubsteps_per_frame = 4\ndump_every = 2\n"
                            "blur_sigma0 = 1\n")
         frames = moving_frames(9)
-        want_path, want_dumps = run_simulation(FrameSequence(tuple(frames),
-                                                             cfg.frame_dt), cfg)
+        want_path, want_dumps = run_simulation(frames, cfg)
         got_dumps = []
         path, returned = run_simulation(iter(frames), cfg, on_dump=got_dumps.append)
         assert csv_bytes(path) == csv_bytes(want_path)
@@ -93,6 +91,12 @@ class TestIterableFrames:
         with pytest.raises(DataError, match=rf"^frame 5, stage load: .*{message}") as info:
             run_simulation(iter(frames), parse_config("c = 20\n"))
         assert type(info.value) is DataError
+
+    @pytest.mark.parametrize("bad", [np.zeros((16, 16)), None])
+    def test_first_frame_not_a_field_is_data_error(self, bad):
+        frames = [bad] + moving_frames(3)
+        with pytest.raises(DataError, match="^frame 0, stage load: frame 0 is not a Field2D"):
+            run_simulation(frames, parse_config("c = 20\n"))
 
     def test_failing_source_is_reported_at_its_frame(self):
         def source():
