@@ -25,7 +25,7 @@ import os
 import struct
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -57,6 +57,10 @@ from .potential import (
     Mode,
     PotentialState,
     TelegraphParams,
+    _SOLVE_H,
+    _SOLVE_MAX_ITERS,
+    _SOLVE_TOL,
+    _Workspace,
     convergence_in_c,
     direct_potential,
     evolve_potential,
@@ -270,15 +274,22 @@ _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4, GazefieldError: 
                OSError: 3}
 
 
-@contextmanager
-def _stage(frame_index: int, name: str):
+class _stage:
     # failures anywhere in the loop surface with the frame and stage that
-    # produced them, keeping their error category (and so the exit code)
-    try:
-        yield
-    except GazefieldError as e:
-        root = next(cls for cls in _EXIT_CODES if isinstance(e, cls))
-        raise root(f"frame {frame_index}, stage {name}: {e}") from e
+    # produced them, keeping their error category (and so the exit code);
+    # one object can wrap every substep of its frame
+    __slots__ = ("frame_index", "name")
+
+    def __init__(self, frame_index: int, name: str):
+        self.frame_index, self.name = frame_index, name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, e, tb) -> None:
+        if isinstance(e, GazefieldError):
+            root = next(cls for cls in _EXIT_CODES if isinstance(e, cls))
+            raise root(f"frame {self.frame_index}, stage {self.name}: {e}") from e
 
 
 def _checked_frames(frames: Iterable[Field2D]) -> Iterator[Field2D]:
@@ -344,7 +355,10 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
         state = FoaState(x0, y0)
 
     ior = IorField.zeros(w, h_px)
-    pot = PotentialState.zero(w, h_px)
+    # the potential is stepped in place, and the particle reads it through a
+    # read-only view that follows the steps and never leaves this loop
+    pot = _Workspace(PotentialState.zero(w, h_px))
+    u_live = Field2D._own(pot.u.view(), "potential")
     substeps = cfg.substeps_per_frame
     dt_frame, dt_sub = cfg.frame_dt, cfg.substep_dt
     samples = [FoaSample(0.0, state.x, state.y, state.vx, state.vy)]
@@ -372,16 +386,17 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
             ior = ior_step(ior, (state.x, state.y), dt_frame, cfg.ior)
         with _stage(k, "mass"):
             mu = mass_density(grad_b, motion, ior, cfg.mass)
+        potential, particle = _stage(k, "potential"), _stage(k, "particle")
         for j in range(substeps):
-            with _stage(k, "potential"):
-                pot = evolve_potential(pot, mu, tp)
-            with _stage(k, "particle"):
-                state = foa_step(state, pot.u, fp, cfg.h)
+            with potential:
+                evolve_potential(None, mu, tp, _ws=pot)
+            with particle:
+                state = foa_step(state, u_live, fp, cfg.h)
             samples.append(FoaSample((k * substeps + j + 1) * dt_sub,
                                      state.x, state.y, state.vx, state.vy))
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
             with _stage(k, "dump"):
-                on_dump(FieldDump(k, mu, pot.u, ior))
+                on_dump(FieldDump(k, mu, Field2D(pot.u), ior))  # a copy, not the live u
         f_now = f_next
 
     return Scanpath(tuple(samples)), dumps
@@ -633,9 +648,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="use the dense log-kernel sum instead of relaxation")
-    p.add_argument("--h", type=float, default=1.0, help="grid spacing")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=20000)
+    p.add_argument("--h", type=float, default=_SOLVE_H, help="grid spacing")
+    p.add_argument("--tol", type=float, default=_SOLVE_TOL)
+    p.add_argument("--max-iters", type=int, default=_SOLVE_MAX_ITERS)
     p.set_defaults(func=_cmd_poisson)
 
     p = sub.add_parser("converge",
@@ -644,7 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="comma-separated wave speeds, ascending")
     p.add_argument("--mode", default=TelegraphParams.mode.name.lower())
     p.add_argument("--gamma", type=float, default=TelegraphParams.gamma)
-    p.add_argument("--drag", type=float, default=4.0,
+    p.add_argument("--drag", type=float, default=TelegraphParams.lambda_drag,
                    help="first-order damping coefficient")
     p.add_argument("--h", type=float, default=TelegraphParams.h)
     p.add_argument("--dt", type=float, default=None,

@@ -167,22 +167,22 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
     holds the position are differentiated, each by retina._stencil, the
     difference rule of retina.gradient, and the corners are blended by
     _lerp, the rule of _bilinear, so the result is bitwise the one the
-    full-grid gradient gives.  A position off the grid, NaN or infinite
-    included, raises DomainError.
+    full-grid gradient gives, also when read as Python floats, as here.
+    A position off the grid, NaN or infinite included, raises DomainError.
     """
     x, y = float(pos[0]), float(pos[1])
     _check_inside(u, x, y)
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("sample_gradient", u.values.shape, min_side=2)
-    v = u.values
-    x0, y0, fx, fy = _cell(v.shape, x, y)
+    v = u.values.item
+    x0, y0, fx, fy = _cell(u.values.shape, x, y)
     dx, dy = [], []
     for r in (y0, y0 + 1):
         for c in (x0, x0 + 1):
             fwd, back, div = _stencil(c, u.width, h)
-            dx.append((v[r, fwd] - v[r, back]) / div)
+            dx.append((v(r, fwd) - v(r, back)) / div)
             fwd, back, div = _stencil(r, u.height, h)
-            dy.append((v[fwd, c] - v[back, c]) / div)
+            dy.append((v(fwd, c) - v(back, c)) / div)
     return float(_lerp(*dx, fx, fy)), float(_lerp(*dy, fx, fy))
 
 
@@ -223,7 +223,11 @@ def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
     # the step is within one grid extent, so one fold per axis suffices
     x, vx = _fold(s.x + step_x, vx, xmax, p.boundary)
     y, vy = _fold(s.y + step_y, vy, ymax, p.boundary)
-    return FoaState(x, y, vx, vy)
+    # a finite step from a finite state leaves every field finite, and the
+    # step check above fails on inf and NaN, so check_real is not run again
+    out = object.__new__(FoaState)
+    out.__dict__.update(x=x, y=y, vx=vx, vy=vy)
+    return out
 
 
 def energy(s: FoaState, u: Field2D, p: FoaParams) -> float:

@@ -13,7 +13,7 @@ solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     GridSizeError,
+    NumericalError,
     ParameterError,
     check_grid,
     check_int,
@@ -43,6 +44,8 @@ __all__ = [
 
 _MAX_DIRECT = 64  # direct_potential is O(N^2) over pixels; desk scale only
 _REFERENCE_TOL, _REFERENCE_MAX_ITERS = 1e-10, 200000  # convergence_in_c's SOR solve
+# poisson_solve's defaults, read also by the poisson command's options
+_SOLVE_H, _SOLVE_TOL, _SOLVE_MAX_ITERS = 1.0, 1e-8, 20000
 
 
 class Mode(Enum):
@@ -123,8 +126,9 @@ def _interior_residual(u: np.ndarray, mu: np.ndarray, h: float) -> float:
     return float(np.abs(_five_point(u, h) + mu[1:-1, 1:-1]).max())
 
 
-def poisson_solve(mu: Field2D, h: float = 1.0, tol: float = 1e-8,
-                  max_iters: int = 20000, boundary: Field2D | None = None) -> Field2D:
+def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
+                  max_iters: int = _SOLVE_MAX_ITERS, boundary: Field2D | None = None
+                  ) -> Field2D:
     """Solve -lap u = mu on the interior by red-black over-relaxation.
 
     Parameters
@@ -210,39 +214,87 @@ def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
     return Field2D.from_flat(mu.width, mu.height, out)
 
 
-def evolve_potential(state: PotentialState, mu: Field2D,
-                     p: TelegraphParams) -> PotentialState:
+class _Workspace:
+    """A potential stepped in place: evolve_potential's private state.
+
+    u and u_t are (h, w) row-major copies, so the interior nodes lie in one
+    contiguous flat span, from index w+1 up to, not including, (h-1)*w-1,
+    and the four neighbours of a node sit -+w and -+1 away.  A step runs on
+    that span as 1-d ufuncs with out=, in _five_point's operand order:
+    up + down + left + right, then - 4.0*centre, / (h*h), + mu, then the
+    mode's update.  The edge columns inside the span are stepped too, then
+    restored to their Dirichlet values; u_t stays 0 on the edge ring.
+    """
+
+    __slots__ = ("u", "u_t", "_span", "_edges", "_ring")
+
+    def __init__(self, state: PotentialState):
+        self.u, self.u_t = state.u.values.copy(), np.zeros_like(state.u.values)
+        self.u_t[1:-1, 1:-1] = state.u_t.values[1:-1, 1:-1]
+        h, w = self.u.shape
+        lo, hi = w + 1, (h - 1) * w - 1
+        u, ut = self.u.reshape(-1), self.u_t.reshape(-1)
+        self._span = (np.s_[lo:hi], u[lo:hi], ut[lo:hi], u[lo - w:hi - w],
+                      u[lo + w:hi + w], u[lo - 1:hi - 1], u[lo + 1:hi + 1])
+        # columns 0 and w-1 of the inner rows, and the values u holds there
+        self._edges = (self.u[1:-1, ::w - 1], self.u_t[1:-1, ::w - 1])
+        self._ring = self._edges[0].copy()
+
+    def step(self, mu: Field2D, p: TelegraphParams) -> None:
+        span, centre, ut, up, down, left, right = self._span
+        drive = np.add(up, down)  # scratch per step: an idle workspace holds u, u_t
+        np.add(drive, left, out=drive)
+        np.add(drive, right, out=drive)
+        tmp = np.multiply(centre, 4.0)
+        np.subtract(drive, tmp, out=drive)
+        np.divide(drive, p.h * p.h, out=drive)
+        np.add(drive, mu.data[span], out=drive)
+        if p.mode is Mode.HEAT:
+            np.multiply(drive, p.dt * p.c * p.c / p.lambda_drag, out=drive)
+            np.add(centre, drive, out=centre)
+            ut.fill(0.0)
+        else:
+            half_drag = 0.5 * p.lambda_drag * p.dt
+            np.multiply(ut, p.gamma - half_drag, out=ut)
+            np.multiply(drive, p.dt * p.c * p.c, out=drive)
+            np.add(ut, drive, out=ut)
+            np.divide(ut, p.gamma + half_drag, out=ut)
+            np.multiply(ut, p.dt, out=tmp)
+            np.add(centre, tmp, out=centre)
+        self._edges[0][...], self._edges[1][...] = self._ring, 0.0
+        # a non-finite u_t reaches u through u += dt*u_t, so u alone is checked
+        if not np.isfinite(centre).all():
+            raise NumericalError("potential overflow: result contains non-finite values")
+
+
+def evolve_potential(state: PotentialState | None, mu: Field2D, p: TelegraphParams,
+                     *, _ws: _Workspace | None = None) -> PotentialState | None:
     """One explicit step of gamma*u_tt + lambda*u_t = c^2*(lap u + mu).
 
-    Interior pixels advance; the edge ring holds its (zero) Dirichlet
-    values.  Heat mode is forward Euler on the first-order equation with
-    u_t reported as zero.  Wave modes advance (u, u_t) with the centered
-    staggered scheme: u_t lives at half steps, the drag term is averaged
-    across the step, and u then advances with the fresh u_t, which is
-    algebraically the classic three-level centered scheme on u.  The
-    5-point stencil is retina._five_point on u's interior, the one that
-    retina.laplacian applies, so the step is bitwise the same.
+    Interior pixels advance; the edge ring holds its Dirichlet values and
+    u_t is zero there.  Heat mode is forward Euler on the first-order
+    equation with u_t reported as zero.  Wave modes advance (u, u_t) with
+    the centered staggered scheme: u_t lives at half steps, the drag term
+    is averaged across the step, and u then advances with the fresh u_t,
+    which is algebraically the classic three-level centered scheme on u.
+    The step is _Workspace.step, bitwise the one retina.laplacian gives.
 
-    Stability was already enforced when p was constructed, so the state is
-    never touched by an inadmissible step.  The result is adopted with
-    Field2D._own, so overflow raises NumericalError.
+    Without _ws, state is copied into a new workspace, stepped once and
+    returned as a new PotentialState; the input is not touched.  With _ws,
+    state is not read (pass None): that workspace advances in place and
+    None is returned.  Stability was enforced when p was built, so a
+    non-finite result can only be overflow: it raises NumericalError.
     """
+    if _ws is not None:
+        check_grid("evolve_potential", mu.values.shape, _ws.u.shape, min_side=3)
+        return _ws.step(mu, p)
     check_grid("evolve_potential", mu.values.shape, state.u.values.shape, min_side=3)
-
-    inner = np.s_[1:-1, 1:-1]
-    u = state.u.values
-    drive = _five_point(u, p.h) + mu.values[inner]
-    u_new = u.copy()
-    ut_new = np.zeros_like(u)
-    if p.mode is Mode.HEAT:
-        u_new[inner] += (p.dt * p.c * p.c / p.lambda_drag) * drive
-    else:
-        half_drag = 0.5 * p.lambda_drag * p.dt
-        ut_new[inner] = ((p.gamma - half_drag) * state.u_t.values[inner]
-                         + p.dt * p.c * p.c * drive) / (p.gamma + half_drag)
-        u_new[inner] += p.dt * ut_new[inner]
-    return PotentialState(Field2D._own(u_new, "potential"),
-                          Field2D._own(ut_new, "potential"))
+    ws = _Workspace(state)
+    # the edge columns of a ring near float64's limit can overflow, and they
+    # are discarded; an overflow that reaches u raises NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws.step(mu, p)
+    return PotentialState(Field2D._own(ws.u, "potential"), Field2D._own(ws.u_t, "potential"))
 
 
 def convergence_in_c(mu: Field2D, c_list, horizon: float,
@@ -256,8 +308,6 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     reference gradient with a zero evolved gradient counts as error 0.
     The list is returned as computed; callers assert monotonicity.
     """
-    from dataclasses import replace
-
     cs = [check_real("c_list entry", c, 0, lo_open=True) for c in c_list]
     if any(b <= a for a, b in zip(cs, cs[1:])):
         raise ParameterError(f"c_list must be strictly ascending, got {c_list}")
@@ -271,10 +321,10 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     errors = []
     for c in cs:
         params = replace(base, c=c)
-        state = PotentialState.zero(mu.width, mu.height)
+        ws = _Workspace(PotentialState.zero(mu.width, mu.height))
         for _ in range(steps):
-            state = evolve_potential(state, mu, params)
-        g = gradient(state.u, base.h)
+            evolve_potential(None, mu, params, _ws=ws)
+        g = gradient(Field2D._own(ws.u, "potential"), base.h)
         diff = math.sqrt(float(np.sum((g.dx - g_ref.dx) ** 2)
                                + np.sum((g.dy - g_ref.dy) ** 2)))
         if ref_norm == 0.0:

@@ -10,7 +10,6 @@ and must not drift.
 import io
 import math
 import numpy as np
-import pytest
 
 from gazefield import (
     Field2D,

@@ -20,13 +20,22 @@ from gazefield import (
     DimensionError,
     Field2D,
     FoaSample,
+    FoaState,
+    IorField,
     MotionSource,
     Mode,
     NumericalError,
+    PotentialState,
     Scanpath,
     TelegraphParams,
+    evolve_potential,
+    foa_step,
     gaussian_blur,
+    gradient,
+    ior_step,
     load_pgm,
+    mass_density,
+    poisson_solve,
     schedule_sigma,
     temporal_derivative,
 )
@@ -34,7 +43,6 @@ import gazefield
 from gazefield import synth
 from gazefield.cli import (
     _CONFIG_KEYS,
-    FieldDump,
     SimConfig,
     export_field,
     export_flow,
@@ -521,6 +529,65 @@ class TestRunSimulation:
         assert sum(errs) / len(errs) < 4.0
 
 
+def stepwise_run(frames, cfg):
+    # the pipeline written out from public functions, with a new
+    # PotentialState and FoaState on every substep: the scanpath and the
+    # potential at the end of each frame
+    tp, fp = cfg.telegraph_params(), cfg.foa_params()
+    w, h = frames[0].width, frames[0].height
+    state = FoaState(*cfg.initial_foa)
+    pot, ior = PotentialState.zero(w, h), IorField.zeros(w, h)
+    samples, potentials = [FoaSample(0.0, state.x, state.y, 0.0, 0.0)], []
+    n = cfg.substeps_per_frame
+    for k in range(len(frames) - 1):
+        sigma = schedule_sigma(cfg.blur, k * cfg.frame_dt)
+        b_now, b_next = (gaussian_blur(f, sigma) for f in frames[k:k + 2])
+        ddt = temporal_derivative(b_now, b_next, cfg.frame_dt)
+        ior = ior_step(ior, (state.x, state.y), cfg.frame_dt, cfg.ior)
+        mu = mass_density(gradient(b_now, cfg.h), Field2D(np.abs(ddt.values)), ior,
+                          cfg.mass)
+        for j in range(n):
+            pot = evolve_potential(pot, mu, tp)
+            state = foa_step(state, pot.u, fp, cfg.h)
+            samples.append(FoaSample((k * n + j + 1) * cfg.substep_dt,
+                                     state.x, state.y, state.vx, state.vy))
+        potentials.append(pot.u.values)
+    return Scanpath(tuple(samples)), potentials
+
+
+class TestSubstepLoop:
+    # the particle starts near a corner, and repelled it reaches the edges,
+    # so both boundary policies act
+    frames = tuple(synth.moving_blob_frames(20, 16, 7, (5.0, 8.0), (40.0, 0.0), 1 / 30,
+                                            sigma=2.0, amp=1.0))
+
+    @pytest.mark.parametrize("mode", ["mode = heat\ngamma = 0\nc = 5\n",
+                                      "mode = wave\nlambda_drag = 0\nc = 20\n",
+                                      "lambda_drag = 4\nc = 20\n"])
+    @pytest.mark.parametrize("boundary", ["reflect", "clamp"])
+    @pytest.mark.parametrize("sign", ["attract", "repel"])
+    def test_in_place_loop_matches_stepwise_run(self, mode, boundary, sign):
+        cfg = parse_config(mode + "alpha1 = 20000\nalpha2 = 50\ndissipation = 0.5\n"
+                           "blur_sigma0 = 1\ndump_every = 1\ninitial_foa = 1.5, 4\n"
+                           f"boundary = {boundary}\nattraction_sign = {sign}\n")
+        want_path, want_u = stepwise_run(self.frames, cfg)
+        path, dumps = run_simulation(self.frames, cfg)
+        got, want = io.BytesIO(), io.BytesIO()
+        export_scanpath(path, got)
+        export_scanpath(want_path, want)
+        assert got.getvalue() == want.getvalue()
+        # each dump holds its own frame's potential, not the live buffer
+        assert [d.frame_index for d in dumps] == list(range(6))
+        for d, u in zip(dumps, want_u):
+            assert np.array_equal(d.potential.values, u)
+
+    def test_potential_overflow_names_its_stage(self):
+        cfg = parse_config("alpha1 = 1e308\nc = 100\nlambda_drag = 4\n")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="stage potential: potential overflow"):
+            run_simulation(self.frames, cfg)
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -656,7 +723,6 @@ class TestCommands:
         assert "stage blur" in proc.stderr and "larger grid side 32" in proc.stderr
 
     def test_poisson_command_matches_library(self, tmp_path):
-        from gazefield import poisson_solve
         rng = np.random.default_rng(5)
         mu = Field2D(rng.uniform(0, 1, size=(12, 12)))
         src = tmp_path / "mu.foaf"
@@ -735,7 +801,10 @@ class TestCommands:
         assert args.frame_dt == SimConfig.frame_dt
         args = parser.parse_args(["converge", "mu.foaf", "--c", "1"])
         assert (args.gamma, args.h) == (TelegraphParams.gamma, TelegraphParams.h)
+        assert args.drag == TelegraphParams.lambda_drag
         assert _parse_value("--mode", Mode, args.mode) is TelegraphParams.mode
+        args = parser.parse_args(["poisson", "mu.foaf", "--out", "u.foaf"])
+        assert (args.h, args.tol, args.max_iters) == poisson_solve.__defaults__[:3]
 
     def test_poisson_oracle_beyond_float32_exits_4(self, tmp_path, capsys):
         src = tmp_path / "mu.foaf"

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from gazefield import (
-    DataError,
     DimensionError,
     Field2D,
     NumericalError,

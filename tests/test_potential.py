@@ -7,7 +7,7 @@ no code with the package.
 """
 
 import math
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from gazefield.potential import (
     Mode,
     PotentialState,
     TelegraphParams,
+    _Workspace,
     convergence_in_c,
     direct_potential,
     evolve_potential,
@@ -324,6 +325,59 @@ class TestEvolvePotential:
             st = evolve_potential(st, mu, p)
             assert np.array_equal(st.u.values, want_u)
             assert np.array_equal(st.u_t.values, want_ut)
+
+    @pytest.mark.parametrize("mode, gamma, lam", [
+        (Mode.HEAT, 0.0, 1.5), (Mode.WAVE, 1.0, 0.0), (Mode.DAMPED_WAVE, 0.7, 2.0),
+    ])
+    def test_workspace_steps_match_public_steps(self, mode, gamma, lam):
+        # one workspace stepped in place, edge ring and u_t non-zero at the start
+        rng = np.random.default_rng(17)
+        st = PotentialState(Field2D(rng.standard_normal((7, 9))),
+                            Field2D(rng.standard_normal((7, 9))))
+        mu = Field2D(rng.uniform(0, 1, (7, 9)))
+        p = TelegraphParams(gamma=gamma, lambda_drag=lam, c=1.3, h=0.5,
+                            dt=0.9 * stable_dt(mode, gamma, lam, 1.3, 0.5), mode=mode)
+        ws = _Workspace(st)
+        for _ in range(6):
+            st = evolve_potential(st, mu, p)
+            assert evolve_potential(None, mu, p, _ws=ws) is None
+            assert np.array_equal(ws.u, st.u.values)
+            assert np.array_equal(ws.u_t, st.u_t.values)
+
+    @pytest.mark.parametrize("mode, gamma, lam", [
+        (Mode.HEAT, 0.0, 1.5), (Mode.DAMPED_WAVE, 0.7, 2.0),
+    ])
+    def test_input_state_untouched_and_unshared(self, mode, gamma, lam):
+        rng = np.random.default_rng(21)
+        st = PotentialState(Field2D(rng.standard_normal((6, 8))),
+                            Field2D(rng.standard_normal((6, 8))))
+        before = (st.u.values.copy(), st.u_t.values.copy())
+        p = TelegraphParams(gamma=gamma, lambda_drag=lam, c=1.0,
+                            dt=0.9 * stable_dt(mode, gamma, lam, 1.0, 1.0), mode=mode)
+        out = evolve_potential(st, Field2D(rng.uniform(0, 1, (6, 8))), p)
+        assert np.array_equal(st.u.values, before[0])
+        assert np.array_equal(st.u_t.values, before[1])
+        for new in (out.u.values, out.u_t.values):
+            for old in (st.u.values, st.u_t.values):
+                assert not np.shares_memory(new, old)
+
+    def test_ring_near_float_limit_steps_without_warning(self):
+        # the edge columns are stepped with the interior and then discarded;
+        # a ring of 5e307 overflows 4*u there, and that must stay silent
+        u0 = np.zeros((6, 6))
+        u0[0, :] = u0[-1, :] = u0[:, 0] = u0[:, -1] = 5e307
+        st = PotentialState(Field2D(u0), Field2D.zeros(6, 6))
+        p = TelegraphParams()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evolve_potential(st, Field2D.zeros(6, 6), p)
+        # from rest with mu = 0: u_t = dt c^2 lap u / (gamma + lambda dt / 2)
+        lap = (u0[:-2, 1:-1] + u0[2:, 1:-1] + u0[1:-1, :-2] + u0[1:-1, 2:]
+               - 4.0 * u0[1:-1, 1:-1]) / (p.h * p.h) + 0.0
+        want_ut = np.zeros((6, 6))
+        want_ut[1:-1, 1:-1] = (p.dt * p.c * p.c * lap) / (p.gamma + 0.5 * p.lambda_drag * p.dt)
+        assert np.array_equal(out.u_t.values, want_ut)
+        assert np.array_equal(out.u.values, u0 + p.dt * want_ut)
 
     def test_boundary_ring_held_fixed(self):
         u0 = np.zeros((7, 7))
