@@ -17,6 +17,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import array
 import glob
 import io
 import itertools
@@ -45,7 +46,6 @@ from .foa import (
     AttractionSign,
     BoundaryPolicy,
     FoaParams,
-    FoaSample,
     FoaState,
     Scanpath,
     detect_saccades,
@@ -361,7 +361,8 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     u_live = Field2D._own(pot.u.view(), "potential")
     substeps = cfg.substeps_per_frame
     dt_frame, dt_sub = cfg.frame_dt, cfg.substep_dt
-    samples = [FoaSample(0.0, state.x, state.y, state.vx, state.vy)]
+    # (t, x, y, vx, vy) per sample, flat: 40 bytes a sample
+    rows = array.array("d", (0.0, state.x, state.y, state.vx, state.vy))
     dumps: list[FieldDump] = []
     if on_dump is None:
         on_dump = dumps.append
@@ -391,23 +392,25 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
             with potential:
                 evolve_potential(None, mu, tp, _ws=pot)
             with particle:
-                state = foa_step(state, u_live, fp, cfg.h)
-            samples.append(FoaSample((k * substeps + j + 1) * dt_sub,
-                                     state.x, state.y, state.vx, state.vy))
+                # cfg.h (by SimConfig), the grid and the start are checked once
+                state = foa_step(state, u_live, fp, cfg.h, _checked=True)
+            rows.extend(((k * substeps + j + 1) * dt_sub,
+                         state.x, state.y, state.vx, state.vy))
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
             with _stage(k, "dump"):
                 on_dump(FieldDump(k, mu, Field2D(pot.u), ior))  # a copy, not the live u
         f_now = f_next
 
-    return Scanpath(tuple(samples)), dumps
+    return Scanpath._own(np.frombuffer(rows).reshape(-1, 5)), dumps
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+_CSV_HEADER = "t,x,y,vx,vy,saccade"
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"  # "%.9g" is format(x, ".9g"), -0 too
+_CSV_CHUNK = 256  # rows formatted per write
 
 
 def export_scanpath(path: Scanpath, sink) -> None:
@@ -415,14 +418,13 @@ def export_scanpath(path: Scanpath, sink) -> None:
 
     Floats carry 9 significant digits, the saccade flag is 0 or 1, lines
     end with LF; identical paths serialize to identical bytes on every
-    platform.
+    platform.  Rows go to the sink a chunk at a time.
     """
-    lines = ["t,x,y,vx,vy,saccade"]
-    for s in path.samples:
-        lines.append(",".join((_fmt(s.t), _fmt(s.x), _fmt(s.y),
-                               _fmt(s.vx), _fmt(s.vy),
-                               "1" if s.saccade else "0")))
-    sink.write(("\n".join(lines) + "\n").encode("ascii"))
+    sink.write(f"{_CSV_HEADER}\n".encode("ascii"))
+    for i in range(0, len(path), _CSV_CHUNK):
+        rows = path.rows[i:i + _CSV_CHUNK].tolist()
+        flags = path.saccade[i:i + _CSV_CHUNK].tolist()
+        sink.write("".join(_CSV_ROW % (*r, f) for r, f in zip(rows, flags)).encode("ascii"))
 
 
 def import_scanpath(data: bytes) -> Scanpath:
@@ -432,23 +434,25 @@ def import_scanpath(data: bytes) -> Scanpath:
     except UnicodeDecodeError as e:
         raise DataError(f"scanpath CSV is not ASCII: {e}") from e
     lines = text.split("\n")
-    if not lines or lines[0] != "t,x,y,vx,vy,saccade":
+    if not lines or lines[0] != _CSV_HEADER:
         raise DataError("scanpath CSV header missing or malformed")
     if lines[-1] != "":
         raise DataError("scanpath CSV must end with a newline")
-    samples = []
+    rows, flags = array.array("d"), bytearray()
     for lineno, line in enumerate(lines[1:-1], 2):
         parts = line.split(",")
         if len(parts) != 6 or parts[5] not in ("0", "1"):
             raise DataError(f"scanpath CSV line {lineno}: malformed row")
         try:
-            t, x, y, vx, vy = (float(p) for p in parts[:5])
+            values = [float(p) for p in parts[:5]]
         except ValueError as e:
             raise DataError(f"scanpath CSV line {lineno}: {e}") from e
-        if not all(map(math.isfinite, (t, x, y, vx, vy))):
+        if not all(map(math.isfinite, values)):
             raise DataError(f"scanpath CSV line {lineno}: non-finite value")
-        samples.append(FoaSample(t, x, y, vx, vy, parts[5] == "1"))
-    return Scanpath(tuple(samples))
+        rows.extend(values)
+        flags.append(parts[5] == "1")
+    return Scanpath._own(np.frombuffer(rows).reshape(-1, 5),
+                         np.frombuffer(flags, dtype=bool))
 
 
 def export_field(f: Field2D, sink) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DataError, DomainError, NumericalError, check_grid, check_member,
                      check_real)
-from .retina import Field2D, _stencil
+from .retina import Field2D
 
 __all__ = [
     "AttractionSign",
@@ -101,44 +101,58 @@ class FoaSample:
     vy: float
     saccade: bool = False
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Scanpath:
-    """Ordered gaze trace: finite samples with strictly increasing timestamps."""
+    """Ordered gaze trace: finite samples with strictly increasing timestamps.
 
-    samples: tuple[FoaSample, ...]
+    rows is a read-only (n, 5) float64 array of (t, x, y, vx, vy) and saccade
+    a read-only (n,) bool array; samples builds FoaSample records on demand.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        t_prev, finite = -math.inf, math.isfinite
-        for i, s in enumerate(self.samples):
+    rows: np.ndarray
+    saccade: np.ndarray
+
+    def __init__(self, samples: tuple[FoaSample, ...]):
+        samples = tuple(samples)
+        for s in samples:
             if not isinstance(s, FoaSample):
                 raise DataError(f"scanpath samples must be FoaSample, got {type(s)}")
-            if not (finite(s.t) and finite(s.x) and finite(s.y) and finite(s.vx)
-                    and finite(s.vy)):
-                raise DataError(f"scanpath sample {i} has a non-finite field")
-            if not s.t > t_prev:
-                raise DataError(f"scanpath timestamps must increase strictly at sample {i}")
-            t_prev = s.t
+        rows = np.array([(s.t, s.x, s.y, s.vx, s.vy) for s in samples], dtype=np.float64)
+        self._adopt(rows.reshape(-1, 5),
+                    np.array([bool(s.saccade) for s in samples], dtype=bool))
+
+    @classmethod
+    def _own(cls, rows: np.ndarray, saccade: np.ndarray | None = None) -> "Scanpath":
+        # (n, 5) rows and (n,) flags, default False: checked and frozen, not copied
+        path = object.__new__(cls)
+        path._adopt(rows, np.zeros(len(rows), dtype=bool) if saccade is None else saccade)
+        return path
+
+    def _adopt(self, rows: np.ndarray, saccade: np.ndarray) -> None:
+        # the first bad sample is named; a non-finite field wins a tie
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        late = np.flatnonzero(~(rows[1:, 0] > rows[:-1, 0])) + 1
+        if bad.size and not (late.size and late[0] < bad[0]):
+            raise DataError(f"scanpath sample {bad[0]} has a non-finite field")
+        if late.size:
+            raise DataError(f"scanpath timestamps must increase strictly at sample {late[0]}")
+        for name, a in (("rows", rows), ("saccade", saccade)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def samples(self) -> tuple[FoaSample, ...]:
+        """The samples as FoaSample records, built on each access."""
+        return tuple(FoaSample(*row, flag)
+                     for row, flag in zip(self.rows.tolist(), self.saccade.tolist()))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.rows)
 
     def positions(self) -> np.ndarray:
         """(n, 2) array of sample positions."""
-        return np.array([(s.x, s.y) for s in self.samples], dtype=np.float64).reshape(-1, 2)
-
-
-def _cell(shape: tuple[int, int], x: float, y: float) -> tuple[int, int, float, float]:
-    # callers guarantee 0 <= x <= w-1, 0 <= y <= h-1
-    h, w = shape
-    x0 = min(int(math.floor(x)), w - 2)
-    y0 = min(int(math.floor(y)), h - 2)
-    return x0, y0, x - x0, y - y0
+        return self.rows[:, 1:3].copy()
 
 
 def _lerp(c00, c01, c10, c11, fx: float, fy: float):
@@ -146,7 +160,9 @@ def _lerp(c00, c01, c10, c11, fx: float, fy: float):
 
 
 def _bilinear(arr: np.ndarray, x: float, y: float) -> float:
-    x0, y0, fx, fy = _cell(arr.shape, x, y)
+    # callers guarantee 0 <= x <= w-1, 0 <= y <= h-1
+    x0, y0 = min(int(x), arr.shape[1] - 2), min(int(y), arr.shape[0] - 2)
+    fx, fy = x - x0, y - y0
     return float(_lerp(arr[y0, x0], arr[y0, x0 + 1], arr[y0 + 1, x0],
                        arr[y0 + 1, x0 + 1], fx, fy))
 
@@ -164,26 +180,37 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
     The nodal gradient (central differences inside, one-sided at edges) is
     interpolated bilinearly, so the sampled force varies continuously as
     the particle moves across cells.  Only the 4 corners of the cell that
-    holds the position are differentiated, each by retina._stencil, the
-    difference rule of retina.gradient, and the corners are blended by
-    _lerp, the rule of _bilinear, so the result is bitwise the one the
-    full-grid gradient gives, also when read as Python floats, as here.
+    holds the position are differentiated, by the difference rule of
+    retina.gradient, and the corners are blended by _lerp, the rule of
+    _bilinear, so the result is bitwise the one the full-grid gradient
+    gives, also when read as Python floats, as here.
     A position off the grid, NaN or infinite included, raises DomainError.
     """
     x, y = float(pos[0]), float(pos[1])
     _check_inside(u, x, y)
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("sample_gradient", u.values.shape, min_side=2)
-    v = u.values.item
-    x0, y0, fx, fy = _cell(u.values.shape, x, y)
-    dx, dy = [], []
-    for r in (y0, y0 + 1):
-        for c in (x0, x0 + 1):
-            fwd, back, div = _stencil(c, u.width, h)
-            dx.append((v(r, fwd) - v(r, back)) / div)
-            fwd, back, div = _stencil(r, u.height, h)
-            dy.append((v(fwd, c) - v(back, c)) / div)
-    return float(_lerp(*dx, fx, fy)), float(_lerp(*dy, fx, fy))
+    return _gradient_at(u.values, x, y, h)
+
+
+def _gradient_at(v: np.ndarray, x: float, y: float, h: float) -> tuple[float, float]:
+    # sample_gradient after its checks: the at most 12 distinct nodes that the
+    # cell's corners difference are read once, as a patch clipped to the grid
+    rows, cols = v.shape
+    x0, y0 = min(int(x), cols - 2), min(int(y), rows - 2)  # int floors x, y >= 0
+    fx, fy = x - x0, y - y0
+    # whether each corner column (row) has a neighbour on its outer side
+    left, right, up, down = x0 > 0, x0 + 2 < cols, y0 > 0, y0 + 2 < rows
+    p = v[y0 - up:y0 + 2 + down, x0 - left:x0 + 2 + right].tolist()
+    a, b = int(left), int(left) + 1  # columns x0 and x0 + 1 of the patch
+    above, r0, r1, below = p[0], p[up], p[up + 1], p[-1]
+    # central differences span 2h, one-sided ones h, as in retina.gradient
+    wl, wr = (2.0 * h if left else h), (2.0 * h if right else h)
+    wu, wd = (2.0 * h if up else h), (2.0 * h if down else h)
+    return (_lerp((r0[b] - r0[0]) / wl, (r0[-1] - r0[a]) / wr,
+                  (r1[b] - r1[0]) / wl, (r1[-1] - r1[a]) / wr, fx, fy),
+            _lerp((r1[a] - above[a]) / wu, (r1[b] - above[b]) / wu,
+                  (below[a] - r0[a]) / wd, (below[b] - r0[b]) / wd, fx, fy))
 
 
 def _fold(x: float, v: float, top: float, policy: BoundaryPolicy) -> tuple[float, float]:
@@ -196,7 +223,8 @@ def _fold(x: float, v: float, top: float, policy: BoundaryPolicy) -> tuple[float
     return edge, 0.0
 
 
-def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
+def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0, *,
+             _checked: bool = False) -> FoaState:
     """Advance the particle one step of v' = v + dt(-drag*v + sign*grad u).
 
     Velocity updates first from the force at the old position, then the
@@ -207,9 +235,11 @@ def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
     edge and zeroes it.
 
     Raises NumericalError when one step moves farther than the grid extent
-    on either axis: the force or the speed has run away.
+    on either axis: the force or the speed has run away.  _checked skips
+    sample_gradient's checks, for a caller that made them once per run.
     """
-    gx, gy = sample_gradient(u, (s.x, s.y), h)
+    gx, gy = (_gradient_at(u.values, s.x, s.y, h) if _checked
+              else sample_gradient(u, (s.x, s.y), h))
     sign = p.attraction_sign.value
     vx = s.vx + p.dt * (-p.dissipation * s.vx + sign * gx)
     vy = s.vy + p.dt * (-p.dissipation * s.vy + sign * gy)
@@ -254,24 +284,17 @@ def detect_saccades(path: Scanpath, speed_threshold: float,
     """
     if len(path) == 0:
         raise DataError("cannot segment an empty scanpath")
-    check_real("speed_threshold", speed_threshold, 0, lo_open=True)
-    check_real("min_fixation", min_fixation, 0, lo_open=True)
+    threshold = check_real("speed_threshold", speed_threshold, 0, lo_open=True)
+    min_fixation = check_real("min_fixation", min_fixation, 0, lo_open=True)
 
-    flags = [s.speed > speed_threshold for s in path.samples]
-
-    runs = []  # (flag, start, stop) half-open
-    start = 0
-    for i in range(1, len(flags) + 1):
-        if i == len(flags) or flags[i] != flags[start]:
-            runs.append((flags[start], start, i))
-            start = i
-    for k, (flag, a, b) in enumerate(runs):
-        if flag or k == 0 or k == len(runs) - 1:
-            continue
-        span = path.samples[b - 1].t - path.samples[a].t
-        if span < min_fixation:
-            for i in range(a, b):
-                flags[i] = True
-
-    return Scanpath(tuple(FoaSample(s.t, s.x, s.y, s.vx, s.vy, f)
-                          for s, f in zip(path.samples, flags)))
+    rows = path.rows
+    # math.hypot per sample: np.hypot differs from it in the last bit
+    speed = np.fromiter(map(math.hypot, rows[:, 3], rows[:, 4]), np.float64, len(rows))
+    flags = speed > threshold
+    # runs of equal flags, [starts[k], stops[k]); a slow run between two
+    # saccadic runs that spans less than min_fixation becomes saccadic
+    stops = np.append(np.flatnonzero(flags[1:] != flags[:-1]) + 1, len(flags))
+    starts = np.append(0, stops[:-1])
+    run_flags = flags[starts]
+    run_flags[1:-1] |= rows[stops[1:-1] - 1, 0] - rows[starts[1:-1], 0] < min_fixation
+    return Scanpath._own(rows, np.repeat(run_flags, stops - starts))

@@ -44,6 +44,9 @@ __all__ = [
 
 _MAX_DIRECT = 64  # direct_potential is O(N^2) over pixels; desk scale only
 _REFERENCE_TOL, _REFERENCE_MAX_ITERS = 1e-10, 200000  # convergence_in_c's SOR solve
+# convergence_in_c's cap on steps x speeds x nodes (a grid under 32x32, whose step
+# costs about as much, counts as 32x32): 100 times `converge --dt 0.05` at 64x64
+_MAX_NODE_STEPS = 10**9
 # poisson_solve's defaults, read also by the poisson command's options
 _SOLVE_H, _SOLVE_TOL, _SOLVE_MAX_ITERS = 1.0, 1e-8, 20000
 
@@ -307,17 +310,25 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     solve to tol 1e-10 under the same zero-Dirichlet boundary.  A zero
     reference gradient with a zero evolved gradient counts as error 0.
     The list is returned as computed; callers assert monotonicity.
+    Raises ConfigError, before any solve, when the speeds times the steps
+    (horizon / dt) times the nodes (at least 32x32) exceed _MAX_NODE_STEPS.
     """
     cs = [check_real("c_list entry", c, 0, lo_open=True) for c in c_list]
     if any(b <= a for a, b in zip(cs, cs[1:])):
         raise ParameterError(f"c_list must be strictly ascending, got {c_list}")
     check_real("horizon", horizon, 0, lo_open=True)
+    steps = horizon / base.dt  # a float: it can exceed any int round() makes
+    work = steps * len(cs) * max(mu.values.size, 32 * 32)
+    if not work <= _MAX_NODE_STEPS:  # NaN (no speeds, inf steps) too
+        raise ConfigError(f"convergence_in_c would run {work:.3g} node steps ({len(cs)} "
+                          f"speeds x {steps:.3g} steps on {mu.width}x{mu.height}), over "
+                          f"the budget of {_MAX_NODE_STEPS:.0e}")
 
     u_ref = poisson_solve(mu, h=base.h, tol=_REFERENCE_TOL, max_iters=_REFERENCE_MAX_ITERS)
     g_ref = gradient(u_ref, base.h)
     ref_norm = math.sqrt(float(np.sum(g_ref.dx ** 2) + np.sum(g_ref.dy ** 2)))
 
-    steps = max(1, round(horizon / base.dt))
+    steps = max(1, round(steps))
     errors = []
     for c in cs:
         params = replace(base, c=c)

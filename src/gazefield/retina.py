@@ -255,21 +255,11 @@ def save_pgm(f: Field2D, maxval: int = 255) -> bytes:
 # Grid calculus
 # ---------------------------------------------------------------------------
 
-def _stencil(i: int, n: int, h: float) -> tuple[int, int, float]:
-    # the difference gradient takes at node i of n along one axis:
-    # (v[fwd] - v[back]) / div, one-sided at either end, central inside
-    if i == 0:
-        return 1, 0, h
-    if i == n - 1:
-        return i, i - 1, h
-    return i + 1, i - 1, 2.0 * h
-
-
 def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     """Discrete gradient: central differences interior, one-sided on the boundary.
 
-    This is ``np.gradient(values, h)``'s rule, the one ``_stencil`` matches
-    per node.  Requires width, height >= 2.
+    This is ``np.gradient(values, h)``'s rule, the one foa.sample_gradient
+    applies at the corners of one cell.  Requires width, height >= 2.
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("gradient", f.values.shape, min_side=2)

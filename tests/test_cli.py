@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -250,6 +251,23 @@ class TestScanpathCsv:
         again = io.BytesIO()
         export_scanpath(import_scanpath(first.getvalue()), again)
         assert again.getvalue() == first.getvalue()
+
+    def test_rows_match_format_9g_across_chunks(self):
+        # more rows than one write holds, with -0, subnormals and extremes
+        rng = np.random.default_rng(12)
+        n = 700
+        rows = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-12, 12, (n, 5))
+        rows[:, 0] = np.cumsum(rng.uniform(1e-6, 1.0, n))
+        rows[::7, 1:] = -0.0
+        rows[3, 1:] = (5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e-300)
+        flags = rng.random(n) < 0.3
+        path = Scanpath(tuple(FoaSample(*r, f) for r, f in zip(rows.tolist(), flags)))
+        buf = io.BytesIO()
+        export_scanpath(path, buf)
+        want = "".join(",".join(format(v, ".9g") for v in r) + f",{int(f)}\n"
+                       for r, f in zip(rows.tolist(), flags.tolist()))
+        assert buf.getvalue() == ("t,x,y,vx,vy,saccade\n" + want).encode("ascii")
+        assert b",-0," in buf.getvalue()
 
     def test_import_recovers_to_printed_precision(self):
         src = Scanpath((FoaSample(0.123456789123, 9.87654321e-3, 2.0, -1.5, 0.25),))
@@ -767,6 +785,19 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("c=1 relative_gradient_error=")
         assert lines[1].startswith("c=2 relative_gradient_error=")
+
+    @pytest.mark.parametrize("args", [
+        ["--c", "1e300"], ["--c", "1,2", "--dt", "1e-9"], ["--c", "1,2", "--horizon", "1e9"],
+        ["--c", "1,2", "--horizon", "1e300", "--dt", "1e-300"],
+    ])
+    def test_converge_over_the_work_budget_exits_2_at_once(self, tmp_path, capsys, args):
+        src = tmp_path / "mu.foaf"
+        with open(src, "wb") as fh:
+            export_field(synth.blob_image(32, 32, 16.0, 16.0, 4.0), fh)
+        start = time.perf_counter()
+        assert run_cli("converge", str(src), *args) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "node steps" in capsys.readouterr().err
 
     def test_converge_bad_speed_list_exits_2(self, tmp_path):
         src = tmp_path / "mu.foaf"

@@ -21,6 +21,7 @@ from gazefield.foa import (
     Scanpath,
     detect_saccades,
     energy,
+    _bilinear,
     foa_step,
     sample_gradient,
 )
@@ -110,6 +111,43 @@ class TestScanpath:
         with pytest.raises(DataError, match="^scanpath sample 1 has a non-finite field"):
             Scanpath(samples)
 
+    @staticmethod
+    def loop_check(samples):
+        # reference: the check made one sample at a time
+        t_prev = -math.inf
+        for i, s in enumerate(samples):
+            if not all(map(math.isfinite, (s.t, s.x, s.y, s.vx, s.vy))):
+                return f"scanpath sample {i} has a non-finite field"
+            if not s.t > t_prev:
+                return f"scanpath timestamps must increase strictly at sample {i}"
+            t_prev = s.t
+        return None
+
+    @pytest.mark.parametrize("at", [0, 4, 9])
+    @pytest.mark.parametrize("field, bad", [
+        ("t", math.nan), ("t", math.inf), ("t", -math.inf), ("x", math.nan),
+        ("vy", math.inf), ("t", 0.0), ("t", 0.35), ("t", -1.0),
+    ])
+    def test_vectorised_check_reports_the_loops_first_bad_sample(self, at, field, bad):
+        samples = [FoaSample(0.1 * k, 1.0, 2.0, 3.0, 4.0) for k in range(10)]
+        samples[at] = FoaSample(**{**samples[at].__dict__, field: bad})
+        if at < 9:  # a second fault later on must not mask the first
+            samples[9] = FoaSample(**{**samples[9].__dict__, "x": math.nan})
+        want = self.loop_check(samples)
+        if want is None:
+            assert len(Scanpath(tuple(samples))) == 10
+        else:
+            with pytest.raises(DataError) as info:
+                Scanpath(tuple(samples))
+            assert str(info.value) == want
+
+    def test_holds_read_only_arrays_and_builds_samples(self):
+        p = make_path([0.0, 1.0, 2.0])
+        assert p.rows.shape == (3, 5) and p.saccade.shape == (3,)
+        assert not p.rows.flags.writeable and not p.saccade.flags.writeable
+        assert p.samples == tuple(FoaSample(0.1 * k, float(k), 0.0, float(k), 0.0)
+                                  for k in range(3))
+
     def test_positions_array(self):
         p = make_path([0.0, 1.0, 2.0])
         assert p.positions().shape == (3, 2)
@@ -176,6 +214,28 @@ class TestSampleGradient:
         positions += [(float(x), float(y)) for x in range(cols) for y in range(rows)]
         for x, y in positions:
             assert sample_gradient(u, (x, y), h) == full_grid_sample(u, x, y, h), (x, y)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (7, 2), (2, 9)],
+                             ids=lambda s: f"{s[1]}x{s[0]}")
+    def test_bitwise_gradient_then_bilinear_on_many_positions(self, shape):
+        rows, cols = shape
+        rng = np.random.default_rng(12)
+        u = Field2D(rng.uniform(-3, 3, shape))
+        xmax, ymax = cols - 1.0, rows - 1.0
+        # interior, the four edges and the four corner cells, and nodes
+        xs = [*rng.uniform(0, xmax, 1600), *rng.uniform(0, 1, 100),
+              *rng.uniform(xmax - 1, xmax, 100), *rng.uniform(0, xmax, 200)]
+        ys = [*rng.uniform(0, ymax, 1600), *rng.uniform(0, ymax, 200),
+              *rng.uniform(0, 1, 100), *rng.uniform(ymax - 1, ymax, 100)]
+        positions = list(zip(xs, ys)) + [(0.0, 0.0), (xmax, ymax), (0.0, ymax),
+                                          (xmax, 0.0), (1.0, 1.0), (xmax - 1, ymax - 1)]
+        assert len(positions) >= 2000
+        for h in (1.0, 0.75):
+            g = gradient(u, h)
+            for x, y in positions:
+                x, y = float(x), float(y)
+                want = (_bilinear(g.dx, x, y), _bilinear(g.dy, x, y))
+                assert sample_gradient(u, (x, y), h) == want, (x, y, h)
 
     @pytest.mark.parametrize("width, height, pos", [(1, 5, (0, 2)), (5, 1, (2, 0))])
     def test_grid_narrower_than_two_raises(self, width, height, pos):
@@ -308,6 +368,16 @@ class TestFoaStep:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("u, s, h, error", [
+        (Field2D.zeros(8, 8), FoaState(3.0, 3.0), 0.0, ParameterError),
+        (Field2D.zeros(8, 8), FoaState(3.0, 3.0), math.inf, ParameterError),
+        (Field2D.zeros(1, 5), FoaState(0.0, 2.0), 1.0, DimensionError),
+        (Field2D.zeros(8, 8), FoaState(8.5, 3.0), 1.0, DomainError),
+    ])
+    def test_checks_h_grid_and_position(self, u, s, h, error):
+        with pytest.raises(error):
+            foa_step(s, u, FoaParams(), h)
+
     @pytest.mark.parametrize("boundary", list(BoundaryPolicy))
     def test_runaway_step_raises_numerical_error(self, boundary):
         # a step longer than the grid extent is a runaway; folding it back
@@ -400,6 +470,51 @@ class TestDetectSaccades:
         out = detect_saccades(path, 10.0, 0.1)
         assert not any(s.saccade for s in path.samples)
         assert out is not path
+
+    def test_result_shares_the_input_rows(self):
+        path = make_path([1.0] * 3 + [50.0] * 3)
+        out = detect_saccades(path, 10.0, 0.1)
+        assert np.shares_memory(out.rows, path.rows)
+        assert not path.saccade.any() and out.saccade[3:].all()
+
+    @staticmethod
+    def loop_flags(path, threshold, min_fixation):
+        # reference: the segmentation made one sample at a time
+        samples = path.samples
+        flags = [math.hypot(s.vx, s.vy) > threshold for s in samples]
+        runs, start = [], 0
+        for i in range(1, len(flags) + 1):
+            if i == len(flags) or flags[i] != flags[start]:
+                runs.append((flags[start], start, i))
+                start = i
+        for k, (flag, a, b) in enumerate(runs):
+            if not (flag or k == 0 or k == len(runs) - 1) \
+                    and samples[b - 1].t - samples[a].t < min_fixation:
+                flags[a:b] = [True] * (b - a)
+        return flags
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flags_match_a_per_sample_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        thr = 30.0
+        vel = rng.uniform(-40, 40, (4000, 2))
+        edges, near, slow, _ = np.split(rng.permutation(len(vel)), [600, 1800, 3000])
+        # speeds exactly at the threshold and one ulp either side of it
+        at = [(thr, 0.0), (0.0, -thr), (18.0, 24.0), (-24.0, 18.0),
+              (math.nextafter(thr, 0.0), 0.0), (math.nextafter(thr, 99.0), 0.0),
+              (0.0, math.nextafter(thr, 99.0))]
+        vel[edges] = [at[k % len(at)] for k in range(len(edges))]
+        # speeds within a few ulps of it, where np.hypot can round otherwise
+        vx = rng.uniform(0, thr, len(near))
+        vel[near] = np.stack([vx, np.sqrt(thr * thr - vx * vx)], axis=1)
+        # slow samples, so that slow gaps of every span sit between saccades
+        vel[slow] = (1.0, 1.0)
+        samples = tuple(FoaSample(k / 240.0, 1.0, 2.0, float(vx), float(vy))
+                        for k, (vx, vy) in enumerate(vel))
+        path = Scanpath(samples)
+        for min_fixation in (1e-3, 0.01, 0.05):
+            out = detect_saccades(path, thr, min_fixation)
+            assert out.saccade.tolist() == self.loop_flags(path, thr, min_fixation)
 
     def test_empty_path_raises(self):
         with pytest.raises(DataError):

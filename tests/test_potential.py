@@ -500,6 +500,17 @@ class TestConvergenceInC:
         with pytest.raises(ParameterError):
             convergence_in_c(Field2D.zeros(8, 8), [1.0], 0.0, p)
 
+    @pytest.mark.parametrize("cs, horizon, dt", [
+        ([1.0, 2.0], 30.0, 1e-9), ([1.0, 2.0], 1e9, 0.1), ([1.0], 1e300, 1e-300),
+        ([], 1e300, 1e-300),
+        ([1.0], 1e6, 0.1),  # 9e7 on 3x3, but a step that small costs as much as 32x32
+    ])
+    def test_work_over_budget_raises_before_any_solve(self, cs, horizon, dt):
+        p = TelegraphParams(gamma=1.0, lambda_drag=4.0, c=2.0, h=1.0, dt=dt,
+                            mode=Mode.DAMPED_WAVE)
+        with pytest.raises(ConfigError, match="node steps"):
+            convergence_in_c(Field2D.zeros(3, 3), cs, horizon, p)
+
     def test_unstable_speed_raises_before_any_stepping(self):
         # dt admits c = 2 but not c = 8 under the CFL bound
         p = TelegraphParams(gamma=1.0, lambda_drag=4.0, c=2.0, h=1.0,

@@ -184,6 +184,31 @@ def test_peak_memory_flat_in_clip_length(tmp_path, capsys):
     assert long - short < 4 * 2**20, (short, long)
 
 
+def test_scanpath_memory_grows_by_its_array_alone(tmp_path, capsys):
+    # 3600 more samples, saccades annotated: 41 B each in the array and its
+    # flags is 0.15 MB (0.23 MB measured, with passing arrays); a Python
+    # object per sample or a list copy of the rows would pass 0.5 MB
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EXPLORE, encoding="utf-8")
+
+    def peak(n):
+        frames = tmp_path / f"frames{n}"
+        synth_two_blobs(frames, n)
+        argv = ["simulate", str(cfg), str(frames / "frame_*.pgm"),
+                "--out", str(tmp_path / f"out{n}"), "--saccade-threshold", "30"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # warm-up: lazy allocations inside numpy and the interpreter
+    short, long = peak(50), peak(500)
+    capsys.readouterr()
+    assert long - short < 0.5e6, (short, long)
+
+
 # ---------------------------------------------------------------------------
 # hostile inputs
 # ---------------------------------------------------------------------------
