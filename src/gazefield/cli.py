@@ -71,6 +71,7 @@ from .retina import (
     BlurSchedule,
     Field2D,
     FlowField,
+    _PGM_MAXVAL,
     gaussian_blur,
     gradient,
     load_pgm,
@@ -271,7 +272,7 @@ class FieldDump:
 
 # error category -> CLI exit code; the first entry that matches wins
 _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4, GazefieldError: 1,
-               OSError: 3}
+               OSError: 3, MemoryError: 3}  # MemoryError: an input too large to hold
 
 
 class _stage:
@@ -677,8 +678,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--frames", type=int, default=61)
-    p.add_argument("--blob-sigma", type=float, default=3.0)
-    p.add_argument("--amp", type=float, default=1.0)
+    p.add_argument("--blob-sigma", type=float, default=synth._BLOB_SIGMA)
+    p.add_argument("--amp", type=float, default=synth._BLOB_AMP)
     p.add_argument("--speed", type=float, default=6.0,
                    help="blob velocity in px/s (moving-blob)")
     p.add_argument("--frame-dt", type=float, default=SimConfig.frame_dt)
@@ -686,7 +687,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="uniform pixel noise amplitude")
     p.add_argument("--seed", type=int, default=0,
                    help="noise seed (generation only; the pipeline is deterministic)")
-    p.add_argument("--maxval", type=int, default=255)
+    p.add_argument("--maxval", type=int, default=_PGM_MAXVAL)
     p.set_defaults(func=_cmd_synth)
     return parser
 

@@ -81,14 +81,6 @@ class FoaState:
         for name in ("x", "y", "vx", "vy"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
-
 
 @dataclass(frozen=True)
 class FoaSample:
@@ -149,10 +141,6 @@ class Scanpath:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def positions(self) -> np.ndarray:
-        """(n, 2) array of sample positions."""
-        return self.rows[:, 1:3].copy()
 
 
 def _lerp(c00, c01, c10, c11, fx: float, fy: float):

@@ -106,15 +106,6 @@ class Field2D:
         object.__setattr__(f, "values", _adopt(values, what))
         return f
 
-    @classmethod
-    def from_flat(cls, width: int, height: int, data) -> "Field2D":
-        flat = np.asarray(data, dtype=np.float64)
-        if flat.ndim != 1 or flat.size != width * height:
-            raise DimensionError(
-                f"flat data of length {flat.size} does not fill a {width}x{height} grid"
-            )
-        return cls(flat.reshape((height, width)))
-
 
 @dataclass(frozen=True, eq=False)
 class VectorField2D:
@@ -135,14 +126,6 @@ class VectorField2D:
         object.__setattr__(vf, "dx", _adopt(dx, what))
         object.__setattr__(vf, "dy", _adopt(dy, what))
         return vf
-
-    @property
-    def width(self) -> int:
-        return self.dx.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.dx.shape[0]
 
 
 # A flow field is a VectorField2D whose components carry pixels/second.
@@ -176,6 +159,7 @@ def schedule_sigma(schedule: BlurSchedule, t: float) -> float:
 _HEADER_INT = re.compile(rb"(?:[ \t\n\r\v\f]|#[^\n\r]*)*([0-9]*)")
 # more significant digits than numpy's index type cannot size an array (nor pass int())
 _MAX_DIGITS = len(str(np.iinfo(np.intp).max))
+_PGM_MAXVAL = 255  # save_pgm's default, read also by the synth command's --maxval
 
 
 def load_pgm(data: bytes) -> Field2D:
@@ -237,7 +221,7 @@ def load_pgm(data: bytes) -> Field2D:
     return Field2D((samples / maxval).reshape((height, width)))
 
 
-def save_pgm(f: Field2D, maxval: int = 255) -> bytes:
+def save_pgm(f: Field2D, maxval: int = _PGM_MAXVAL) -> bytes:
     """Encode a field as a binary (P5) PGM payload.
 
     Values are clipped to [0, 1] and quantized to round(v * maxval); maxval

@@ -22,9 +22,12 @@ __all__ = [
     "add_noise",
 ]
 
+# the blob defaults of every generator, read also by the synth command's flags
+_BLOB_SIGMA, _BLOB_AMP = 3.0, 1.0
+
 
 def blob_image(width: int, height: int, cx: float, cy: float,
-               sigma: float = 3.0, amp: float = 1.0) -> Field2D:
+               sigma: float = _BLOB_SIGMA, amp: float = _BLOB_AMP) -> Field2D:
     """Gaussian brightness bump, clipped to [0, 1]."""
     check_int("width", width, 1)
     check_int("height", height, 1)
@@ -34,8 +37,8 @@ def blob_image(width: int, height: int, cx: float, cy: float,
     return Field2D(np.clip(v, 0.0, 1.0))
 
 
-def two_blob_image(width: int, height: int, sigma: float = 3.0,
-                   amp: float = 1.0) -> Field2D:
+def two_blob_image(width: int, height: int, sigma: float = _BLOB_SIGMA,
+                   amp: float = _BLOB_AMP) -> Field2D:
     """Two equal blobs at quarter and three-quarter width, mid height."""
     left = blob_image(width, height, width / 4.0, height / 2.0, sigma, amp)
     right = blob_image(width, height, 3.0 * width / 4.0, height / 2.0, sigma, amp)
@@ -58,7 +61,7 @@ def static_frames(image: Field2D, count: int) -> list[Field2D]:
 
 def moving_blob_frames(width: int, height: int, count: int,
                        start: tuple[float, float], velocity: tuple[float, float],
-                       dt: float, sigma: float = 3.0, amp: float = 1.0
+                       dt: float, sigma: float = _BLOB_SIGMA, amp: float = _BLOB_AMP
                        ) -> list[Field2D]:
     """A blob translating at constant velocity (pixels/s), one frame per dt."""
     check_int("count", count, 2)

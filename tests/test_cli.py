@@ -805,6 +805,50 @@ class TestCommands:
             export_field(Field2D(np.zeros((8, 8))), fh)
         assert run_cli("converge", str(src), "--c", "fast") == 2
 
+    @pytest.mark.parametrize("command", ["poisson", "converge"])
+    def test_non_finite_residual_exits_4_at_once(self, tmp_path, capsys, command):
+        # h*h overflows, so the first sweep leaves a NaN residual; without the
+        # stop, poisson ran all its 20000 sweeps and converge all 200000
+        src = tmp_path / "mu.foaf"
+        with open(src, "wb") as fh:
+            export_field(synth.blob_image(64, 64, 32.0, 32.0, 8.0), fh)
+        args = ["--out", str(tmp_path / "u.foaf")] if command == "poisson" else ["--c", "1"]
+        start = time.perf_counter()
+        with np.errstate(all="ignore"):  # numpy still warns about the first NaN sweep
+            assert run_cli(command, str(src), *args, "--h", "1e200") == 4
+        assert time.perf_counter() - start < 1.0
+        assert "in 1 of at most" in capsys.readouterr().err
+
+    def test_converge_on_a_large_mass_meets_its_reference_tolerance(self, tmp_path, capsys):
+        # SOR's rounding floor here is about 2e-9, so an absolute tol of
+        # 1e-10 ran all 200000 reference sweeps (15 s) and exited 4
+        src = tmp_path / "mu.foaf"
+        with open(src, "wb") as fh:
+            export_field(Field2D(np.full((31, 33), 1e4)), fh)
+        start = time.perf_counter()
+        assert run_cli("converge", str(src), "--c", "1", "--horizon", "1") == 0
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().out.startswith("c=1 relative_gradient_error=")
+
+    @pytest.mark.parametrize("kind", ["flow", "synth"])
+    def test_memory_error_exits_3_with_one_error_line(self, tmp_path, capsys,
+                                                       monkeypatch, kind):
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        if kind == "flow":
+            monkeypatch.setattr("gazefield.cli.load_pgm", too_large)
+            frame, cfgfile = tmp_path / "a.pgm", tmp_path / "run.cfg"
+            frame.write_bytes(gazefield.save_pgm(Field2D.zeros(4, 4)))
+            cfgfile.write_text("", encoding="utf-8")
+            argv = ["flow", str(cfgfile), str(frame), str(frame),
+                    "--out", str(tmp_path / "v.foaf")]
+        else:
+            monkeypatch.setattr(synth, "two_blob_image", too_large)
+            argv = ["synth", "two-blobs", "--out", str(tmp_path / "frames")]
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err == "error: Unable to allocate 298. GiB for an array\n"
+
     def test_flow_beyond_float32_exits_4(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         assert run_cli("synth", "moving-blob", "--out", str(frames), "--width", "16",
@@ -836,6 +880,16 @@ class TestCommands:
         assert _parse_value("--mode", Mode, args.mode) is TelegraphParams.mode
         args = parser.parse_args(["poisson", "mu.foaf", "--out", "u.foaf"])
         assert (args.h, args.tol, args.max_iters) == poisson_solve.__defaults__[:3]
+        args = parser.parse_args(["synth", "two-blobs", "--out", "frames"])
+        assert (args.blob_sigma, args.amp) == synth.two_blob_image.__defaults__
+        assert args.maxval == gazefield.save_pgm.__defaults__[0]
+
+    def test_bare_synth_writes_the_library_default_frames(self, tmp_path):
+        out = tmp_path / "frames"
+        assert run_cli("synth", "two-blobs", "--out", str(out)) == 0
+        want = gazefield.save_pgm(synth.two_blob_image(64, 64))
+        assert (out / "frame_0000.pgm").read_bytes() == want
+        assert (out / "frame_0060.pgm").read_bytes() == want
 
     def test_poisson_oracle_beyond_float32_exits_4(self, tmp_path, capsys):
         src = tmp_path / "mu.foaf"

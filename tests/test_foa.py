@@ -74,11 +74,6 @@ class TestFoaParams:
 
 
 class TestFoaState:
-    def test_properties(self):
-        s = FoaState(3.0, 4.0, 1.0, -2.0)
-        assert s.position == (3.0, 4.0)
-        assert s.speed == math.hypot(1.0, 2.0)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ParameterError):
             FoaState(math.nan, 0.0)
@@ -147,14 +142,6 @@ class TestScanpath:
         assert not p.rows.flags.writeable and not p.saccade.flags.writeable
         assert p.samples == tuple(FoaSample(0.1 * k, float(k), 0.0, float(k), 0.0)
                                   for k in range(3))
-
-    def test_positions_array(self):
-        p = make_path([0.0, 1.0, 2.0])
-        assert p.positions().shape == (3, 2)
-        assert np.array_equal(p.positions()[:, 0], [0.0, 1.0, 2.0])
-
-    def test_empty_path_positions_keep_two_columns(self):
-        assert Scanpath(()).positions().shape == (0, 2)
 
     def test_rejects_foreign_samples(self):
         with pytest.raises(DataError):
@@ -301,7 +288,7 @@ class TestFoaStep:
         before = FoaState(19.5, 10.0, 5.0, -3.0)
         after = foa_step(before, u, p)
         assert 0.0 <= after.x <= 20.0
-        assert after.speed == before.speed
+        assert math.hypot(after.vx, after.vy) == math.hypot(before.vx, before.vy)
 
     def test_clamp_projects_and_zeroes_normal_velocity(self):
         u = Field2D.zeros(21, 21)

@@ -84,6 +84,11 @@ class TestTelegraphParams:
             TelegraphParams(gamma=0.0, lambda_drag=1.0, c=1.0, h=1.0, dt=0.26,
                             mode=Mode.HEAT)
 
+    def test_heat_bound_where_c_squared_underflows(self):
+        # c*c is 0.0 here; the bound was a ZeroDivisionError
+        assert stable_dt(Mode.HEAT, 0.0, 1.0, 1e-300, 1.0) == math.inf
+        TelegraphParams(gamma=0.0, lambda_drag=1.0, c=1e-300, dt=0.5, mode=Mode.HEAT)
+
     def test_wave_requires_no_drag(self):
         with pytest.raises(ConfigError):
             TelegraphParams(gamma=1.0, lambda_drag=0.5, dt=0.1, mode=Mode.WAVE)

@@ -4,13 +4,15 @@ Library side: run_simulation consumes any iterable of frames through a
 two-frame window, checks each frame as it arrives and hands each dump to a
 sink.  Command side: a late bad frame fails with exit 3 and leaves no
 scanpath, peak memory does not grow with the number of frames, and hostile
-inputs end with a documented exit code, never a traceback or a hang.
+inputs to simulate, flow, poisson and converge end with a documented exit
+code, never a traceback or a hang.
 """
 
 import io
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -271,16 +273,123 @@ def hostile_case(rng, root):
     return ["simulate", str(cfg), str(clip / "f*.pgm"), "--out", str(root / "out")]
 
 
-@pytest.mark.parametrize("case", range(12))
-def test_hostile_input_ends_with_a_documented_exit_code(tmp_path, case):
-    argv = hostile_case(random.Random(7000 + case), tmp_path)
+F32_MAX = float(np.finfo(np.float32).max)
+# option values past every range
+EXTREMES = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300"]
+
+
+def hostile_options(rng, options):
+    """Pick a value per option; none, one or two options get an extreme value.
+
+    options maps a flag to its plausible values, where None leaves the flag out.
+    """
+    wild = rng.sample(sorted(options), rng.choice([0, 0, 1, 1, 2]))
+    chosen = {k: rng.choice(EXTREMES if k in wild else v) for k, v in options.items()}
+    return [f"{k}={v}" for k, v in chosen.items() if v is not None]
+
+
+def hostile_grid(rng):
+    return rng.choice([(1, 1), (1, rng.randint(1, 31)), (rng.randint(1, 33), 1), (3, 3),
+                       (33, 31)] + [(rng.randint(2, 33), rng.randint(2, 31))] * 5)
+
+
+def hostile_foaf(rng, w, h):
+    """One FOAF record: unit, float32-extreme or non-finite values, or cut short."""
+    nrng = np.random.default_rng(rng.randrange(2**32))
+    kind = rng.choice(["unit", "signed", "spike", "f32max", "f32tiny", "nonfinite"])
+    v = np.zeros((h, w))
+    if kind in ("unit", "nonfinite"):
+        v = nrng.uniform(0.0, 1.0, (h, w))
+    elif kind == "signed":
+        v = nrng.uniform(-1.0, 1.0, (h, w))
+    elif kind == "f32max":
+        v = nrng.choice([-F32_MAX, 0.0, F32_MAX], (h, w))
+    elif kind == "f32tiny":
+        v = np.full((h, w), float(np.finfo(np.float32).smallest_subnormal))
+    if kind in ("spike", "nonfinite"):
+        v[rng.randrange(h), rng.randrange(w)] = rng.choice(
+            [1.0, 1e4, F32_MAX] if kind == "spike" else [math.nan, math.inf, -math.inf])
+    data = b"FOAF" + struct.pack("<II", w, h) + v.astype("<f4").tobytes()
+    broken = rng.choice(["none"] * 12 + ["payload", "header", "magic", "zero"])
+    return {"none": data, "payload": data[:rng.randint(12, len(data) - 1)],
+            "header": data[:rng.randint(0, 11)], "magic": b"FOAX" + data[4:],
+            "zero": b"FOAF" + struct.pack("<II", 0, h)}[broken]
+
+
+def hostile_pgm(rng, w, h):
+    """One P5 frame with 1- or 2-byte samples, or a truncated or foreign one."""
+    maxval = rng.choice([1, 255, 256, 65535])
+    samples = np.random.default_rng(rng.randrange(2**32)).integers(0, maxval + 1, (h, w))
+    data = (f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
+            + samples.astype(">u2" if maxval > 255 else "u1").tobytes())
+    broken = rng.choice(["none"] * 9 + ["raster", "header", "garbage"])
+    return {"none": data, "raster": data[:len(data) - rng.randint(1, w * h)],
+            "header": data[:rng.randint(0, 8)], "garbage": b"P6\n1 1\n255\n\0\0\0"}[broken]
+
+
+def hostile_solver_case(rng, root):
+    """Write random inputs for flow, poisson or converge under root; return the argv.
+
+    Requested work is bounded (hs_max_iters <= 2000, --max-iters <= 3000,
+    plausible --horizon and --dt), because a long run that was asked for is
+    not a hang; extreme values must be refused or fail fast.
+    """
+    command = rng.choice(["flow", "poisson", "converge"])
+    w, h = hostile_grid(rng)
+    if command == "flow":
+        a, b = root / "a.pgm", root / "b.pgm"
+        a.write_bytes(hostile_pgm(rng, w, h))
+        b.write_bytes(hostile_pgm(rng, *(hostile_grid(rng) if rng.random() < 0.1 else (w, h))))
+        lines = hostile_options(rng, {"hs_lambda": ["0.01", "0.05", "1", None],
+                                      "hs_tol": ["1e-4", "1e-2", None],
+                                      "hs_max_iters": ["1", "50", "2000", None],
+                                      "frame_dt": ["0.0333", "1", None],
+                                      "blur_sigma0": ["0", "1", "2.5", None]})
+        cfg = root / "run.cfg"
+        cfg.write_text("".join(line.replace("=", " = ") + "\n" for line in lines),
+                       encoding="utf-8")
+        return ["flow", str(cfg), str(a), str(b), "--out", str(root / "v.foaf")]
+    mu = root / "mu.foaf"
+    mu.write_bytes(hostile_foaf(rng, w, h))
+    if command == "poisson":
+        oracle = ["--oracle"] if rng.random() < 0.25 else []
+        return ["poisson", str(mu), "--out", str(root / "u.foaf"), *oracle, *hostile_options(
+            rng, {"--h": ["0.5", "1", "2", None], "--tol": ["1e-8", "1e-3", None],
+                  "--max-iters": ["1", "100", "3000"]})]
+    mode, gammas, drags = rng.choice([("heat", ["0"], ["1", "4"]),
+                                      ("wave", ["0.5", "1", "2"], ["0"]),
+                                      ("damped_wave", ["0.5", "1", "2"], ["1", "4"])])
+    count = rng.choice([0] + [1, 2, 3] * 3)
+    speeds = sorted(rng.sample(["0.5", "1", "2", "4", "8"], count), key=float)
+    if rng.random() < 0.2:  # nan, negative, empty, unsorted or duplicate entries
+        speeds.insert(rng.randint(0, len(speeds)), rng.choice(EXTREMES + ["", " ", "8"]))
+    return ["converge", str(mu), f"--c={','.join(speeds)}", *hostile_options(rng, {
+        "--mode": [mode], "--gamma": gammas, "--drag": drags, "--h": ["0.5", "1", "2"],
+        "--dt": ["0.01", "0.1", None], "--horizon": ["0.5", "2", "5"]})]
+
+
+def run_cli_process(argv, timeout):
+    """Run the command line in a separate process, so a hang fails by timeout."""
     src = os.path.dirname(os.path.dirname(gazefield.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    # a separate process, so a hang fails by timeout instead of stalling
-    proc = subprocess.run([sys.executable, "-W", "ignore", "-m", "gazefield.cli", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+    return subprocess.run([sys.executable, "-W", "ignore", "-m", "gazefield.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_hostile_input_ends_with_a_documented_exit_code(tmp_path, case):
+    argv = hostile_case(random.Random(7000 + case), tmp_path)
+    proc = run_cli_process(argv, timeout=60)
     config = (tmp_path / "run.cfg").read_text(encoding="utf-8")
     assert proc.returncode in (0, 2, 3, 4), (config, proc.stderr)
     assert "Traceback" not in proc.stderr, (config, proc.stderr)
     assert (tmp_path / "out" / "scanpath.csv").exists() == (proc.returncode == 0)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_hostile_solver_input_ends_fast_with_a_documented_exit_code(tmp_path, case):
+    argv = hostile_solver_case(random.Random(9000 + case), tmp_path)
+    proc = run_cli_process(argv, timeout=5)
+    assert proc.returncode in (0, 2, 3, 4), (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
