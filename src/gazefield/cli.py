@@ -389,14 +389,15 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
         with _stage(k, "mass"):
             mu = mass_density(grad_b, motion, ior, cfg.mass)
         potential, particle = _stage(k, "potential"), _stage(k, "particle")
-        for j in range(substeps):
-            with potential:
-                evolve_potential(None, mu, tp, _ws=pot)
-            with particle:
-                # cfg.h (by SimConfig), the grid and the start are checked once
-                state = foa_step(state, u_live, fp, cfg.h, _checked=True)
-            rows.extend(((k * substeps + j + 1) * dt_sub,
-                         state.x, state.y, state.vx, state.vy))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+            for j in range(substeps):
+                with potential:
+                    evolve_potential(None, mu, tp, _ws=pot)
+                with particle:
+                    # cfg.h (by SimConfig), the grid and the start are checked once
+                    state = foa_step(state, u_live, fp, cfg.h, _checked=True)
+                rows.extend(((k * substeps + j + 1) * dt_sub,
+                             state.x, state.y, state.vx, state.vy))
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
             with _stage(k, "dump"):
                 on_dump(FieldDump(k, mu, Field2D(pot.u), ior))  # a copy, not the live u

@@ -65,6 +65,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_cli_process(*argv, warn="ignore"):
+    # a separate process, so a hang fails by timeout instead of stalling
+    src = os.path.dirname(os.path.dirname(gazefield.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-W", warn, "-m", "gazefield.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 def config_value(cfg, key):
     owner, name, _ = _CONFIG_KEYS[key]
     return getattr(cfg if owner is None else getattr(cfg, owner), name)
@@ -601,8 +610,7 @@ class TestSubstepLoop:
 
     def test_potential_overflow_names_its_stage(self):
         cfg = parse_config("alpha1 = 1e308\nc = 100\nlambda_drag = 4\n")
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError, match="stage potential: potential overflow"):
+        with pytest.raises(NumericalError, match="stage potential: potential overflow"):
             run_simulation(self.frames, cfg)
 
 
@@ -708,18 +716,29 @@ class TestCommands:
         "frame_dt = 1e-310\n",  # the temporal derivative overflows
     ])
     def test_simulate_blow_up_exits_4_promptly(self, tmp_path, blob_frames_dir, config):
-        # a separate process, so a hang fails by timeout instead of stalling
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(config, encoding="utf-8")
-        src = os.path.dirname(os.path.dirname(gazefield.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run(
-            [sys.executable, "-W", "ignore", "-m", "gazefield.cli", "simulate",
-             str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, timeout=60, env=env)
+        proc = run_cli_process("simulate", str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
+                               "--out", str(tmp_path / "o"))
         assert proc.returncode == 4, proc.stderr
+
+    @pytest.mark.parametrize("command", ["poisson", "converge", "simulate"])
+    def test_overflow_under_warnings_as_errors_exits_4_with_one_error_line(
+            self, tmp_path, blob_frames_dir, command):
+        # numpy's overflow warnings, raised as errors, used to end these in a
+        # RuntimeWarning traceback with exit 1 before the non-finite checks ran
+        src, cfgfile = tmp_path / "mu.foaf", tmp_path / "run.cfg"
+        with open(src, "wb") as fh:
+            export_field(Field2D(np.ones((32, 32))), fh)
+        cfgfile.write_text("alpha1 = 1e308\nc = 100\nlambda_drag = 4\n", encoding="utf-8")
+        args = {"poisson": (str(src), "--h", "1e200", "--out", str(tmp_path / "u.foaf")),
+                "converge": (str(src), "--c", "1", "--h", "1e200"),
+                "simulate": (str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
+                             "--out", str(tmp_path / "o"))}[command]
+        proc = run_cli_process(command, *args, warn="error")
+        assert proc.returncode == 4, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
     @pytest.mark.parametrize("config", [
         "blur_sigma0 = 1e300\n",  # no kernel of that radius can be allocated
@@ -729,14 +748,8 @@ class TestCommands:
                                                              blob_frames_dir, config):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(config, encoding="utf-8")
-        src = os.path.dirname(os.path.dirname(gazefield.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run(
-            [sys.executable, "-W", "ignore", "-m", "gazefield.cli", "simulate",
-             str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, timeout=60, env=env)
+        proc = run_cli_process("simulate", str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
+                               "--out", str(tmp_path / "o"))
         assert proc.returncode == 2, proc.stderr
         assert "stage blur" in proc.stderr and "larger grid side 32" in proc.stderr
 
@@ -814,8 +827,7 @@ class TestCommands:
             export_field(synth.blob_image(64, 64, 32.0, 32.0, 8.0), fh)
         args = ["--out", str(tmp_path / "u.foaf")] if command == "poisson" else ["--c", "1"]
         start = time.perf_counter()
-        with np.errstate(all="ignore"):  # numpy still warns about the first NaN sweep
-            assert run_cli(command, str(src), *args, "--h", "1e200") == 4
+        assert run_cli(command, str(src), *args, "--h", "1e200") == 4
         assert time.perf_counter() - start < 1.0
         assert "in 1 of at most" in capsys.readouterr().err
 

@@ -56,6 +56,36 @@ def full_grid_step(state: PotentialState, mu: Field2D, p: TelegraphParams):
     return u_new, ut_new
 
 
+def where_sor(mu: Field2D, h=1.0, tol=1e-8, max_iters=20000, boundary=None):
+    # reference: red-black SOR that relaxes every interior node each
+    # half-sweep and keeps one colour through np.where, same stop rule
+    def neighbour_sum(u):
+        return u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
+
+    m = mu.values
+    u = np.zeros_like(m)
+    if boundary is not None:
+        b = boundary.values
+        u[0, :], u[-1, :] = b[0, :], b[-1, :]
+        u[:, 0], u[:, -1] = b[:, 0], b[:, -1]
+    omega = 2.0 / (1.0 + math.sin(math.pi / max(mu.width, mu.height)))
+    f = h * h * m[1:-1, 1:-1]
+    iy, ix = np.mgrid[0:mu.height - 2, 0:mu.width - 2]
+    checker = (iy + ix) % 2
+    for sweeps in range(max_iters + 1):
+        lap = (neighbour_sum(u) - 4.0 * u[1:-1, 1:-1]) / (h * h)
+        residual = float(np.abs(lap + m[1:-1, 1:-1]).max())
+        if residual < tol:
+            return u
+        if sweeps == max_iters or not math.isfinite(residual):
+            break
+        for parity in (0, 1):
+            relaxed = (1.0 - omega) * u[1:-1, 1:-1] + omega * 0.25 * (neighbour_sum(u) + f)
+            u[1:-1, 1:-1] = np.where(checker == parity, relaxed, u[1:-1, 1:-1])
+    raise ConvergenceError(f"relaxation did not reach tol={tol:g} in {sweeps} of at most "
+                           f"{max_iters} sweeps", residual)
+
+
 def plain_energy(state: PotentialState, c: float, h: float) -> float:
     g = gradient(state.u, h)
     return float(np.sum(state.u_t.values ** 2)
@@ -218,6 +248,34 @@ class TestPoissonSolve:
             poisson_solve(mu, tol=1e-12, max_iters=3)
         assert exc.value.residual > 0
         assert math.isfinite(exc.value.residual)
+
+    @pytest.mark.parametrize("h", [1.0, 0.7])
+    @pytest.mark.parametrize("shape", [(128, 128), (64, 64), (3, 3), (3, 7), (7, 4), (4, 4),
+                                       (33, 31), (17, 64), (64, 17), (65, 65)])
+    def test_bitwise_equal_to_where_sor(self, shape, h):
+        # same sweeps, same operand order: the in-place stride-2 half-sweeps
+        # over the odd-stride buffer give the reference's bits
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        mu = Field2D(rng.uniform(0.0, 1.0, shape))
+        for boundary in (None, Field2D(rng.uniform(-1.0, 1.0, shape))):
+            want = where_sor(mu, h, boundary=boundary)
+            got = poisson_solve(mu, h, boundary=boundary).values
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kw", [dict(tol=1e-12, max_iters=3), dict(max_iters=0),
+                                    dict(h=1e200)])
+    def test_convergence_error_matches_where_sor(self, kw):
+        # the capped solve, and h*h overflowing to a NaN residual after one sweep
+        mu = Field2D(np.random.default_rng(5).uniform(-1.0, 1.0, (16, 15)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError) as want:
+            where_sor(mu, **kw)
+        with pytest.raises(ConvergenceError) as got:
+            poisson_solve(mu, **kw)
+        assert str(got.value) == str(want.value)
+        assert np.array_equal(np.float64(got.value.residual).view(np.uint64),
+                              np.float64(want.value.residual).view(np.uint64))
 
     @pytest.mark.parametrize("max_iters", [2.5, -1, True])
     def test_max_iters_must_be_a_count(self, max_iters):
