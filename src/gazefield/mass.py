@@ -86,9 +86,10 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
     Overflow raises NumericalError.
     """
     check_grid("mass_density", b_grad.dx.shape, motion.values.shape, ior.values.shape)
-    detail = np.hypot(b_grad.dx, b_grad.dy)
-    mu = p.alpha1 * detail * (1.0 - ior.values) + p.alpha2 * motion.values
-    return Field2D._own(mu, "mass")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        detail = np.hypot(b_grad.dx, b_grad.dy)
+        mu = p.alpha1 * detail * (1.0 - ior.values) + p.alpha2 * motion.values
+        return Field2D._own(mu, "mass")
 
 
 def ior_step(ior: IorField, a: tuple[float, float], dt: float, p: IorParams) -> IorField:

@@ -10,19 +10,15 @@ solves every pixel's 2x2 normal equations in one batched ``np.linalg.solve``
 and reports the local rank from ``np.linalg.svd``, which tells where the
 motion is fully determined (about 0.1 s for 3 channels at 256 x 256).
 
-Every flow sweep runs on one kernel, ``_Sweeps``: vx and vy live stacked in
-two edge-padded flat buffers that alternate as current and next iterate,
-and a sweep is a fixed list of in-place 1-d ufuncs over them, with the
-neighbor mean taken as 0.25 * (up + down + left + right) and the update as
-ax - gx * ((gx*ax + gy*ay + bt) / (lam + gx*gx + gy*gy)).  ``horn_schunck``
-allocates it once per solve; the public ``hs_jacobi_step`` builds one for
-a single sweep, so both give the same bits.
+Every flow sweep runs on one kernel, ``_Sweeps``: vx and vy sit back to
+back in one edge-padded flat buffer, and a sweep is a fixed list of in-place
+ufuncs over one contiguous span of it.  ``horn_schunck`` allocates it once
+per solve and ``hs_jacobi_step`` once per call, so both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -113,101 +109,95 @@ def conjugation_residual(grad: VectorField2D, ddt: Field2D, v: FlowField) -> Fie
                         "conjugation residual")
 
 
-class _Iterate(NamedTuple):
-    # one edge-padded (vx, vy) buffer and the views a sweep reads and writes
-    span: np.ndarray   # (2, m): the first interior node to the last
-    up: np.ndarray     # the span shifted by -(w+2)
-    down: np.ndarray   # by +(w+2)
-    left: np.ndarray   # by -1
-    right: np.ndarray  # by +1
-    grid: np.ndarray   # (2, h+2, w+2)
-    args: tuple        # (vx, vy, gx, gy, bt, lam), the arrays as interior views
-
-
 class _Sweeps:
     """One flow solve's buffers, allocated once and swept in place.
 
-    An h x w grid is stored row-major with a one-node ghost ring, vx and vy
-    stacked in a (2, (h+2)*(w+2)) array, so node (y, x) sits at flat index
-    (y+1)*(w+2) + x+1 and its neighbours sit -+(w+2) and -+1 away.  Two such
-    arrays alternate as the current and the next iterate.  A sweep runs on
-    one contiguous span, from the first interior node to the last.  The
-    ghost columns inside that span carry zero gradient and zero bt, so they
-    take a finite neighbour mean, which the edge replication overwrites.
+    An iterate is one flat buffer holding vx's and then vy's row-major
+    (h+2) x (w+2) grid, each with a one-node ghost ring; two alternate as
+    current and next.  A sweep runs each ufunc once, on the contiguous span
+    from vx's first interior node to vy's last, where a node's neighbours
+    sit -+(w+2) and -+1 away.  The ghosts inside the span carry zero
+    gradient and bt, so they take a finite value until the edge replication
+    overwrites them.  ``delta`` bounds max |next - current| from below and
+    is exact only below ``tol``: a sweep reads the node that moved most at
+    the last full check, and takes the full max, moving the probe there,
+    only if that node moved less than tol or is NaN.
     """
 
-    def __init__(self, vx, vy, gx, gy, bt, lam: float):
+    def __init__(self, vx, vy, gx, gy, bt, lam: float, tol: float):
         h, w = np.shape(gx)
-        wp = w + 2
-        lo, hi = wp + 1, h * wp + w + 1
+        wp, n = w + 2, (h + 2) * (w + 2)
+        lo, hi = wp + 1, n + h * wp + w + 1
+        m = hi - lo - n  # the vx half of the span; the vy half starts n later
 
-        def padded(*arrays):
-            buf = np.zeros((len(arrays), (h + 2) * wp))
-            grid = buf.reshape(len(arrays), h + 2, wp)
-            for k, a in enumerate(arrays):
-                grid[k, 1:-1, 1:-1] = a
-            return buf, grid
-
-        g, g_grid = padded(gx, gy)
-        b, b_grid = padded(bt)
-        self._g = g[:, lo:hi]
-        self._bt = b[0, lo:hi]
+        # gx, gy and bt are only read on the span, so their buffers start at
+        # its first node: rows of w+2, gx's and gy's n apart
+        g, b = np.zeros(n + h * wp), np.zeros(h * wp)
+        coefficients = tuple(c[:h * wp].reshape(h, wp)[:, :w] for c in (g, g[n:], b))
+        for c, a in zip(coefficients, (gx, gy, bt)):
+            c[...] = a
+        self._g, self._gx, self._gy, self._bt = g[:n + m], g[:m], g[n:n + m], b[:m]
         # scratch for the products of a sweep and for |next - current|
         self._tmp = np.empty_like(self._g)
+        self._tx, self._ty = self._tmp[:m], self._tmp[n:]
         # lam + gx*gx + gy*gy, in that order, once per solve
-        self._den = np.multiply(self._g[0], self._g[0])
+        self._den = np.multiply(self._gx, self._gx)
         np.add(self._den, lam, out=self._den)
-        np.multiply(self._g[1], self._g[1], out=self._tmp[1])
-        np.add(self._den, self._tmp[1], out=self._den)
+        np.multiply(self._gy, self._gy, out=self._ty)
+        np.add(self._den, self._ty, out=self._den)
 
-        coefficients = (*g_grid[:, 1:-1, 1:-1], b_grid[0, 1:-1, 1:-1], lam)
+        # per iterate: the span, up, down, left, right, the grids, and
+        # hs_jacobi_step's arguments as interior views
         self._iterates = []
         for v in ((vx, vy), (0.0, 0.0)):
-            buf, grid = padded(*v)
-            self._iterates.append(_Iterate(
-                buf[:, lo:hi], buf[:, lo - wp:hi - wp], buf[:, lo + wp:hi + wp],
-                buf[:, lo - 1:hi - 1], buf[:, lo + 1:hi + 1], grid,
-                (*grid[:, 1:-1, 1:-1], *coefficients)))
-        _replicate_edges(self._iterates[0].grid)
-        self.delta = np.inf  # max |next - current| of the last sweep
+            buf = np.zeros(2 * n)
+            grid = buf.reshape(2, h + 2, wp)
+            grid[0, 1:-1, 1:-1], grid[1, 1:-1, 1:-1] = v
+            self._iterates.append((*(buf[lo + s:hi + s] for s in (0, -wp, wp, -1, 1)),
+                                   grid, (*grid[:, 1:-1, 1:-1], *coefficients, lam)))
+        _replicate_edges(self._iterates[0][5])
+        self._tol, self._probe, self.delta = tol, 0, np.inf
 
     @property
     def args(self) -> tuple:
         """hs_jacobi_step's arguments for the current iterate, as views."""
-        return self._iterates[0].args
+        return self._iterates[0][6]
 
     def sweep(self) -> None:
-        cur, nxt = self._iterates
-        x, t, g = nxt.span, self._tmp, self._g
+        (now, up, down, left, right, _, _), nxt = self._iterates
+        x, t, tx, ty = nxt[0], self._tmp, self._tx, self._ty
         # (ax, ay): 0.25 * (up + down + left + right), _neighbour_sum's order
-        np.add(cur.up, cur.down, out=x)
-        np.add(x, cur.left, out=x)
-        np.add(x, cur.right, out=x)
+        np.add(up, down, out=x)
+        np.add(x, left, out=x)
+        np.add(x, right, out=x)
         np.multiply(x, 0.25, out=x)
-        # scale = (gx*ax + gy*ay + bt) / den
-        np.multiply(g, x, out=t)
-        scale = t[0]
-        np.add(scale, t[1], out=scale)
-        np.add(scale, self._bt, out=scale)
-        np.divide(scale, self._den, out=scale)
-        # (ax - gx*scale, ay - gy*scale)
-        np.multiply(g[1], scale, out=t[1])
-        np.multiply(g[0], scale, out=t[0])
+        # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
+        np.multiply(self._g, x, out=t)
+        np.add(tx, ty, out=tx)
+        np.add(tx, self._bt, out=tx)
+        np.divide(tx, self._den, out=tx)
+        # (ax - gx*scale, ay - gy*scale), gy first: scale is tx
+        np.multiply(self._gy, tx, out=ty)
+        np.multiply(self._gx, tx, out=tx)
         np.subtract(x, t, out=x)
-        _replicate_edges(nxt.grid)
+        _replicate_edges(nxt[5])
         # every ghost in the span now copies an interior node of its
         # iterate, so the max over the span is the max over the interior
-        np.subtract(x, cur.span, out=t)
-        np.abs(t, out=t)
-        self.delta = t.max()
+        self.delta = abs(x[self._probe] - now[self._probe])
+        if not self.delta >= self._tol:
+            np.subtract(x, now, out=t)
+            np.abs(t, out=t)
+            self._probe = t.argmax()
+            self.delta = t[self._probe]
         self._iterates.reverse()
 
 
 def _replicate_edges(grid: np.ndarray) -> None:
-    # out-of-grid neighbours replicate the edge sample, the discrete
-    # zero-Neumann closure for the flow
-    grid[:, 1:-1, 0] = grid[:, 1:-1, 1]
-    grid[:, 1:-1, -1] = grid[:, 1:-1, -2]
+    # out-of-grid neighbours replicate the edge sample, the discrete zero-Neumann
+    # closure for the flow; columns, then rows, so corners copy corner nodes
+    rows = grid.reshape(-1, grid.shape[-1])
+    rows[:, 0] = rows[:, 1]
+    rows[:, -1] = rows[:, -2]
     grid[:, 0] = grid[:, 1]
     grid[:, -1] = grid[:, -2]
 
@@ -231,7 +221,7 @@ def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarra
     is returned as two new arrays.
     """
     if _ws is None:
-        ws = _Sweeps(vx, vy, gx, gy, bt, lam)
+        ws = _Sweeps(vx, vy, gx, gy, bt, lam, np.inf)
         ws.sweep()
         return ws.args[0].copy(), ws.args[1].copy()
     _ws.sweep()
@@ -259,13 +249,14 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
     gy = 0.5 * (g_prev.dy + g_next.dy)
     del g_prev, g_next
     bt = temporal_derivative(b_prev, b_next, dt).values
-    ws = _Sweeps(0.0, 0.0, gx, gy, bt, p.lam)
+    ws = _Sweeps(0.0, 0.0, gx, gy, bt, p.lam, p.tol)
     del gx, gy, bt  # the workspace holds padded copies
 
-    for _ in range(p.max_iters):
-        hs_jacobi_step(*ws.args, _ws=ws)
-        if ws.delta < p.tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        for _ in range(p.max_iters):
+            hs_jacobi_step(*ws.args, _ws=ws)
+            if ws.delta < p.tol:
+                break
     vx, vy = ws.args[:2]
     return FlowField._own(vx.copy(), vy.copy(), "flow")
 

@@ -274,10 +274,11 @@ def laplacian(f: Field2D, h: float = 1.0) -> Field2D:
 
 
 def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
-    """Forward-difference rate of change (nxt - prev) / dt."""
+    """Forward-difference rate of change (nxt - prev) / dt; overflow raises NumericalError."""
     check_grid("temporal_derivative", prev.values.shape, nxt.values.shape)
     dt = check_real("dt", dt, 0, lo_open=True)
-    return Field2D._own((nxt.values - prev.values) / dt, "temporal derivative")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        return Field2D._own((nxt.values - prev.values) / dt, "temporal derivative")
 
 
 def magnitude(vf: VectorField2D) -> Field2D:

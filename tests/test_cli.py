@@ -722,19 +722,33 @@ class TestCommands:
                                "--out", str(tmp_path / "o"))
         assert proc.returncode == 4, proc.stderr
 
-    @pytest.mark.parametrize("command", ["poisson", "converge", "simulate"])
+    @pytest.mark.parametrize("case", ["poisson", "converge", "simulate",
+                                      "simulate-mass", "simulate-motion", "flow-ddt",
+                                      "flow-sweeps"])
     def test_overflow_under_warnings_as_errors_exits_4_with_one_error_line(
-            self, tmp_path, blob_frames_dir, command):
+            self, tmp_path, blob_frames_dir, case):
         # numpy's overflow warnings, raised as errors, used to end these in a
         # RuntimeWarning traceback with exit 1 before the non-finite checks ran
         src, cfgfile = tmp_path / "mu.foaf", tmp_path / "run.cfg"
         with open(src, "wb") as fh:
             export_field(Field2D(np.ones((32, 32))), fh)
-        cfgfile.write_text("alpha1 = 1e308\nc = 100\nlambda_drag = 4\n", encoding="utf-8")
-        args = {"poisson": (str(src), "--h", "1e200", "--out", str(tmp_path / "u.foaf")),
-                "converge": (str(src), "--c", "1", "--h", "1e200"),
-                "simulate": (str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
-                             "--out", str(tmp_path / "o"))}[command]
+        out = ("--out", str(tmp_path / "out"))
+        clip = (str(cfgfile), str(blob_frames_dir / "frame_*.pgm"), *out)
+        pair = (str(cfgfile), str(blob_frames_dir / "frame_0000.pgm"),
+                str(blob_frames_dir / "frame_0001.pgm"), *out)
+        command, config, args = {
+            "poisson": ("poisson", "", (str(src), "--h", "1e200", *out)),
+            "converge": ("converge", "", (str(src), "--c", "1", "--h", "1e200")),
+            "simulate": ("simulate", "alpha1 = 1e308\nc = 100\nlambda_drag = 4\n", clip),
+            "simulate-mass": ("simulate", "alpha2 = 1e308\n", clip),
+            # the temporal derivative inside horn_schunck overflows
+            "simulate-motion": ("simulate", "motion_source = flow_magnitude\nframe_dt = 1e-310\n",
+                                clip),
+            "flow-ddt": ("flow", "frame_dt = 1e-310\n", pair),
+            # bt stays finite and the sweeps overflow
+            "flow-sweeps": ("flow", "frame_dt = 1e-308\n", pair),
+        }[case]
+        cfgfile.write_text(config, encoding="utf-8")
         proc = run_cli_process(command, *args, warn="error")
         assert proc.returncode == 4, proc.stderr
         lines = proc.stderr.splitlines()

@@ -271,7 +271,22 @@ def test_objective_monotone_along_sweeps():
 # the sweep kernel against the padded reference
 # ---------------------------------------------------------------------------
 
-HS_SHAPES = [(3, 3), (3, 6), (7, 4), (33, 33), (64, 64)]
+@pytest.fixture()
+def sweep_calls(monkeypatch):
+    # the benchmark counts sweeps by rebinding this module-level name
+    import gazefield.optical_flow as of
+    calls = []
+    original = of.hs_jacobi_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(of, "hs_jacobi_step", counting)
+    return calls
+
+
+HS_SHAPES = [(3, 3), (3, 6), (7, 4), (33, 33), (64, 64), (3, 64), (64, 3), (5, 17)]
 HS_CAP = 40
 
 
@@ -293,6 +308,32 @@ class TestSweepKernel:
                 v = horn_schunck(Field2D(a), Field2D(b), 1.0, p)
                 assert np.array_equal(v.dx, vx) and np.array_equal(v.dy, vy), p
 
+    @pytest.mark.parametrize("shape", HS_SHAPES)
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+    def test_stops_at_the_reference_sweep_for_every_tol(self, shape, lam, sweep_calls):
+        # the solve reads one probe node before the full max; a tol just above
+        # each of the reference's updates in turn, rising or falling, must stop
+        # it at the same sweep with the same bits
+        a, b = flow_pair(shape, seed=73)
+        for a, b in ((a, b), (a.T.copy(), b.T.copy())):
+            gx, gy, bt = hs_setup(a, b, 1.0)
+            vx, vy = np.zeros_like(gx), np.zeros_like(gy)
+            iterates, deltas = [], []
+            for _ in range(HS_CAP):
+                nvx, nvy = padded_jacobi_step(vx, vy, gx, gy, bt, lam)
+                deltas.append(max(np.abs(nvx - vx).max(), np.abs(nvy - vy).max()))
+                vx, vy = nvx, nvy
+                iterates.append((vx, vy))
+            for k in range(HS_CAP):
+                tol = float(np.nextafter(deltas[k], np.inf))
+                stop = next(j for j, d in enumerate(deltas) if d < tol)
+                sweep_calls.clear()
+                v = horn_schunck(Field2D(a), Field2D(b), 1.0,
+                                 HsParams(lam=lam, max_iters=HS_CAP, tol=tol))
+                assert len(sweep_calls) == stop + 1, (k, tol)
+                want_x, want_y = iterates[stop]
+                assert np.array_equal(v.dx, want_x) and np.array_equal(v.dy, want_y), (k, tol)
+
     @pytest.mark.parametrize("shape", HS_SHAPES + [(1, 1), (1, 5), (2, 2)])
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
     def test_public_step_bitwise_matches_padded_reference(self, shape, lam):
@@ -309,25 +350,15 @@ class TestSweepKernel:
             assert np.array_equal(before, after)
 
     @pytest.mark.parametrize("shape", [(3, 6), (33, 33)])
-    def test_one_hs_jacobi_step_call_per_sweep(self, shape, monkeypatch):
-        # the benchmark counts sweeps by rebinding this module-level name
-        import gazefield.optical_flow as of
-        calls = []
-        original = of.hs_jacobi_step
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(of, "hs_jacobi_step", counting)
+    def test_one_hs_jacobi_step_call_per_sweep(self, shape, sweep_calls):
         a, b = flow_pair(shape, seed=71)
         horn_schunck(Field2D(a), Field2D(b), 1.0, HsParams(lam=0.1, max_iters=HS_CAP, tol=1e-300))
-        assert len(calls) == HS_CAP
-        calls.clear()
+        assert len(sweep_calls) == HS_CAP
+        sweep_calls.clear()
         p = early_stop_params(a, b, 0.1, HS_CAP)
         stopped_at = len(padded_horn_schunck(a, b, 1.0, p)[2])
         horn_schunck(Field2D(a), Field2D(b), 1.0, p)
-        assert len(calls) == stopped_at <= HS_CAP // 2
+        assert len(sweep_calls) == stopped_at <= HS_CAP // 2
 
 
 def test_barbers_pole_normal_flow():
