@@ -329,11 +329,12 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     identical inputs give bit-identical results.
 
     frames is any iterable of Field2D frames, a tuple or a generator, taken
-    to be cfg.frame_dt apart.  It is consumed once, front to back, and only
-    the two frames of the current step are held, so a generator that reads
-    each frame on demand keeps memory flat in clip length.  The grid comes
-    from the first frame; each frame is checked as it arrives, and a bad
-    one raises DataError naming its index (stage "load").
+    to be cfg.frame_dt apart, and consumed once, front to back.  Each field
+    dies after its last reader: only the next frame (f_now), its blur
+    (b_next), the inhibition, the potential and the particle outlive a
+    frame, so a generator that reads frames on demand keeps memory flat in
+    clip length.  The grid comes from frame 0; each frame is checked as it
+    arrives, and a bad one raises DataError naming its index (stage "load").
 
     Each dump goes to on_dump as soon as its frame finishes, and the
     returned dump list is then empty; with on_dump None the dumps are
@@ -372,9 +373,11 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     for k, f_next in enumerate(window):
         with _stage(k, "blur"):
             sigma = schedule_sigma(cfg.blur, k * dt_frame)
-            # frame k was blurred with this sigma as the previous b_next
-            b_now = b_next if sigma == sigma_prev else gaussian_blur(f_now, sigma)
-            b_next = gaussian_blur(f_next, sigma)
+            if sigma != sigma_prev:  # else frame k was blurred with sigma as b_next
+                b_next = None  # the stale blur dies before frame k is blurred again
+                b_next = gaussian_blur(f_now, sigma)
+            b_now, f_now = b_next, f_next  # only the blur reads f_now
+            b_next = gaussian_blur(f_now, sigma)
             sigma_prev = sigma
         with _stage(k, "differentiation"):
             grad_b = gradient(b_now, cfg.h)
@@ -384,10 +387,13 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
             else:
                 ddt = temporal_derivative(b_now, b_next, dt_frame)
                 motion = Field2D._own(np.abs(ddt.values), "motion")
+                del ddt  # read by np.abs only
+        del b_now  # read by the differentiation and the motion only
         with _stage(k, "inhibition"):
             ior = ior_step(ior, (state.x, state.y), dt_frame, cfg.ior)
         with _stage(k, "mass"):
             mu = mass_density(grad_b, motion, ior, cfg.mass)
+        del grad_b, motion  # read by the mass only
         potential, particle = _stage(k, "potential"), _stage(k, "particle")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
             for j in range(substeps):
@@ -401,7 +407,7 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
             with _stage(k, "dump"):
                 on_dump(FieldDump(k, mu, Field2D(pot.u), ior))  # a copy, not the live u
-        f_now = f_next
+        del mu  # read by the substeps and the dump only
 
     return Scanpath._own(np.frombuffer(rows).reshape(-1, 5)), dumps
 

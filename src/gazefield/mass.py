@@ -59,8 +59,10 @@ class IorParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", check_real("beta", self.beta, 0, 1, lo_open=True))
-        object.__setattr__(self, "sigma_ior",
-                           check_real("sigma_ior", self.sigma_ior, 0, lo_open=True))
+        s = check_real("sigma_ior", self.sigma_ior, 0, lo_open=True)
+        if not 0 < 2 * min(s, 1e154) ** 2 < math.inf:  # ior_step's divisor, inf past 1e154
+            raise ParameterError(f"sigma_ior must keep 2*sigma_ior**2 in (0, inf), got {s!r}")
+        object.__setattr__(self, "sigma_ior", s)
 
 
 class IorField(Field2D):
@@ -68,12 +70,20 @@ class IorField(Field2D):
 
     def __post_init__(self):
         super().__post_init__()
+        self._check_range()
+
+    def _check_range(self) -> "IorField":
         v = self.values
         if v.min() < 0.0 or v.max() > 1.0:
             raise ParameterError(
                 f"inhibition values must lie in [0, 1], got range "
                 f"[{v.min():.3g}, {v.max():.3g}]"
             )
+        return self
+
+    @classmethod
+    def _own(cls, values: np.ndarray, what: str) -> "IorField":
+        return super()._own(values, what)._check_range()
 
 
 def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
@@ -83,12 +93,15 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
     The inhibition gates only the detail term; the motion term passes
     through untouched.  motion must already hold the magnitude named by
     p.motion_source (|db/dt| or |v|), so the result is nonnegative.
+    Evaluated in place in two arrays, in that operand order: hypot, times
+    alpha1, times (1 - I); alpha2 * motion, added last.
     Overflow raises NumericalError.
     """
     check_grid("mass_density", b_grad.dx.shape, motion.values.shape, ior.values.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-        detail = np.hypot(b_grad.dx, b_grad.dy)
-        mu = p.alpha1 * detail * (1.0 - ior.values) + p.alpha2 * motion.values
+        mu, tmp = np.hypot(b_grad.dx, b_grad.dy), np.subtract(1.0, ior.values)
+        np.multiply(np.multiply(mu, p.alpha1, out=mu), tmp, out=mu)
+        np.add(mu, np.multiply(motion.values, p.alpha2, out=tmp), out=mu)
         return Field2D._own(mu, "mass")
 
 
@@ -98,12 +111,20 @@ def ior_step(ior: IorField, a: tuple[float, float], dt: float, p: IorParams) -> 
     The relaxation toward the Gaussian bump at a is integrated exactly over
     the step (the source is held constant), giving the convex combination
     I' = I*e^(-beta*dt) + (1 - e^(-beta*dt))*G.  Both weights are in [0, 1]
-    and G <= 1, so the field stays in [0, 1] for any dt.
+    and G <= 1, so the field stays in [0, 1] for any dt.  Evaluated in place
+    in two arrays: G as the squared offsets summed, negated, divided by
+    2*sigma^2 (if subnormal, G is 0 off the gaze node) and exponentiated;
+    then I*e^(-beta*dt), plus G*(1 - e^(-beta*dt)).
     """
     ax, ay = check_real("gaze x", a[0]), check_real("gaze y", a[1])
     dt = check_real("dt", dt, 0, lo_open=True)
     xs = np.arange(ior.width, dtype=np.float64)
     ys = np.arange(ior.height, dtype=np.float64)[:, None]
-    source = np.exp(-((xs - ax) ** 2 + (ys - ay) ** 2) / (2.0 * p.sigma_ior ** 2))
+    with np.errstate(over="ignore"):  # the exponent may be -inf: G is 0 there
+        source = np.add((xs - ax) ** 2, (ys - ay) ** 2)
+        np.divide(np.negative(source, out=source), 2.0 * p.sigma_ior ** 2, out=source)
+        np.exp(source, out=source)
     decay = math.exp(-p.beta * dt)
-    return IorField(decay * ior.values + (1.0 - decay) * source)
+    out = np.multiply(ior.values, decay)
+    np.add(out, np.multiply(source, 1.0 - decay, out=source), out=out)
+    return IorField._own(out, "inhibition")

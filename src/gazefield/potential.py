@@ -184,7 +184,9 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
         for sweeps in range(max_iters + 1):
             np.subtract(neighbour_sum(wp, 1, nsum), np.multiply(uf[wp:n], 4.0, out=res),
                         out=res)
-            np.add(np.divide(res, h * h, out=res), mf[wp:n], out=res)
+            if h * h != 1.0:  # x / 1.0 is x, bit for bit
+                np.divide(res, h * h, out=res)
+            np.add(res, mf[wp:n], out=res)
             residual = float(np.abs(res, out=res).reshape(rows - 2, wp)[:, 1:w - 1].max())
             if residual < tol:
                 return Field2D._own(u[:, :w].copy(), "potential")
@@ -263,7 +265,8 @@ class _Workspace:
         np.add(drive, right, out=drive)
         tmp = np.multiply(centre, 4.0)
         np.subtract(drive, tmp, out=drive)
-        np.divide(drive, p.h * p.h, out=drive)
+        if p.h * p.h != 1.0:  # x / 1.0 is x, bit for bit
+            np.divide(drive, p.h * p.h, out=drive)
         np.add(drive, mu.data[span], out=drive)
         if p.mode is Mode.HEAT:
             np.multiply(drive, p.dt * p.c * p.c / p.lambda_drag, out=drive)

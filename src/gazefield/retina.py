@@ -59,7 +59,7 @@ def _as_readonly_2d(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(f"{name} must be a non-empty 2-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DataError(f"{name} contains non-finite values")
     arr.setflags(write=False)
     return arr
@@ -67,7 +67,7 @@ def _as_readonly_2d(values, name: str) -> np.ndarray:
 
 def _adopt(arr: np.ndarray, what: str) -> np.ndarray:
     # arr was computed from finite fields, so a non-finite value is overflow
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"{what} overflow: result contains non-finite values")
     arr.setflags(write=False)
     return arr

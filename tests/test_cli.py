@@ -767,6 +767,24 @@ class TestCommands:
         assert proc.returncode == 2, proc.stderr
         assert "stage blur" in proc.stderr and "larger grid side 32" in proc.stderr
 
+    @pytest.mark.parametrize("sigma, code", [("1e300", 2), ("1e200", 2), ("1e-200", 2),
+                                             ("1e-160", 0)])
+    def test_simulate_extreme_sigma_ior_under_warnings_as_errors(
+            self, tmp_path, blob_frames_dir, sigma, code):
+        # 2*sigma_ior**2 overflowed (an OverflowError traceback) or was 0 (exit 3
+        # after 0/0 at the gaze node); a subnormal one warned of overflow
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"sigma_ior = {sigma}\n", encoding="utf-8")
+        proc = run_cli_process("simulate", str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
+                               "--out", str(tmp_path / "o"), warn="error")
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+        else:
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+            assert "sigma_ior" in lines[0]
+
     def test_poisson_command_matches_library(self, tmp_path):
         rng = np.random.default_rng(5)
         mu = Field2D(rng.uniform(0, 1, size=(12, 12)))

@@ -1,6 +1,7 @@
 """Mass density and inhibition-of-return dynamics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ class TestParams:
             IorParams(beta=0.0)
         with pytest.raises(ParameterError):
             IorParams(beta=1.5)
+
+    @pytest.mark.parametrize("sigma", [1e300, 1e200, 1e160, 1e-200, 1e-300, 5e-324])
+    def test_ior_sigma_must_keep_two_variance_positive_and_finite(self, sigma):
+        # 2*sigma**2 overflowed (OverflowError) or was 0 (0/0 at the gaze node)
+        with pytest.raises(ParameterError, match="sigma_ior"):
+            IorParams(sigma_ior=sigma)
+
+    def test_ior_sigma_with_subnormal_two_variance_accepted(self):
+        assert IorParams(sigma_ior=1e-160).sigma_ior == 1e-160
+        assert IorParams(sigma_ior=1e150).sigma_ior == 1e150
 
     def test_ior_field_range_enforced(self):
         with pytest.raises(ParameterError):
@@ -105,6 +116,21 @@ class TestMassDensity:
         motion = Field2D(np.full((4, 4), 10.0))
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow"):
             mass_density(g, motion, IorField.zeros(4, 4), MassParams(alpha2=1e308))
+
+    def test_bitwise_matches_one_line_reference(self):
+        rng = np.random.default_rng(113)
+        shape = (9, 13)
+        # values spread over many decades, so a changed operand order shows
+        spread = lambda: rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        for _ in range(5):
+            g = VectorField2D(spread(), spread())
+            motion = Field2D(np.abs(spread()))
+            ior = IorField(rng.uniform(0, 1, shape))
+            p = MassParams(alpha1=rng.uniform(0.1, 200), alpha2=rng.uniform(0.1, 200))
+            want = (p.alpha1 * np.hypot(g.dx, g.dy) * (1.0 - ior.values)
+                    + p.alpha2 * motion.values)
+            got = mass_density(g, motion, ior, p).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_dimension_mismatch(self):
         g = VectorField2D(np.zeros((3, 3)), np.zeros((3, 3)))
@@ -175,6 +201,22 @@ class TestIorStep:
         decay = math.exp(-p.beta * dt)
         want = decay * ior.values + (1.0 - decay) * source
         assert np.array_equal(ior_step(ior, a, dt, p).values, want)
+
+    def test_subnormal_two_variance_is_a_one_node_bump(self):
+        # 2*sigma**2 = 2e-320: the exponent is -inf off the gaze node, with no warning
+        p = IorParams(beta=1.0, sigma_ior=1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ior_step(IorField.zeros(5, 4), (2.0, 3.0), 0.5, p).values
+        want = np.zeros((4, 5))
+        want[3, 2] = 1.0 - math.exp(-0.5)
+        assert np.array_equal(out, want)
+
+    def test_result_is_a_frozen_checked_inhibition_field(self):
+        out = ior_step(IorField.zeros(4, 4), (1.0, 1.0), 0.1, IorParams())
+        assert type(out) is IorField and not out.values.flags.writeable
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            IorField._own(np.full((2, 2), 1.5), "inhibition")
 
     def test_bad_inputs(self):
         p = IorParams()

@@ -370,7 +370,7 @@ class TestEvolvePotential:
             evolve_potential(PotentialState.zero(8, 8), mu,
                              TelegraphParams(c=100, dt=0.007))
 
-    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.7])
     @pytest.mark.parametrize("mode, gamma, lam", [
         (Mode.HEAT, 0.0, 1.5), (Mode.WAVE, 1.0, 0.0), (Mode.DAMPED_WAVE, 0.7, 2.0),
     ])

@@ -186,6 +186,31 @@ def test_peak_memory_flat_in_clip_length(tmp_path, capsys):
     assert long - short < 4 * 2**20, (short, long)
 
 
+def test_frame_working_set_is_bounded():
+    # what outlives a frame is the next frame, its blur, the inhibition and
+    # the potential's u and u_t; with the stages' scratch arrays the peak is
+    # 10.2 frame-sized arrays (16.1 when each frame's fields lived until the
+    # next frame was blurred); keeping any one of b_now, ddt, grad_b and
+    # motion, or mu past its last reader passes 11
+    n = 192
+    cfg = parse_config("alpha1 = 150\nc = 100\nlambda_drag = 4\nblur_sigma0 = 3\n"
+                       "blur_decay_rate = 10\nblur_floor = 1\ndump_every = 3\n")
+    base = synth.add_noise([synth.two_blob_image(n, n, sigma=12.0)], 0.1, seed=3)[0].values
+
+    def clip():  # each frame made as it is pulled, as a file reader would
+        for k in range(8):
+            yield Field2D(np.roll(base, k, axis=1))
+
+    run_simulation(clip(), cfg, on_dump=lambda d: None)  # warm-up: numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        run_simulation(clip(), cfg, on_dump=lambda d: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * n * n * 8, peak / (n * n * 8)
+
+
 def test_scanpath_memory_grows_by_its_array_alone(tmp_path, capsys):
     # 3600 more samples, saccades annotated: 41 B each in the array and its
     # flags is 0.15 MB (0.23 MB measured, with passing arrays); a Python
@@ -268,6 +293,8 @@ def hostile_case(rng, root):
              f"dump_every = {rng.randint(0, 3)}"]
     if rng.random() < 0.5:
         lines += [f"blur_sigma0 = {rng.uniform(0, 3)!r}", "blur_decay_rate = 5"]
+    # 2*sigma_ior**2 is 0, subnormal or past float range at the extremes
+    lines.append(f"sigma_ior = {rng.choice([0.5, 2, 5, 1e-300, 1e-160, 1e300])!r}")
     cfg = root / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return ["simulate", str(cfg), str(clip / "f*.pgm"), "--out", str(root / "out")]
