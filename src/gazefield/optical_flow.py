@@ -31,7 +31,8 @@ from .errors import (
     check_int,
     check_real,
 )
-from .retina import Field2D, FlowField, VectorField2D, gradient, temporal_derivative
+from .retina import (Field2D, FlowField, VectorField2D, _neighbour_sum, _shifted, gradient,
+                     temporal_derivative)
 
 __all__ = [
     "HsParams",
@@ -153,8 +154,8 @@ class _Sweeps:
             buf = np.zeros(2 * n)
             grid = buf.reshape(2, h + 2, wp)
             grid[0, 1:-1, 1:-1], grid[1, 1:-1, 1:-1] = v
-            self._iterates.append((*(buf[lo + s:hi + s] for s in (0, -wp, wp, -1, 1)),
-                                   grid, (*grid[:, 1:-1, 1:-1], *coefficients, lam)))
+            self._iterates.append((*_shifted(buf, wp, lo, hi), grid,
+                                   (*grid[:, 1:-1, 1:-1], *coefficients, lam)))
         _replicate_edges(self._iterates[0][5])
         self._tol, self._probe, self.delta = tol, 0, np.inf
 
@@ -164,13 +165,9 @@ class _Sweeps:
         return self._iterates[0][6]
 
     def sweep(self) -> None:
-        (now, up, down, left, right, _, _), nxt = self._iterates
+        (now, *around, _, _), nxt = self._iterates
         x, t, tx, ty = nxt[0], self._tmp, self._tx, self._ty
-        # (ax, ay): 0.25 * (up + down + left + right), _neighbour_sum's order
-        np.add(up, down, out=x)
-        np.add(x, left, out=x)
-        np.add(x, right, out=x)
-        np.multiply(x, 0.25, out=x)
+        np.multiply(_neighbour_sum(*around, out=x), 0.25, out=x)  # (ax, ay)
         # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
         np.multiply(self._g, x, out=t)
         np.add(tx, ty, out=tx)
@@ -212,7 +209,7 @@ def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarra
     which is the classic update v <- vbar - grad (grad . vbar + bt) / (lam + |grad|^2).
 
     The sweep runs on edge-padded float64 buffers (see ``_Sweeps``): the
-    neighbor mean is 0.25 * (up + down + left + right), with out-of-grid
+    neighbor mean is a quarter of retina's neighbour sum, with out-of-grid
     neighbors replicating the edge sample, and the update is
     ``ax - gx * ((gx*ax + gy*ay + bt) / (lam + gx*gx + gy*gy))``, in that
     operand order.  ``horn_schunck`` passes its own ``_ws``, whose views the

@@ -29,7 +29,7 @@ from .errors import (
     check_member,
     check_real,
 )
-from .retina import Field2D, gradient
+from .retina import Field2D, _lap_plus, _neighbour_sum, _shifted, gradient
 
 __all__ = [
     "Mode",
@@ -171,30 +171,23 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
     nsum, res = np.empty((2, n - wp))
     edges = uf[wp + w - 1:n + w - 1].reshape(rows - 2, wp)[:, :wp - w + 2]
     ring = edges.copy()  # columns w-1 and wp-1 of an inner row, column 0 of the next
-    halves = [(s, uf[s:hi:2], ff[s:hi:2], res[:(hi - s + 1) // 2]) for s in (wp + 1, wp + 2)]
-
-    def neighbour_sum(start, step, out):  # up + down + left + right
-        up, down, left, right = (uf[start + d:start + d + out.size * step:step]
-                                 for d in (-wp, wp, -1, 1))
-        return np.add(np.add(np.add(up, down, out=out), left, out=out), right, out=out)
+    inner = _shifted(uf, wp, wp, n)
+    halves = [(s, _shifted(uf, wp, s, hi, 2), ff[s:hi:2], res[:(hi - s + 1) // 2])
+              for s in (wp + 1, wp + 2)]
 
     # an overflow (of h*h or of u) leaves a NaN or inf residual for good
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(m, h * h, out=f)
         for sweeps in range(max_iters + 1):
-            np.subtract(neighbour_sum(wp, 1, nsum), np.multiply(uf[wp:n], 4.0, out=res),
-                        out=res)
-            if h * h != 1.0:  # x / 1.0 is x, bit for bit
-                np.divide(res, h * h, out=res)
-            np.add(res, mf[wp:n], out=res)
+            _lap_plus(res, _neighbour_sum(*inner[1:], out=nsum), inner[0], mf[wp:n], h)
             residual = float(np.abs(res, out=res).reshape(rows - 2, wp)[:, 1:w - 1].max())
             if residual < tol:
                 return Field2D._own(u[:, :w].copy(), "potential")
             if sweeps == max_iters or not math.isfinite(residual):
                 break
-            for s, x, fx, acc in halves:  # red (even s), then black
+            for s, (x, *around), fx, acc in halves:  # red (even s), then black
                 # a red node reads only black ones, which the residual just summed
-                ns = nsum[s - wp:hi - wp:2] if s % 2 == 0 else neighbour_sum(s, 2, acc)
+                ns = nsum[s - wp:hi - wp:2] if s % 2 == 0 else _neighbour_sum(*around, out=acc)
                 np.multiply(np.add(ns, fx, out=acc), omega * 0.25, out=acc)
                 np.add(np.multiply(x, 1.0 - omega, out=x), acc, out=x)
                 edges[...] = ring
@@ -237,11 +230,9 @@ class _Workspace:
 
     u and u_t are (h, w) row-major copies, so the interior nodes lie in one
     contiguous flat span, from index w+1 up to, not including, (h-1)*w-1,
-    and the four neighbours of a node sit -+w and -+1 away.  A step runs on
-    that span as 1-d ufuncs with out=, in _five_point's operand order:
-    up + down + left + right, then - 4.0*centre, / (h*h), + mu, then the
-    mode's update.  The edge columns inside the span are stepped too, then
-    restored to their Dirichlet values; u_t stays 0 on the edge ring.
+    and the four neighbours of a node sit -+w and -+1 away.  A step is
+    retina's _lap_plus and the mode's update on that span; its edge columns
+    are stepped too, then restored, and u_t stays 0 on the edge ring.
     """
 
     __slots__ = ("u", "u_t", "_span", "_edges", "_ring")
@@ -252,22 +243,15 @@ class _Workspace:
         h, w = self.u.shape
         lo, hi = w + 1, (h - 1) * w - 1
         u, ut = self.u.reshape(-1), self.u_t.reshape(-1)
-        self._span = (np.s_[lo:hi], u[lo:hi], ut[lo:hi], u[lo - w:hi - w],
-                      u[lo + w:hi + w], u[lo - 1:hi - 1], u[lo + 1:hi + 1])
+        self._span = (np.s_[lo:hi], ut[lo:hi], *_shifted(u, w, lo, hi))
         # columns 0 and w-1 of the inner rows, and the values u holds there
         self._edges = (self.u[1:-1, ::w - 1], self.u_t[1:-1, ::w - 1])
         self._ring = self._edges[0].copy()
 
     def step(self, mu: Field2D, p: TelegraphParams) -> None:
-        span, centre, ut, up, down, left, right = self._span
-        drive = np.add(up, down)  # scratch per step: an idle workspace holds u, u_t
-        np.add(drive, left, out=drive)
-        np.add(drive, right, out=drive)
-        tmp = np.multiply(centre, 4.0)
-        np.subtract(drive, tmp, out=drive)
-        if p.h * p.h != 1.0:  # x / 1.0 is x, bit for bit
-            np.divide(drive, p.h * p.h, out=drive)
-        np.add(drive, mu.data[span], out=drive)
+        span, ut, centre, *around = self._span
+        tmp = _neighbour_sum(*around)  # scratch per step: an idle workspace holds u, u_t
+        drive = _lap_plus(None, tmp, centre, mu.data[span], p.h)
         if p.mode is Mode.HEAT:
             np.multiply(drive, p.dt * p.c * p.c / p.lambda_drag, out=drive)
             np.add(centre, drive, out=centre)

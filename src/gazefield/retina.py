@@ -251,14 +251,24 @@ def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     return VectorField2D._own(dx, dy, "gradient")
 
 
-def _neighbour_sum(a: np.ndarray) -> np.ndarray:
-    """up + down + left + right at the interior nodes of a."""
-    return a[:-2, 1:-1] + a[2:, 1:-1] + a[1:-1, :-2] + a[1:-1, 2:]
+def _shifted(flat: np.ndarray, stride: int, lo: int, hi: int, step: int = 1) -> tuple:
+    """flat[lo:hi:step] and its up, down, left and right neighbours, rows stride apart."""
+    return tuple(flat[lo + d:hi + d:step] for d in (0, -stride, stride, -1, 1))
 
 
-def _five_point(a: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian of a at its interior nodes."""
-    return (_neighbour_sum(a) - 4.0 * a[1:-1, 1:-1]) / (h * h)
+def _neighbour_sum(up, down, left, right, out=None) -> np.ndarray:
+    """((up + down) + left) + right: every stencil's one summation order."""
+    out = np.add(up, down, out=out)
+    return np.add(np.add(out, left, out=out), right, out=out)
+
+
+def _lap_plus(out, nsum, centre, mu, h: float) -> np.ndarray:
+    """(nsum - 4*centre) / (h*h) + mu into out (None: a new array), not nsum."""
+    out = np.multiply(centre, 4.0, out=out)
+    np.subtract(nsum, out, out=out)
+    if h * h != 1.0:  # x / 1.0 is x, bit for bit
+        np.divide(out, h * h, out=out)
+    return np.add(out, mu, out=out)
 
 
 def laplacian(f: Field2D, h: float = 1.0) -> Field2D:
@@ -270,7 +280,10 @@ def laplacian(f: Field2D, h: float = 1.0) -> Field2D:
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("laplacian", f.values.shape, min_side=3)
-    return Field2D._own(_five_point(np.pad(f.values, 1, mode="edge"), h), "laplacian")
+    a = np.pad(f.values, 1, mode="edge")
+    nsum = _neighbour_sum(a[:-2, 1:-1], a[2:, 1:-1], a[1:-1, :-2], a[1:-1, 2:])
+    # x + -0.0 is x, bit for bit, -0.0 included
+    return Field2D._own(_lap_plus(None, nsum, a[1:-1, 1:-1], -0.0, h), "laplacian")
 
 
 def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
