@@ -7,9 +7,10 @@ exit 4.
 
 Arguments are validated by one rule per kind: check_real and check_int
 accept a finite real (or integral) number, not a bool, in the documented
-range (numpy scalars pass); check_member accepts a member of the setting's
-Enum; both raise ParameterError.  check_grid raises DimensionError unless
-the grids one function combines share one shape whose sides reach its minimum.
+range (numpy scalars pass), check_sigma a width with 2*sigma**2 in (0, inf)
+and check_member a member of the setting's Enum; all raise ParameterError.
+check_grid raises DimensionError unless the grids one function combines
+share one shape whose sides reach its minimum.
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ def check_real(name: str, v, lo: float | None = None, hi: float | None = None,
     bounds = ("" if lo is None else f" {'>' if lo_open else '>='} {lo}") \
         + ("" if hi is None else f" and <= {hi}")
     raise ParameterError(f"{name} must be a finite real{bounds}, got {v!r}")
+
+
+def check_sigma(name: str, v) -> float:
+    """Return v as a float if it is a finite real > 0 whose 2*v**2 is in (0, inf)."""
+    s = check_real(name, v, 0, lo_open=True)
+    if not 0 < 2 * min(s, 1e154) ** 2 < math.inf:  # a Gaussian's divisor, inf past 1e154
+        raise ParameterError(f"{name} must keep 2*{name}**2 in (0, inf), got {s!r}")
+    return s
 
 
 def check_int(name: str, v, lo: int, hi: int | None = None) -> int:

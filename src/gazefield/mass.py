@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, check_grid, check_member, check_real
+from .errors import ParameterError, check_grid, check_member, check_real, check_sigma
 from .retina import Field2D, VectorField2D
 
 __all__ = [
@@ -59,10 +59,7 @@ class IorParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", check_real("beta", self.beta, 0, 1, lo_open=True))
-        s = check_real("sigma_ior", self.sigma_ior, 0, lo_open=True)
-        if not 0 < 2 * min(s, 1e154) ** 2 < math.inf:  # ior_step's divisor, inf past 1e154
-            raise ParameterError(f"sigma_ior must keep 2*sigma_ior**2 in (0, inf), got {s!r}")
-        object.__setattr__(self, "sigma_ior", s)
+        object.__setattr__(self, "sigma_ior", check_sigma("sigma_ior", self.sigma_ior))
 
 
 class IorField(Field2D):

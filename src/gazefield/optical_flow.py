@@ -122,7 +122,8 @@ class _Sweeps:
     overwrites them.  ``delta`` bounds max |next - current| from below and
     is exact only below ``tol``: a sweep reads the node that moved most at
     the last full check, and takes the full max, moving the probe there,
-    only if that node moved less than tol or is NaN.
+    only if that node moved less than tol or is NaN.  A NaN spreads one node
+    a sweep, so delta reads it within about h + w sweeps of the first.
     """
 
     def __init__(self, vx, vy, gx, gy, bt, lam: float, tol: float):
@@ -226,16 +227,13 @@ def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarra
 
 
 def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> FlowField:
-    """Smoothness-regularized flow between two frames.
+    """Smoothness-regularized flow between two frames, in pixels/second.
 
     The constraint gradient is the average of both frames' spatial
-    gradients; the temporal term is the forward difference.  Sweeps stop
-    when the max-norm of one update drops below p.tol or p.max_iters is
-    reached; each sweep is one call of ``hs_jacobi_step``.
-
-    Returns
-    -------
-    FlowField in pixels/second.
+    gradients; the temporal term is the forward difference.  Sweeps, each
+    one call of ``hs_jacobi_step``, stop when the max-norm of one update
+    drops below p.tol or is NaN (NumericalError), or after p.max_iters; a
+    finite flow runs on, however large (about 2e307 at dt 1e-308 on 64x64).
     """
     check_grid("horn_schunck", b_prev.values.shape, b_next.values.shape, min_side=3)
     dt = check_real("dt", dt, 0, lo_open=True)
@@ -252,7 +250,7 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
         for _ in range(p.max_iters):
             hs_jacobi_step(*ws.args, _ws=ws)
-            if ws.delta < p.tol:
+            if not ws.delta >= p.tol:  # a NaN update never falls below tol
                 break
     vx, vy = ws.args[:2]
     return FlowField._own(vx.copy(), vy.copy(), "flow")

@@ -15,10 +15,11 @@ copy; the inputs were finite, so a non-finite value there is overflow, a
 NumericalError.
 
 Derivatives use central differences in the interior and one-sided
-differences on the boundary.  The 5-point Laplacian and the smoothing
-kernel both close their stencils by edge replication, so constants map to
-zero curvature everywhere.  The potential solvers never evaluate stencils
-on boundary pixels; they impose their own Dirichlet data there.
+differences on the boundary.  Every 5-point stencil, laplacian's and the
+solvers', is built from _shifted (a span's neighbours as views),
+_neighbour_sum (their one summation order) and _lap_plus (lap u + mu).
+laplacian and the blur close their stencils by edge replication, so
+constants have zero curvature; the solvers impose Dirichlet data instead.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ def _neighbour_sum(up, down, left, right, out=None) -> np.ndarray:
 
 
 def _lap_plus(out, nsum, centre, mu, h: float) -> np.ndarray:
-    """(nsum - 4*centre) / (h*h) + mu into out (None: a new array), not nsum."""
+    """(nsum - 4*centre) / (h*h) + mu into out, which is not nsum (None: a new array)."""
     out = np.multiply(centre, 4.0, out=out)
     np.subtract(nsum, out, out=out)
     if h * h != 1.0:  # x / 1.0 is x, bit for bit

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .errors import check_int, check_real, check_sigma
 from .retina import Field2D
 
 __all__ = [
@@ -28,12 +28,13 @@ _BLOB_SIGMA, _BLOB_AMP = 3.0, 1.0
 
 def blob_image(width: int, height: int, cx: float, cy: float,
                sigma: float = _BLOB_SIGMA, amp: float = _BLOB_AMP) -> Field2D:
-    """Gaussian brightness bump, clipped to [0, 1]."""
+    """Gaussian brightness bump, clipped to [0, 1]; sigma must pass check_sigma."""
     check_int("width", width, 1)
     check_int("height", height, 1)
-    check_real("sigma", sigma, 0, lo_open=True)
+    check_sigma("sigma", sigma)
     ys, xs = np.mgrid[0:height, 0:width]
-    v = amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # a subnormal 2*sigma**2: 0 off the centre
+        v = amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
     return Field2D(np.clip(v, 0.0, 1.0))
 
 

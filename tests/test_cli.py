@@ -724,7 +724,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("case", ["poisson", "converge", "simulate",
                                       "simulate-mass", "simulate-motion", "flow-ddt",
-                                      "flow-sweeps"])
+                                      "flow-sweeps", "flow-nan"])
     def test_overflow_under_warnings_as_errors_exits_4_with_one_error_line(
             self, tmp_path, blob_frames_dir, case):
         # numpy's overflow warnings, raised as errors, used to end these in a
@@ -747,6 +747,8 @@ class TestCommands:
             "flow-ddt": ("flow", "frame_dt = 1e-310\n", pair),
             # bt stays finite and the sweeps overflow
             "flow-sweeps": ("flow", "frame_dt = 1e-308\n", pair),
+            # the update is NaN from sweep 1; the sweeps ran on to the cap, for hours
+            "flow-nan": ("flow", "frame_dt = 1e-308\nhs_max_iters = 100000000\n", pair),
         }[case]
         cfgfile.write_text(config, encoding="utf-8")
         proc = run_cli_process(command, *args, warn="error")
@@ -784,6 +786,22 @@ class TestCommands:
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
             assert "sigma_ior" in lines[0]
+
+    @pytest.mark.parametrize("kind", ["two-blobs", "moving-blob"])
+    @pytest.mark.parametrize("sigma, code", [("1e200", 2), ("1e-200", 2), ("1e-160", 0)])
+    def test_synth_extreme_blob_sigma_under_warnings_as_errors(self, tmp_path, kind,
+                                                               sigma, code):
+        # 2*sigma**2 was 0 (0/0 at the blob centre: a RuntimeWarning traceback) or
+        # inf (a flat frame, exit 0); a subnormal one warned of overflow
+        proc = run_cli_process("synth", kind, "--frames", "2", "--blob-sigma", sigma,
+                               "--out", str(tmp_path / "frames"), warn="error")
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+        else:
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+            assert "sigma" in lines[0]
 
     def test_poisson_command_matches_library(self, tmp_path):
         rng = np.random.default_rng(5)

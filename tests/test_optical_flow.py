@@ -19,6 +19,8 @@ from gazefield import (
     SingularityError,
     VectorField2D,
     gradient,
+    load_pgm,
+    save_pgm,
     temporal_derivative,
 )
 from gazefield.optical_flow import (
@@ -31,6 +33,7 @@ from gazefield.optical_flow import (
     hs_jacobi_step,
     hs_objective,
 )
+from gazefield import synth
 
 
 def blob_frame(n, cx, cy, s):
@@ -333,6 +336,16 @@ class TestSweepKernel:
                 assert len(sweep_calls) == stop + 1, (k, tol)
                 want_x, want_y = iterates[stop]
                 assert np.array_equal(v.dx, want_x) and np.array_equal(v.dy, want_y), (k, tol)
+
+    def test_nan_update_stops_after_one_sweep(self, sweep_calls):
+        # the synth command's 32x32 moving pair at frame_dt 5e-309: bt is finite,
+        # the first update is NaN, and a NaN delta never fell below tol, so all
+        # max_iters sweeps ran before the flow was refused
+        a, b = (load_pgm(save_pgm(f, 65535)) for f in synth.moving_blob_frames(
+            32, 32, 2, (8.0, 16.0), (12.0, 0.0), 1.0 / 30.0))
+        with pytest.raises(NumericalError):
+            horn_schunck(a, b, 5e-309, HsParams(max_iters=5000))
+        assert len(sweep_calls) == 1
 
     @pytest.mark.parametrize("shape", HS_SHAPES + [(1, 1), (1, 5), (2, 2)])
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
