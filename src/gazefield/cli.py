@@ -48,7 +48,9 @@ from .foa import (
     FoaParams,
     FoaState,
     Scanpath,
-    detect_saccades,
+    _SaccadeStream,
+    _check_rows,
+    detect_saccades,  # not called here: kept importable from gazefield.cli
     foa_step,
 )
 from .mass import IorField, IorParams, MassParams, MotionSource, ior_step, mass_density
@@ -340,6 +342,16 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     returned dump list is then empty; with on_dump None the dumps are
     collected and returned.
     """
+    rows = array.array("d")  # (t, x, y, vx, vy) per sample, flat: 40 bytes a sample
+    dumps: list[FieldDump] = []
+    for block in _sample_blocks(frames, cfg, dumps.append if on_dump is None else on_dump):
+        rows += block
+    return Scanpath._own(np.frombuffer(rows).reshape(-1, 5)), dumps
+
+
+def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
+                   on_dump: Callable[[FieldDump], None]) -> Iterator[array.array]:
+    # run_simulation's loop: yields the initial sample, then each frame's as it ends
     window = _checked_frames(frames)
     f_now = next(window)
     tp = cfg.telegraph_params()
@@ -363,11 +375,7 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     u_live = Field2D._own(pot.u.view(), "potential")
     substeps = cfg.substeps_per_frame
     dt_frame, dt_sub = cfg.frame_dt, cfg.substep_dt
-    # (t, x, y, vx, vy) per sample, flat: 40 bytes a sample
-    rows = array.array("d", (0.0, state.x, state.y, state.vx, state.vy))
-    dumps: list[FieldDump] = []
-    if on_dump is None:
-        on_dump = dumps.append
+    yield array.array("d", (0.0, state.x, state.y, state.vx, state.vy))
 
     sigma_prev = b_next = None
     for k, f_next in enumerate(window):
@@ -395,6 +403,7 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
             mu = mass_density(grad_b, motion, ior, cfg.mass)
         del grad_b, motion  # read by the mass only
         potential, particle = _stage(k, "potential"), _stage(k, "particle")
+        rows = array.array("d")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
             for j in range(substeps):
                 with potential:
@@ -408,8 +417,7 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
             with _stage(k, "dump"):
                 on_dump(FieldDump(k, mu, Field2D(pot.u), ior))  # a copy, not the live u
         del mu  # read by the substeps and the dump only
-
-    return Scanpath._own(np.frombuffer(rows).reshape(-1, 5)), dumps
+        yield rows  # outside np.errstate, which would leak into the caller
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +438,30 @@ def export_scanpath(path: Scanpath, sink) -> None:
     """
     sink.write(f"{_CSV_HEADER}\n".encode("ascii"))
     for i in range(0, len(path), _CSV_CHUNK):
-        rows = path.rows[i:i + _CSV_CHUNK].tolist()
-        flags = path.saccade[i:i + _CSV_CHUNK].tolist()
-        sink.write("".join(_CSV_ROW % (*r, f) for r, f in zip(rows, flags)).encode("ascii"))
+        _write_rows(sink, path.rows[i:i + _CSV_CHUNK], path.saccade[i:i + _CSV_CHUNK])
+
+
+def _write_rows(sink, rows: np.ndarray, flags: np.ndarray) -> None:
+    sink.write("".join(_CSV_ROW % (*r, f) for r, f in zip(rows.tolist(), flags.tolist()))
+               .encode("ascii"))
+
+
+def _stream_scanpath(blocks: Iterable[array.array], sink, saccades) -> None:
+    # export_scanpath of the path that flat (t, x, y, vx, vy) blocks make, in
+    # chunks of at least _CSV_CHUNK rows, each checked as Scanpath checks a
+    # path and flagged by saccades, a _SaccadeStream (None: all 0)
+    sink.write(f"{_CSV_HEADER}\n".encode("ascii"))
+    n, t_last, chunk = 0, -math.inf, array.array("d")
+    for block in itertools.chain(blocks, [None]):  # None: the path has ended
+        if block is None or len(chunk) >= 5 * _CSV_CHUNK:
+            rows = np.array(chunk).reshape(-1, 5)  # a copy: chunk is refilled
+            del chunk[:]
+            _check_rows(rows, n, t_last)
+            n, t_last = n + len(rows), rows[-1, 0]
+            _write_rows(sink, *(saccades.feed(rows, last=block is None) if saccades
+                                else (rows, np.zeros(len(rows), dtype=bool))))
+        if block:
+            chunk += block
 
 
 def import_scanpath(data: bytes) -> Scanpath:
@@ -534,12 +563,15 @@ def _write_bytes(path: str, writer) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    saccades = (None if args.saccade_threshold is None  # checked before frame 0
+                else _SaccadeStream(args.saccade_threshold, args.min_fixation))
     # Accept both a quoted glob and a shell-expanded file list.
     matched = set()
     for pat in args.frames:
         hits = glob.glob(pat)
         matched.update(hits if hits else ([pat] if os.path.exists(pat) else []))
     paths = sorted(matched)
+    del matched, hits  # of these only paths lives through the run
     if len(paths) < 2:
         raise DataError(f"frame pattern {' '.join(args.frames)!r} matched "
                         f"{len(paths)} files, need at least 2")
@@ -553,16 +585,13 @@ def _cmd_simulate(args) -> int:
             _write_bytes(out, lambda fh, f=field: export_field(f, fh))
         dumped.append(d.frame_index)
 
-    # one frame is read per step, so memory does not grow with the clip
+    # frames are read and samples written a frame at a time; the CSV is renamed
+    # into place after the last frame, so a run that fails leaves no scanpath
     frames = (load_pgm(_read_bytes(p)) for p in paths)
-    path, _ = run_simulation(frames, cfg, on_dump=write_dump)
-    if args.saccade_threshold is not None:
-        path = detect_saccades(path, args.saccade_threshold, args.min_fixation)
-
-    # written last, so a run that fails leaves no scanpath
     csv_path = os.path.join(args.out, "scanpath.csv")
-    _write_bytes(csv_path, lambda fh: export_scanpath(path, fh))
-    print(f"{csv_path}: {len(path)} samples over "
+    _write_bytes(csv_path, lambda fh: _stream_scanpath(
+        _sample_blocks(frames, cfg, write_dump), fh, saccades))
+    print(f"{csv_path}: {1 + (len(paths) - 1) * cfg.substeps_per_frame} samples over "
           f"{(len(paths) - 1) * cfg.frame_dt:g} s")
     if dumped:
         print(f"{3 * len(dumped)} field dumps in {args.out}")

@@ -122,13 +122,7 @@ class Scanpath:
         return path
 
     def _adopt(self, rows: np.ndarray, saccade: np.ndarray) -> None:
-        # the first bad sample is named; a non-finite field wins a tie
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        late = np.flatnonzero(~(rows[1:, 0] > rows[:-1, 0])) + 1
-        if bad.size and not (late.size and late[0] < bad[0]):
-            raise DataError(f"scanpath sample {bad[0]} has a non-finite field")
-        if late.size:
-            raise DataError(f"scanpath timestamps must increase strictly at sample {late[0]}")
+        _check_rows(rows)
         for name, a in (("rows", rows), ("saccade", saccade)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -141,6 +135,18 @@ class Scanpath:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def _check_rows(rows: np.ndarray, first: int = 0, t_before: float = -math.inf) -> None:
+    # Scanpath's rule for samples first, first + 1, ... of a path, the first
+    # after t_before; the first bad one is named, a non-finite field first
+    t = np.append(t_before, rows[:, 0])
+    bad = first + np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    late = first + np.flatnonzero(~(t[1:] > t[:-1]))
+    if bad.size and not (late.size and late[0] < bad[0]):
+        raise DataError(f"scanpath sample {bad[0]} has a non-finite field")
+    if late.size:
+        raise DataError(f"scanpath timestamps must increase strictly at sample {late[0]}")
 
 
 def _lerp(c00, c01, c10, c11, fx: float, fy: float):
@@ -272,17 +278,35 @@ def detect_saccades(path: Scanpath, speed_threshold: float,
     """
     if len(path) == 0:
         raise DataError("cannot segment an empty scanpath")
-    threshold = check_real("speed_threshold", speed_threshold, 0, lo_open=True)
-    min_fixation = check_real("min_fixation", min_fixation, 0, lo_open=True)
+    flags = _SaccadeStream(speed_threshold, min_fixation).feed(path.rows, last=True)[1]
+    return Scanpath._own(path.rows, flags)
 
-    rows = path.rows
-    # math.hypot per sample: np.hypot differs from it in the last bit
-    speed = np.fromiter(map(math.hypot, rows[:, 3], rows[:, 4]), np.float64, len(rows))
-    flags = speed > threshold
-    # runs of equal flags, [starts[k], stops[k]); a slow run between two
-    # saccadic runs that spans less than min_fixation becomes saccadic
-    stops = np.append(np.flatnonzero(flags[1:] != flags[:-1]) + 1, len(flags))
-    starts = np.append(0, stops[:-1])
-    run_flags = flags[starts]
-    run_flags[1:-1] |= rows[stops[1:-1] - 1, 0] - rows[starts[1:-1], 0] < min_fixation
-    return Scanpath._own(rows, np.repeat(run_flags, stops - starts))
+
+class _SaccadeStream:
+    """detect_saccades a block of rows at a time: feed returns the rows whose
+    flags are settled, with their flags.  Until the last rows it holds back a
+    trailing slow run after a saccade that spans less than min_fixation."""
+
+    def __init__(self, speed_threshold: float, min_fixation: float):
+        self.threshold = check_real("speed_threshold", speed_threshold, 0, lo_open=True)
+        self.min_fixation = check_real("min_fixation", min_fixation, 0, lo_open=True)
+        # held back rows, and whether a fast sample precedes them (or the next rows)
+        self.held, self.after_fast = np.empty((0, 5)), False
+
+    def feed(self, rows: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.concatenate((self.held, rows)) if len(self.held) else rows
+        # math.hypot per sample: np.hypot differs from it in the last bit
+        speed = np.fromiter(map(math.hypot, rows[:, 3], rows[:, 4]), np.float64, len(rows))
+        flags = speed > self.threshold
+        # runs of equal flags, [starts[k], stops[k]); a slow run after a fast
+        # one that spans less than min_fixation turns saccadic if a fast run
+        # follows it here, and is held back if the rows end first
+        stops = np.append(np.flatnonzero(flags[1:] != flags[:-1]) + 1, len(flags))
+        starts = np.append(0, stops[:-1])
+        run_flags = flags[starts]
+        brief = ~run_flags & (rows[stops - 1, 0] - rows[starts, 0] < self.min_fixation)
+        brief[0] &= self.after_fast
+        run_flags[:-1] |= brief[:-1]
+        keep = starts[-1] if brief[-1] and not last else len(rows)
+        self.held, self.after_fast = rows[keep:].copy(), bool(brief[-1] or flags[-1])
+        return rows[:keep], np.repeat(run_flags, stops - starts)[:keep]

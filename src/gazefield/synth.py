@@ -32,6 +32,7 @@ def blob_image(width: int, height: int, cx: float, cy: float,
     check_int("width", width, 1)
     check_int("height", height, 1)
     check_sigma("sigma", sigma)
+    check_real("amp", amp)
     ys, xs = np.mgrid[0:height, 0:width]
     with np.errstate(over="ignore"):  # a subnormal 2*sigma**2: 0 off the centre
         v = amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
@@ -67,8 +68,9 @@ def moving_blob_frames(width: int, height: int, count: int,
     """A blob translating at constant velocity (pixels/s), one frame per dt."""
     check_int("count", count, 2)
     check_real("dt", dt, 0, lo_open=True)
-    x0, y0 = float(start[0]), float(start[1])
-    vx, vy = float(velocity[0]), float(velocity[1])
+    check_real("(count - 1) * dt", (count - 1) * dt)  # finite: no centre is inf * 0
+    x0, y0 = (check_real("start", v) for v in start)
+    vx, vy = (check_real("velocity", v) for v in velocity)
     return [blob_image(width, height, x0 + k * dt * vx, y0 + k * dt * vy,
                        sigma, amp)
             for k in range(count)]

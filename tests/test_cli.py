@@ -1,5 +1,6 @@
 """Configuration, serialization, pipeline loop, and command-line surface."""
 
+import array
 import io
 import math
 import os
@@ -26,6 +27,7 @@ from gazefield import (
     MotionSource,
     Mode,
     NumericalError,
+    ParameterError,
     PotentialState,
     Scanpath,
     TelegraphParams,
@@ -44,6 +46,7 @@ import gazefield
 from gazefield import synth
 from gazefield.cli import (
     _CONFIG_KEYS,
+    _CSV_CHUNK,
     SimConfig,
     export_field,
     export_flow,
@@ -58,7 +61,9 @@ from gazefield.cli import (
     _build_parser,
     _parse_value,
     _stage,
+    _stream_scanpath,
 )
+from gazefield.foa import _SaccadeStream, detect_saccades
 
 
 def run_cli(*argv):
@@ -277,6 +282,45 @@ class TestScanpathCsv:
                        for r, f in zip(rows.tolist(), flags.tolist()))
         assert buf.getvalue() == ("t,x,y,vx,vy,saccade\n" + want).encode("ascii")
         assert b",-0," in buf.getvalue()
+
+    @staticmethod
+    def streamed(rows, saccades=None):
+        # rows as the frame loop yields them: one initial sample, then blocks of 8
+        blocks = np.split(rows, range(1, len(rows), 8))
+        buf = io.BytesIO()
+        _stream_scanpath((array.array("d", b.ravel()) for b in blocks), buf, saccades)
+        return buf.getvalue()
+
+    def test_streamed_rows_match_export_scanpath(self):
+        rng = np.random.default_rng(13)
+        n = 3 * _CSV_CHUNK + 17
+        rows = np.cumsum(rng.uniform(0.0, 1.0, (n, 5)), axis=0)
+        rows[:, 3:] = rng.uniform(-40.0, 40.0, (n, 2))
+        for threshold in (None, 30.0):
+            path = Scanpath._own(rows.copy())
+            if threshold is not None:
+                path = detect_saccades(path, threshold, 3.0)
+            want = io.BytesIO()
+            export_scanpath(path, want)
+            stream = None if threshold is None else _SaccadeStream(threshold, 3.0)
+            assert self.streamed(rows, stream) == want.getvalue()
+
+    @pytest.mark.parametrize("bad", ["nan", "late"])
+    def test_streamed_rows_are_checked_across_chunks(self, bad):
+        # the message names the sample as Scanpath would, chunk boundaries too
+        n = 2 * _CSV_CHUNK + 20
+        rows = np.zeros((n, 5))
+        rows[:, 0] = np.arange(n) * 0.25
+        for i in (0, 1, 9, *range(_CSV_CHUNK - 4, _CSV_CHUNK + 12), n - 1):
+            broken = rows.copy()
+            if bad == "nan":
+                broken[i, 2] = np.nan
+            else:
+                broken[i, 0] = broken[i - 1, 0] if i else np.inf
+            with pytest.raises(DataError) as want:
+                Scanpath._own(broken)
+            with pytest.raises(DataError, match=f"^{want.value}$"):
+                self.streamed(broken)
 
     def test_import_recovers_to_printed_precision(self):
         src = Scanpath((FoaSample(0.123456789123, 9.87654321e-3, 2.0, -1.5, 0.25),))
@@ -802,6 +846,27 @@ class TestCommands:
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
             assert "sigma" in lines[0]
+
+    @pytest.mark.parametrize("setting, name", [
+        (["two-blobs", "--amp", "nan"], "amp"), (["two-blobs", "--amp", "inf"], "amp"),
+        (["moving-blob", "--amp=-inf"], "amp"), (["moving-blob", "--speed", "inf"], "velocity"),
+        (["moving-blob", "--speed", "nan"], "velocity"),
+        (["moving-blob", "--frame-dt", "1e308"], "dt")])
+    def test_synth_non_finite_setting_under_warnings_as_errors(self, tmp_path, setting, name):
+        # a NaN amplitude or speed made a NaN frame, a data error (exit 3), and
+        # an infinite amplitude a saturated or black one (exit 0); --frame-dt
+        # 1e308 makes frame 2's time inf, and its centre y inf * 0 = NaN
+        proc = run_cli_process("synth", *setting, "--frames", "3", "--width", "8",
+                               "--height", "8", "--out", str(tmp_path / "f"), warn="error")
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert name in lines[0]
+
+    @pytest.mark.parametrize("start", [(math.nan, 4.0), (4.0, math.inf)])
+    def test_moving_blob_rejects_a_non_finite_start(self, start):
+        with pytest.raises(ParameterError, match="start"):
+            synth.moving_blob_frames(8, 8, 3, start, (1.0, 0.0), 0.1)
 
     def test_poisson_command_matches_library(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -19,6 +19,7 @@ from gazefield.foa import (
     FoaSample,
     FoaState,
     Scanpath,
+    _SaccadeStream,
     detect_saccades,
     energy,
     _bilinear,
@@ -511,3 +512,83 @@ class TestDetectSaccades:
     def test_rejects_bad_thresholds(self, thr, fix):
         with pytest.raises(ParameterError):
             detect_saccades(make_path([1.0]), thr, fix)
+
+
+def whole_path_flags(rows, threshold, min_fixation):
+    # reference: the whole-path detect_saccades body the stream replaced
+    speed = np.fromiter(map(math.hypot, rows[:, 3], rows[:, 4]), np.float64, len(rows))
+    flags = speed > threshold
+    stops = np.append(np.flatnonzero(flags[1:] != flags[:-1]) + 1, len(flags))
+    starts = np.append(0, stops[:-1])
+    run_flags = flags[starts]
+    run_flags[1:-1] |= rows[stops[1:-1] - 1, 0] - rows[starts[1:-1], 0] < min_fixation
+    return np.repeat(run_flags, stops - starts)
+
+
+class TestSaccadeStream:
+    THRESHOLD = 30.0
+    SUBSTEP = 1.0 / 240.0
+
+    def random_rows(self, rng):
+        # runs of fast and slow samples, many within a few ulps of the
+        # threshold, at strictly increasing and unevenly spaced times
+        n = int(rng.integers(1, 300))
+        fast = np.cumsum(rng.random(n) < rng.uniform(0.02, 0.5)) % 2 == 1
+        speed = np.where(fast, rng.uniform(30.0, 60.0, n), rng.uniform(0.0, 30.0, n))
+        near = rng.random(n) < 0.3
+        speed[near] = self.THRESHOLD + rng.integers(-2, 3, near.sum()) * 4e-15
+        angle = rng.uniform(0.0, 2.0 * math.pi, n)
+        t = np.cumsum(rng.uniform(0.5, 1.5, n)) * self.SUBSTEP
+        return np.stack([t, np.zeros(n), np.zeros(n),
+                         speed * np.cos(angle), speed * np.sin(angle)], axis=1)
+
+    def min_fixations(self, rng, t, fast):
+        # below one substep or beyond the whole span, the exact span of a
+        # slow run (a tie, which keeps the run a fixation), and a value within
+        stops = np.append(np.flatnonzero(fast[1:] != fast[:-1]) + 1, len(fast))
+        starts = np.append(0, stops[:-1])
+        spans = [t[b - 1] - t[a] for a, b in zip(starts, stops) if not fast[a] and b - a > 1]
+        span = t[-1] - t[0]
+        return [rng.choice([0.3 * self.SUBSTEP, 2.0 * span + self.SUBSTEP]),
+                rng.choice(spans) if spans else self.SUBSTEP,
+                rng.uniform(0, span + self.SUBSTEP)]
+
+    def test_blocks_match_the_whole_path(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            rows = self.random_rows(rng)
+            speed = np.fromiter(map(math.hypot, rows[:, 3], rows[:, 4]), np.float64)
+            fast = speed > self.THRESHOLD
+            # trailing[k]: the slow samples that end the first k rows
+            trailing = [0]
+            for f in fast:
+                trailing.append(0 if f else trailing[-1] + 1)
+            for min_fixation in self.min_fixations(rng, rows[:, 0], fast):
+                want = whole_path_flags(rows, self.THRESHOLD, min_fixation)
+                # random cuts, down to every row a block of its own
+                cuts = np.flatnonzero(rng.random(len(rows) - 1) < rng.choice([0.05, 0.3, 1.0]))
+                stream = _SaccadeStream(self.THRESHOLD, min_fixation)
+                blocks = np.split(rows, cuts + 1)
+                got_rows, got_flags, fed, out = [], [], 0, 0
+                for k, block in enumerate(blocks, 1):
+                    out_rows, out_flags = stream.feed(block, last=k == len(blocks))
+                    got_rows.append(out_rows)
+                    got_flags.append(out_flags)
+                    fed, out = fed + len(block), out + len(out_rows)
+                    # held back: at most the slow run that ends the rows so far
+                    assert len(stream.held) <= trailing[fed]
+                    assert out + len(stream.held) == fed
+                assert len(stream.held) == 0
+                np.testing.assert_array_equal(np.concatenate(got_rows), rows)
+                assert np.concatenate(got_flags).tolist() == want.tolist()
+
+    def test_holds_back_at_most_the_brief_slow_run(self):
+        # a saccade, then slow samples: held while their span is short of
+        # min_fixation, settled as a fixation once it is reached
+        stream = _SaccadeStream(10.0, 3.5 * self.SUBSTEP)
+        rows = make_path([50.0] * 3 + [1.0] * 6, dt=self.SUBSTEP).rows
+        assert len(stream.feed(rows[:3])[0]) == 3
+        settled_held = []
+        for k in range(3, 9):
+            settled_held.append((len(stream.feed(rows[k:k + 1])[0]), len(stream.held)))
+        assert settled_held == [(0, 1), (0, 2), (0, 3), (0, 4), (5, 0), (1, 0)]

@@ -164,7 +164,7 @@ def test_differently_sized_frame_mid_clip_exits_3(tmp_path, capsys):
 
 def test_peak_memory_flat_in_clip_length(tmp_path, capsys):
     # 450 more 64x64 frames held in memory would take 14.7 MB; what may
-    # still grow is the scanpath itself (8 samples per frame)
+    # still grow is the sorted list of frame names
     cfg = tmp_path / "run.cfg"
     cfg.write_text(EXPLORE, encoding="utf-8")
 
@@ -211,16 +211,16 @@ def test_frame_working_set_is_bounded():
     assert peak <= 11 * n * n * 8, peak / (n * n * 8)
 
 
-def test_scanpath_memory_grows_by_its_array_alone(tmp_path, capsys):
-    # 3600 more samples, saccades annotated: 41 B each in the array and its
-    # flags is 0.15 MB (0.23 MB measured, with passing arrays); a Python
-    # object per sample or a list copy of the rows would pass 0.5 MB
+def simulate_peaks(tmp_path, config, counts, size=64):
+    """tracemalloc peak of simulate --saccade-threshold 30 per frame count,
+    after a warm-up run (lazy allocations inside numpy and the interpreter)."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(EXPLORE, encoding="utf-8")
+    cfg.write_text(config, encoding="utf-8")
 
     def peak(n):
         frames = tmp_path / f"frames{n}"
-        synth_two_blobs(frames, n)
+        if not frames.exists():
+            synth_two_blobs(frames, n, size)
         argv = ["simulate", str(cfg), str(frames / "frame_*.pgm"),
                 "--out", str(tmp_path / f"out{n}"), "--saccade-threshold", "30"]
         tracemalloc.start()
@@ -230,10 +230,67 @@ def test_scanpath_memory_grows_by_its_array_alone(tmp_path, capsys):
         finally:
             tracemalloc.stop()
 
-    peak(50)  # warm-up: lazy allocations inside numpy and the interpreter
-    short, long = peak(50), peak(500)
+    peak(counts[0])
+    return [peak(n) for n in counts]
+
+
+def test_scanpath_memory_grows_by_its_array_alone(tmp_path, capsys):
+    # 3600 more samples, saccades annotated.  simulate writes each frame's
+    # samples as the frame ends, so what grows is the sorted list of 450 more
+    # frame names (0.05 MB measured); holding the samples, 41 B each in an
+    # array and its flags, adds 0.15 MB (0.24 MB measured, with passing
+    # arrays), and a Python object per sample or a list copy of the rows
+    # would pass 0.5 MB
+    short, long = simulate_peaks(tmp_path, EXPLORE, (50, 500))
     capsys.readouterr()
     assert long - short < 0.5e6, (short, long)
+
+
+def test_scanpath_is_not_held_at_many_substeps(tmp_path, capsys):
+    # 28800 more samples: holding their rows alone would add 1.15 MB (the
+    # whole path held, then segmented, added 1.71 MB); streamed, the peak
+    # grows by the frame names only (0.05 MB measured)
+    short, long = simulate_peaks(tmp_path, EXPLORE + "substeps_per_frame = 64\n",
+                                 (50, 500), size=16)
+    capsys.readouterr()
+    assert long - short < 0.25e6, (short, long)
+
+
+def test_failed_run_keeps_the_earlier_scanpath(tmp_path, capsys):
+    # the CSV grows under scanpath.csv.part while the frames run: a run that
+    # fails at frame 30 removes it and leaves the last run's file as it was
+    frames = tmp_path / "frames"
+    synth_two_blobs(frames, 40, size=16)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EXPLORE, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["simulate", str(cfg), str(frames / "frame_*.pgm"), "--out", str(out),
+            "--saccade-threshold", "30"]
+    assert main(argv) == 0
+    before = (out / "scanpath.csv").read_bytes()
+    bad = frames / "frame_0030.pgm"
+    bad.write_bytes(bad.read_bytes()[:20])
+    assert main(argv) == 3
+    assert "frame 30, stage load" in capsys.readouterr().err
+    assert (out / "scanpath.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["scanpath.csv"]
+
+
+@pytest.mark.parametrize("flags", [["--saccade-threshold", "0"],
+                                   ["--saccade-threshold", "nan"],
+                                   ["--saccade-threshold", "30", "--min-fixation", "0"],
+                                   ["--saccade-threshold", "30", "--min-fixation", "inf"]])
+def test_bad_saccade_setting_fails_before_frame_0(tmp_path, capsys, flags):
+    frames = tmp_path / "frames"
+    synth_two_blobs(frames, 3, size=16)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EXPLORE + "dump_every = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), str(frames / "frame_*.pgm"),
+                 "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a finite real" in err
+    assert not out.exists()  # nothing made, no dump written
 
 
 # ---------------------------------------------------------------------------
