@@ -563,8 +563,9 @@ def _write_bytes(path: str, writer) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    saccades = (None if args.saccade_threshold is None  # checked before frame 0
-                else _SaccadeStream(args.saccade_threshold, args.min_fixation))
+    min_fixation = check_real("min_fixation", args.min_fixation, 0, lo_open=True)
+    saccades = (None if args.saccade_threshold is None  # both checked before frame 0
+                else _SaccadeStream(args.saccade_threshold, min_fixation))
     # Accept both a quoted glob and a shell-expanded file list.
     matched = set()
     for pat in args.frames:

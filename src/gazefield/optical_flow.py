@@ -113,52 +113,49 @@ def conjugation_residual(grad: VectorField2D, ddt: Field2D, v: FlowField) -> Fie
 class _Sweeps:
     """One flow solve's buffers, allocated once and swept in place.
 
-    An iterate is one flat buffer holding vx's and then vy's row-major
-    (h+2) x (w+2) grid, each with a one-node ghost ring; two alternate as
-    current and next.  A sweep runs each ufunc once, on the contiguous span
-    from vx's first interior node to vy's last, where a node's neighbours
-    sit -+(w+2) and -+1 away.  The ghosts inside the span carry zero
-    gradient and bt, so they take a finite value until the edge replication
-    overwrites them.  ``delta`` bounds max |next - current| from below and
-    is exact only below ``tol``: a sweep reads the node that moved most at
-    the last full check, and takes the full max, moving the probe there,
-    only if that node moved less than tol or is NaN.  A NaN spreads one node
-    a sweep, so delta reads it within about h + w sweeps of the first.
+    One block holds five planes shaped like an iterate, (2, h+2, w+2): the
+    two iterates, (gx, gy), bt with lam + gx*gx + gy*gy, and scratch.  An
+    iterate holds vx's and then vy's row-major grid, each with a one-node
+    ghost ring; the two alternate as current and next.  A sweep runs each
+    ufunc once, on the span from vx's first interior node to vy's last,
+    where a node's neighbours sit -+(w+2) and -+1 away; every operand is
+    that span of its own plane or its vx or vy half.  Planes are whole
+    64-byte lines long and the block is offset so that every span, and the
+    denominator after bt, starts on a line: a sweep's speed does not hang
+    on where the allocator put the block.  The ghosts inside the span carry
+    zero gradient and bt, so they take a finite value until the edge
+    replication overwrites them.  ``delta`` is the exact max |next - now|
+    after every sweep, NaN from the first sweep whose update is NaN.
     """
 
-    def __init__(self, vx, vy, gx, gy, bt, lam: float, tol: float):
+    def __init__(self, vx, vy, gx, gy, bt, lam: float):
         h, w = np.shape(gx)
         wp, n = w + 2, (h + 2) * (w + 2)
         lo, hi = wp + 1, n + h * wp + w + 1
         m = hi - lo - n  # the vx half of the span; the vy half starts n later
 
-        # gx, gy and bt are only read on the span, so their buffers start at
-        # its first node: rows of w+2, gx's and gy's n apart
-        g, b = np.zeros(n + h * wp), np.zeros(h * wp)
-        coefficients = tuple(c[:h * wp].reshape(h, wp)[:, :w] for c in (g, g[n:], b))
-        for c, a in zip(coefficients, (gx, gy, bt)):
-            c[...] = a
-        self._g, self._gx, self._gy, self._bt = g[:n + m], g[:m], g[n:n + m], b[:m]
-        # scratch for the products of a sweep and for |next - current|
-        self._tmp = np.empty_like(self._g)
-        self._tx, self._ty = self._tmp[:m], self._tmp[n:]
+        size = -(-2 * n // 8) * 8
+        block = np.zeros(5 * size + 7)
+        skip = -(block.ctypes.data // 8 + lo) % 8
+        flats = block[skip:skip + 5 * size].reshape(5, size)[:, :2 * n]
+        grids = flats.reshape(5, 2, h + 2, wp)
+        inner = grids[:, :, 1:-1, 1:-1]
+        inner[0, 0], inner[0, 1], inner[2, 0], inner[2, 1], inner[3, 0] = vx, vy, gx, gy, bt
+        g, b, t = (f[lo:hi] for f in flats[2:])
+        self._g, self._gx, self._gy = g, g[:m], g[n:]
+        self._tmp, self._tx, self._ty = t, t[:m], t[n:]
+        d = -(-m // 8) * 8  # the first line past bt
+        self._bt, self._den = b[:m], b[d:d + m]
         # lam + gx*gx + gy*gy, in that order, once per solve
-        self._den = np.multiply(self._gx, self._gx)
+        np.multiply(self._gx, self._gx, out=self._den)
         np.add(self._den, lam, out=self._den)
         np.multiply(self._gy, self._gy, out=self._ty)
         np.add(self._den, self._ty, out=self._den)
 
-        # per iterate: the span, up, down, left, right, the grids, and
-        # hs_jacobi_step's arguments as interior views
-        self._iterates = []
-        for v in ((vx, vy), (0.0, 0.0)):
-            buf = np.zeros(2 * n)
-            grid = buf.reshape(2, h + 2, wp)
-            grid[0, 1:-1, 1:-1], grid[1, 1:-1, 1:-1] = v
-            self._iterates.append((*_shifted(buf, wp, lo, hi), grid,
-                                   (*grid[:, 1:-1, 1:-1], *coefficients, lam)))
-        _replicate_edges(self._iterates[0][5])
-        self._tol, self._probe, self.delta = tol, 0, np.inf
+        # per iterate: span, up, down, left, right, grid, hs_jacobi_step's args
+        self._iterates = [(*_shifted(f, wp, lo, hi), grid, (*v, *inner[2], inner[3, 0], lam))
+                          for f, grid, v in zip(flats, grids, inner[:2])]
+        _replicate_edges(grids[0])
 
     @property
     def args(self) -> tuple:
@@ -166,8 +163,8 @@ class _Sweeps:
         return self._iterates[0][6]
 
     def sweep(self) -> None:
-        (now, *around, _, _), nxt = self._iterates
-        x, t, tx, ty = nxt[0], self._tmp, self._tx, self._ty
+        (now, *around, _, _), (x, *_, grid, _) = self._iterates
+        t, tx, ty = self._tmp, self._tx, self._ty
         np.multiply(_neighbour_sum(*around, out=x), 0.25, out=x)  # (ax, ay)
         # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
         np.multiply(self._g, x, out=t)
@@ -178,15 +175,11 @@ class _Sweeps:
         np.multiply(self._gy, tx, out=ty)
         np.multiply(self._gx, tx, out=tx)
         np.subtract(x, t, out=x)
-        _replicate_edges(nxt[5])
+        _replicate_edges(grid)
         # every ghost in the span now copies an interior node of its
         # iterate, so the max over the span is the max over the interior
-        self.delta = abs(x[self._probe] - now[self._probe])
-        if not self.delta >= self._tol:
-            np.subtract(x, now, out=t)
-            np.abs(t, out=t)
-            self._probe = t.argmax()
-            self.delta = t[self._probe]
+        np.subtract(x, now, out=t)
+        self.delta = np.abs(t, out=t).max()
         self._iterates.reverse()
 
 
@@ -219,7 +212,7 @@ def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarra
     is returned as two new arrays.
     """
     if _ws is None:
-        ws = _Sweeps(vx, vy, gx, gy, bt, lam, np.inf)
+        ws = _Sweeps(vx, vy, gx, gy, bt, lam)
         ws.sweep()
         return ws.args[0].copy(), ws.args[1].copy()
     _ws.sweep()
@@ -244,7 +237,7 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
     gy = 0.5 * (g_prev.dy + g_next.dy)
     del g_prev, g_next
     bt = temporal_derivative(b_prev, b_next, dt).values
-    ws = _Sweeps(0.0, 0.0, gx, gy, bt, p.lam, p.tol)
+    ws = _Sweeps(0.0, 0.0, gx, gy, bt, p.lam)
     del gx, gy, bt  # the workspace holds padded copies
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError

@@ -27,6 +27,7 @@ from gazefield.optical_flow import (
     FeatureChannel,
     FeatureStack,
     HsParams,
+    _Sweeps,
     conjugation_residual,
     feature_group_flow,
     horn_schunck,
@@ -314,7 +315,7 @@ class TestSweepKernel:
     @pytest.mark.parametrize("shape", HS_SHAPES)
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
     def test_stops_at_the_reference_sweep_for_every_tol(self, shape, lam, sweep_calls):
-        # the solve reads one probe node before the full max; a tol just above
+        # the solve stops on the update's exact max norm; a tol just above
         # each of the reference's updates in turn, rising or falling, must stop
         # it at the same sweep with the same bits
         a, b = flow_pair(shape, seed=73)
@@ -336,6 +337,50 @@ class TestSweepKernel:
                 assert len(sweep_calls) == stop + 1, (k, tol)
                 want_x, want_y = iterates[stop]
                 assert np.array_equal(v.dx, want_x) and np.array_equal(v.dy, want_y), (k, tol)
+
+    @pytest.mark.parametrize("shape", HS_SHAPES)
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+    def test_delta_is_the_exact_update_max(self, shape, lam):
+        # on every sweep, not only once it falls below tol
+        a, b = flow_pair(shape, seed=79)
+        for a, b in ((a, b), (a.T.copy(), b.T.copy())):
+            gx, gy, bt = hs_setup(a, b, 1.0)
+            vx, vy = np.zeros_like(gx), np.zeros_like(gy)
+            ws = _Sweeps(0.0, 0.0, gx, gy, bt, lam)
+            for k in range(HS_CAP):
+                nvx, nvy = padded_jacobi_step(vx, vy, gx, gy, bt, lam)
+                want = max(np.abs(nvx - vx).max(), np.abs(nvy - vy).max())
+                vx, vy = nvx, nvy
+                ws.sweep()
+                assert ws.delta == want, k
+
+    @pytest.mark.parametrize("shape", HS_SHAPES + [(1, 1), (1, 5), (2, 2)])
+    def test_sweep_operands_start_on_cache_lines(self, shape, monkeypatch):
+        # whatever address the block gets, the spans of both iterates, g and
+        # the scratch, and bt and den start on a 64-byte line; the vy halves
+        # sit (h+2)(w+2) nodes on and the neighbours -+1 and -+(w+2) away, as
+        # the grid fixes them
+        import gazefield.optical_flow as of
+        starts = []
+        sweep = of._Sweeps.sweep
+
+        def recording(ws):
+            spans = (ws._iterates[0][0], ws._iterates[1][0], ws._g, ws._tmp, ws._bt, ws._den)
+            starts.append([s.ctypes.data for s in spans])
+            sweep(ws)
+
+        monkeypatch.setattr(of._Sweeps, "sweep", recording)
+        rng = np.random.default_rng(83)
+        vx, vy, gx, gy, bt = rng.standard_normal((5,) + shape)
+        hs_jacobi_step(vx, vy, gx, gy, bt, 0.1)
+        sweeps = 1
+        if min(shape) >= 3:  # horn_schunck's smallest grid
+            a, b = flow_pair(shape, seed=83)
+            horn_schunck(Field2D(a), Field2D(b), 1.0, HsParams(max_iters=3, tol=1e-300))
+            sweeps += 3
+        assert len(starts) == sweeps
+        for addresses in starts:
+            assert [a % 64 for a in addresses] == [0] * len(addresses)
 
     def test_nan_update_stops_after_one_sweep(self, sweep_calls):
         # the synth command's 32x32 moving pair at frame_dt 5e-309: bt is finite,

@@ -279,7 +279,10 @@ def test_failed_run_keeps_the_earlier_scanpath(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [["--saccade-threshold", "0"],
                                    ["--saccade-threshold", "nan"],
                                    ["--saccade-threshold", "30", "--min-fixation", "0"],
-                                   ["--saccade-threshold", "30", "--min-fixation", "inf"]])
+                                   ["--saccade-threshold", "30", "--min-fixation", "inf"],
+                                   ["--min-fixation", "nan"],
+                                   ["--min-fixation", "0"],
+                                   ["--min-fixation", "-1"]])
 def test_bad_saccade_setting_fails_before_frame_0(tmp_path, capsys, flags):
     frames = tmp_path / "frames"
     synth_two_blobs(frames, 3, size=16)
