@@ -47,6 +47,7 @@ _REFERENCE_TOL, _REFERENCE_MAX_ITERS = 1e-10, 200000  # convergence_in_c's SOR s
 # convergence_in_c's cap on steps x speeds x nodes (a grid under 32x32, whose step
 # costs about as much, counts as 32x32): 100 times `converge --dt 0.05` at 64x64
 _MAX_NODE_STEPS = 10**9
+_MAX_STACK_NODES = 2**14  # convergence_in_c steps its speeds in stacks of at most this size
 # poisson_solve's defaults, read also by the poisson command's options
 _SOLVE_H, _SOLVE_TOL, _SOLVE_MAX_ITERS = 1.0, 1e-8, 20000
 
@@ -109,6 +110,10 @@ class TelegraphParams:
             raise ConfigError(
                 f"{self.mode.value} stability violated: dt={self.dt:g} exceeds "
                 f"the bound {bound:g}")
+        # the factor on lap u + mu in a step, worked out once: dt*c^2, over lambda in heat mode
+        scale = self.dt * self.c * self.c
+        object.__setattr__(self, "_drive_scale",
+                           scale / self.lambda_drag if self.mode is Mode.HEAT else scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,16 +231,20 @@ def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
 
 
 class _Workspace:
-    """A potential stepped in place: evolve_potential's private state.
+    """Potentials stepped in place: evolve_potential's and convergence_in_c's state.
 
-    u and u_t are (h, w) row-major copies, so the interior nodes lie in one
-    contiguous flat span, from index w+1 up to, not including, (h-1)*w-1,
-    and the four neighbours of a node sit -+w and -+1 away.  A step is
-    retina's _lap_plus and the mode's update on that span; its edge columns
-    are stepped too, then restored, and u_t stays 0 on the edge ring.
+    K grids of one shape sit row-wise in u and u_t, (K*h, w) row-major copies,
+    so the interior nodes of all K lie in one contiguous flat span, from index
+    w+1 up to, not including, (K*h-1)*w-1, and the four neighbours of a node
+    sit -+w and -+1 away.  A step is retina's _lap_plus and the mode's update
+    on that span, each ufunc once for all K; the edge columns, and the edge
+    rows where two grids meet, are stepped too, then restored, and u_t stays
+    0 on every edge ring.  One grid (K = 1) takes its source and speed from
+    each step's mu and p; a stack (K > 1, from stack) holds a fixed source and
+    one speed per grid, and takes only p's other settings.
     """
 
-    __slots__ = ("u", "u_t", "_span", "_edges", "_ring")
+    __slots__ = ("u", "u_t", "_span", "_edges", "_ring", "_stack")
 
     def __init__(self, state: PotentialState):
         self.u, self.u_t = state.u.values.copy(), np.zeros_like(state.u.values)
@@ -247,24 +256,44 @@ class _Workspace:
         # columns 0 and w-1 of the inner rows, and the values u holds there
         self._edges = (self.u[1:-1, ::w - 1], self.u_t[1:-1, ::w - 1])
         self._ring = self._edges[0].copy()
+        self._stack = None
+
+    @classmethod
+    def stack(cls, mu: Field2D, params: list[TelegraphParams]) -> "_Workspace":
+        """Zero potentials on mu's grid, one per params, stepped on mu at params' speeds.
+
+        params differ in c alone.  One params gives a one-grid workspace.
+        """
+        k, (h, w) = len(params), mu.values.shape
+        ws = cls(PotentialState.zero(w, k * h))
+        if k > 1:
+            span = ws._span[0]
+            scale = np.repeat([p._drive_scale for p in params], h * w)[span]
+            # rows 0 and h-1 of every grid, where u and u_t are held at 0
+            joins = ws.u.reshape(k, h, w)[:, ::h - 1], ws.u_t.reshape(k, h, w)[:, ::h - 1]
+            ws._stack = (np.tile(mu.data, k)[span], scale, *joins)
+        return ws
 
     def step(self, mu: Field2D, p: TelegraphParams) -> None:
         span, ut, centre, *around = self._span
         tmp = _neighbour_sum(*around)  # scratch per step: an idle workspace holds u, u_t
-        drive = _lap_plus(None, tmp, centre, mu.data[span], p.h)
+        stack = self._stack  # None for one grid, which steps on mu at p's speed
+        source, scale = (mu.data[span], p._drive_scale) if stack is None else stack[:2]
+        drive = _lap_plus(None, tmp, centre, source, p.h)
+        np.multiply(drive, scale, out=drive)
         if p.mode is Mode.HEAT:
-            np.multiply(drive, p.dt * p.c * p.c / p.lambda_drag, out=drive)
             np.add(centre, drive, out=centre)
             ut.fill(0.0)
         else:
             half_drag = 0.5 * p.lambda_drag * p.dt
             np.multiply(ut, p.gamma - half_drag, out=ut)
-            np.multiply(drive, p.dt * p.c * p.c, out=drive)
             np.add(ut, drive, out=ut)
             np.divide(ut, p.gamma + half_drag, out=ut)
             np.multiply(ut, p.dt, out=tmp)
             np.add(centre, tmp, out=centre)
         self._edges[0][...], self._edges[1][...] = self._ring, 0.0
+        if stack is not None:
+            stack[2][...] = stack[3][...] = 0.0
         # a non-finite u_t reaches u through u += dt*u_t, so u alone is checked
         if not np.isfinite(centre).all():
             raise NumericalError("potential overflow: result contains non-finite values")
@@ -310,9 +339,13 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     solve to tol 1e-10 * max(1, max|mu|) under the same zero-Dirichlet
     boundary.  A zero reference gradient with a zero evolved gradient
     counts as error 0.  The list is returned as computed; callers assert
-    monotonicity.
+    monotonicity.  The speeds are stepped together in stacks of at most
+    _MAX_STACK_NODES nodes (one grid a stack above 2**13 nodes), each stack
+    freed before the next is built; every error is bitwise the one a speed
+    stepped alone gives.
     Raises ConfigError, before any solve, when the speeds times the steps
-    (horizon / dt) times the nodes (at least 32x32) exceed _MAX_NODE_STEPS.
+    (horizon / dt) times the nodes (at least 32x32) exceed _MAX_NODE_STEPS,
+    or when dt is unstable for any speed.
     """
     cs = [check_real("c_list entry", c, 0, lo_open=True) for c in c_list]
     if any(b <= a for a, b in zip(cs, cs[1:])):
@@ -325,25 +358,29 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
                           f"speeds x {steps:.3g} steps on {mu.width}x{mu.height}), over "
                           f"the budget of {_MAX_NODE_STEPS:.0e}")
 
+    params = [replace(base, c=c) for c in cs]  # every speed's stability, before the solve
     # relative to mu: SOR's rounding floor grows with the mass, past 1e-10 at 1e4 on 33x31
     tol = _REFERENCE_TOL * max(1.0, float(np.abs(mu.values).max()))
     u_ref = poisson_solve(mu, h=base.h, tol=tol, max_iters=_REFERENCE_MAX_ITERS)
     g_ref = gradient(u_ref, base.h)
     ref_norm = math.sqrt(float(np.sum(g_ref.dx ** 2) + np.sum(g_ref.dy ** 2)))
 
-    steps = max(1, round(steps))
+    steps, rows = max(1, round(steps)), mu.height
+    per = max(1, _MAX_STACK_NODES // mu.values.size)
     errors = []
-    for c in cs:
-        params = replace(base, c=c)
-        ws = _Workspace(PotentialState.zero(mu.width, mu.height))
+    for first in range(0, len(params), per):
+        group = params[first:first + per]
+        ws = _Workspace.stack(mu, group)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
             for _ in range(steps):
-                ws.step(mu, params)
-        g = gradient(Field2D._own(ws.u, "potential"), base.h)
-        diff = math.sqrt(float(np.sum((g.dx - g_ref.dx) ** 2)
-                               + np.sum((g.dy - g_ref.dy) ** 2)))
-        if ref_norm == 0.0:
-            errors.append(0.0 if diff == 0.0 else math.inf)
-        else:
-            errors.append(diff / ref_norm)
+                ws.step(mu, group[0])
+        for k in range(len(group)):
+            g = gradient(Field2D._own(ws.u[k * rows:(k + 1) * rows], "potential"), base.h)
+            diff = math.sqrt(float(np.sum((g.dx - g_ref.dx) ** 2)
+                                   + np.sum((g.dy - g_ref.dy) ** 2)))
+            if ref_norm == 0.0:
+                errors.append(0.0 if diff == 0.0 else math.inf)
+            else:
+                errors.append(diff / ref_norm)
+        del ws, g  # each stack is freed before the next is built
     return errors

@@ -7,7 +7,9 @@ no code with the package.
 """
 
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gazefield.errors import (
     NumericalError,
     ParameterError,
 )
+from gazefield import potential
 from gazefield.potential import (
     Mode,
     PotentialState,
@@ -574,9 +577,77 @@ class TestConvergenceInC:
         with pytest.raises(ConfigError, match="node steps"):
             convergence_in_c(Field2D.zeros(3, 3), cs, horizon, p)
 
-    def test_unstable_speed_raises_before_any_stepping(self):
+    def test_unstable_speed_raises_before_any_stepping(self, monkeypatch):
         # dt admits c = 2 but not c = 8 under the CFL bound
         p = TelegraphParams(gamma=1.0, lambda_drag=4.0, c=2.0, h=1.0,
                             dt=0.3, mode=Mode.DAMPED_WAVE)
+        solves = []
+        monkeypatch.setattr(potential, "poisson_solve",
+                            lambda *a, **kw: solves.append(a) or poisson_solve(*a, **kw))
         with pytest.raises(ConfigError):
             convergence_in_c(Field2D.zeros(8, 8), [2.0, 8.0], 1.0, p)
+        assert solves == []
+        assert convergence_in_c(Field2D.zeros(8, 8), [], 1.0, p) == []
+
+    @pytest.mark.parametrize("mode, gamma, lam", [
+        (Mode.HEAT, 0.0, 1.5), (Mode.WAVE, 1.0, 0.0), (Mode.DAMPED_WAVE, 0.7, 2.0),
+    ])
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("width, height, speeds, stacks", [
+        (3, 3, 3, [3]), (9, 17, 3, [3]), (64, 64, 6, [4, 2]),
+    ])
+    def test_stacked_speeds_match_one_speed_runs(self, monkeypatch, mode, gamma, lam, h,
+                                                 width, height, speeds, stacks):
+        rng = np.random.default_rng(width * height)
+        mu = Field2D(rng.uniform(0, 1, (height, width)))
+        cs = [0.6 * (k + 1) for k in range(speeds)]
+        base = TelegraphParams(gamma=gamma, lambda_drag=lam, c=cs[-1], h=h,
+                               dt=0.9 * stable_dt(mode, gamma, lam, cs[-1], h), mode=mode)
+        steps = 9
+        built, stack = [], _Workspace.stack.__func__
+
+        def recorded_stack(cls, mu, params):
+            built.append((params, stack(cls, mu, params)))
+            return built[-1][1]
+
+        monkeypatch.setattr(_Workspace, "stack", classmethod(recorded_stack))
+        errors = convergence_in_c(mu, cs, steps * base.dt, base)
+
+        # reference: each speed alone through the public stepper
+        u_ref = poisson_solve(mu, h=h, tol=1e-10, max_iters=200000)
+        g_ref = gradient(u_ref, h)
+        ref_norm = math.sqrt(float(np.sum(g_ref.dx ** 2) + np.sum(g_ref.dy ** 2)))
+        alone, want = {}, []
+        for c in cs:
+            st = PotentialState.zero(width, height)
+            for _ in range(steps):
+                st = evolve_potential(st, mu, replace(base, c=c))
+            alone[c] = st
+            g = gradient(st.u, h)
+            diff = math.sqrt(float(np.sum((g.dx - g_ref.dx) ** 2)
+                                   + np.sum((g.dy - g_ref.dy) ** 2)))
+            want.append(diff / ref_norm)
+        assert errors == want
+
+        assert [len(params) for params, _ in built] == stacks
+        for params, ws in built:
+            for k, p in enumerate(params):
+                grid = np.s_[k * height:(k + 1) * height]
+                assert np.array_equal(ws.u[grid], alone[p.c].u.values)
+                assert np.array_equal(ws.u_t[grid], alone[p.c].u_t.values)
+
+    def test_each_stack_is_freed_before_the_next(self):
+        # 12 speeds at 64x64 are three stacks of 4; together they would hold three times as much
+        mu = Field2D(np.random.default_rng(3).uniform(0, 1, (64, 64)))
+        cs = [float(c) for c in range(1, 13)]
+        p = TelegraphParams(lambda_drag=4.0, c=cs[-1], dt=0.05)
+
+        def peak(speeds):
+            tracemalloc.start()
+            try:
+                convergence_in_c(mu, speeds, 3 * p.dt, p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(cs) <= peak(cs[:4]) + 32 * 1024
