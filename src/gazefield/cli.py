@@ -53,7 +53,8 @@ from .foa import (
     detect_saccades,  # not called here: kept importable from gazefield.cli
     foa_step,
 )
-from .mass import IorField, IorParams, MassParams, MotionSource, ior_step, mass_density
+from .mass import IorField, IorParams, MassParams, MotionSource, _mass, ior_step
+from .mass import mass_density  # not called here: kept importable from gazefield.cli
 from .optical_flow import HsParams, horn_schunck
 from .potential import (
     Mode,
@@ -334,9 +335,14 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     to be cfg.frame_dt apart, and consumed once, front to back.  Each field
     dies after its last reader: only the next frame (f_now), its blur
     (b_next), the inhibition, the potential and the particle outlive a
-    frame, so a generator that reads frames on demand keeps memory flat in
-    clip length.  The grid comes from frame 0; each frame is checked as it
-    arrives, and a bad one raises DataError naming its index (stage "load").
+    frame, and the detail |grad b| only across a repeated frame, so a
+    generator that reads frames on demand keeps memory flat in clip length.
+    A repeated frame is the same object as the frame before it (simulate's
+    reader yields one object again for a file with the previous file's
+    bytes): its blur and detail are reused and its |db/dt| is taken as +0,
+    bit for bit what computing them again gives.  The grid comes from
+    frame 0; each frame is checked as it arrives, and a bad one raises
+    DataError naming its index (stage "load").
 
     Each dump goes to on_dump as soon as its frame finishes, and the
     returned dump list is then empty; with on_dump None the dumps are
@@ -377,31 +383,39 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
     dt_frame, dt_sub = cfg.frame_dt, cfg.substep_dt
     yield array.array("d", (0.0, state.x, state.y, state.vx, state.vy))
 
-    sigma_prev = b_next = None
+    sigma_prev = b_next = detail = None
     for k, f_next in enumerate(window):
         with _stage(k, "blur"):
             sigma = schedule_sigma(cfg.blur, k * dt_frame)
             if sigma != sigma_prev:  # else frame k was blurred with sigma as b_next
-                b_next = None  # the stale blur dies before frame k is blurred again
+                b_next = detail = None  # stale, they die before frame k is blurred again
                 b_next = gaussian_blur(f_now, sigma)
+            repeated = f_next is f_now  # then b_next stays b_now: one frame, one blur
             b_now, f_now = b_next, f_next  # only the blur reads f_now
-            b_next = gaussian_blur(f_now, sigma)
+            if not repeated:
+                b_next = gaussian_blur(f_now, sigma)
             sigma_prev = sigma
         with _stage(k, "differentiation"):
-            grad_b = gradient(b_now, cfg.h)
+            if detail is None:  # else it is |grad b_now| from frame k - 1
+                grad_b = gradient(b_now, cfg.h)
+                with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+                    detail = np.hypot(grad_b.dx, grad_b.dy)
+                del grad_b  # read by the hypot only
         with _stage(k, "motion"):
             if cfg.mass.motion_source is MotionSource.FLOW_MAGNITUDE:
-                motion = magnitude(horn_schunck(b_now, b_next, dt_frame, cfg.hs))
+                motion = magnitude(horn_schunck(b_now, b_next, dt_frame, cfg.hs)).values
+            elif repeated:
+                motion = None  # |db/dt| is +0 everywhere
             else:
-                ddt = temporal_derivative(b_now, b_next, dt_frame)
-                motion = Field2D._own(np.abs(ddt.values), "motion")
-                del ddt  # read by np.abs only
+                motion = np.abs(temporal_derivative(b_now, b_next, dt_frame).values)
         del b_now  # read by the differentiation and the motion only
         with _stage(k, "inhibition"):
             ior = ior_step(ior, (state.x, state.y), dt_frame, cfg.ior)
         with _stage(k, "mass"):
-            mu = mass_density(grad_b, motion, ior, cfg.mass)
-        del grad_b, motion  # read by the mass only
+            mu = _mass(detail, motion, ior, cfg.mass)
+        del motion  # read by the mass only
+        if not repeated:
+            detail = None  # else frame k + 1's b_now is frame k's, and so is its detail
         potential, particle = _stage(k, "potential"), _stage(k, "particle")
         rows = array.array("d")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
@@ -586,9 +600,16 @@ def _cmd_simulate(args) -> int:
             _write_bytes(out, lambda fh, f=field: export_field(f, fh))
         dumped.append(d.frame_index)
 
+    def read_frames() -> Iterator[Field2D]:
+        # files in a row with equal bytes are parsed once and yield one object,
+        # whose fields the frame loop then reuses; each file is read as pulled
+        for data, run in itertools.groupby(map(_read_bytes, paths)):
+            frame = load_pgm(data)
+            yield from (frame for _ in run)
+
     # frames are read and samples written a frame at a time; the CSV is renamed
     # into place after the last frame, so a run that fails leaves no scanpath
-    frames = (load_pgm(_read_bytes(p)) for p in paths)
+    frames = read_frames()
     csv_path = os.path.join(args.out, "scanpath.csv")
     _write_bytes(csv_path, lambda fh: _stream_scanpath(
         _sample_blocks(frames, cfg, write_dump), fh, saccades))

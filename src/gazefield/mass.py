@@ -90,15 +90,26 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
     The inhibition gates only the detail term; the motion term passes
     through untouched.  motion must already hold the magnitude named by
     p.motion_source (|db/dt| or |v|), so the result is nonnegative.
-    Evaluated in place in two arrays, in that operand order: hypot, times
-    alpha1, times (1 - I); alpha2 * motion, added last.
+    Evaluated in that operand order: hypot, times alpha1, times (1 - I);
+    alpha2 * motion, added last.
     Overflow raises NumericalError.
     """
     check_grid("mass_density", b_grad.dx.shape, motion.values.shape, ior.values.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-        mu, tmp = np.hypot(b_grad.dx, b_grad.dy), np.subtract(1.0, ior.values)
-        np.multiply(np.multiply(mu, p.alpha1, out=mu), tmp, out=mu)
-        np.add(mu, np.multiply(motion.values, p.alpha2, out=tmp), out=mu)
+        detail = np.hypot(b_grad.dx, b_grad.dy)
+    return _mass(detail, motion.values, ior, p)
+
+
+def _mass(detail: np.ndarray, motion: np.ndarray | None, ior: IorField,
+          p: MassParams) -> Field2D:
+    # mass_density from the detail |grad b|, which is read, never written;
+    # motion None is a motion term of +0 everywhere: the detail term is
+    # >= +0 or not finite, and x + +0 is x, bit for bit, for each such x
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        mu, tmp = np.multiply(detail, p.alpha1), np.subtract(1.0, ior.values)
+        np.multiply(mu, tmp, out=mu)
+        if motion is not None:
+            np.add(mu, np.multiply(motion, p.alpha2, out=tmp), out=mu)
         return Field2D._own(mu, "mass")
 
 

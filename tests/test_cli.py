@@ -35,10 +35,13 @@ from gazefield import (
     foa_step,
     gaussian_blur,
     gradient,
+    horn_schunck,
     ior_step,
     load_pgm,
+    magnitude,
     mass_density,
     poisson_solve,
+    save_pgm,
     schedule_sigma,
     temporal_derivative,
 )
@@ -601,29 +604,48 @@ class TestRunSimulation:
 
 
 def stepwise_run(frames, cfg):
-    # the pipeline written out from public functions, with a new
-    # PotentialState and FoaState on every substep: the scanpath and the
-    # potential at the end of each frame
+    # the pipeline written out from public functions, with every field of
+    # every frame recomputed and a new PotentialState and FoaState on every
+    # substep: the scanpath and each frame's (mass, potential, inhibition)
     tp, fp = cfg.telegraph_params(), cfg.foa_params()
     w, h = frames[0].width, frames[0].height
     state = FoaState(*cfg.initial_foa)
     pot, ior = PotentialState.zero(w, h), IorField.zeros(w, h)
-    samples, potentials = [FoaSample(0.0, state.x, state.y, 0.0, 0.0)], []
+    samples, fields = [FoaSample(0.0, state.x, state.y, 0.0, 0.0)], []
     n = cfg.substeps_per_frame
     for k in range(len(frames) - 1):
         sigma = schedule_sigma(cfg.blur, k * cfg.frame_dt)
         b_now, b_next = (gaussian_blur(f, sigma) for f in frames[k:k + 2])
-        ddt = temporal_derivative(b_now, b_next, cfg.frame_dt)
+        if cfg.mass.motion_source is MotionSource.FLOW_MAGNITUDE:
+            motion = magnitude(horn_schunck(b_now, b_next, cfg.frame_dt, cfg.hs))
+        else:
+            motion = Field2D(np.abs(temporal_derivative(b_now, b_next, cfg.frame_dt).values))
         ior = ior_step(ior, (state.x, state.y), cfg.frame_dt, cfg.ior)
-        mu = mass_density(gradient(b_now, cfg.h), Field2D(np.abs(ddt.values)), ior,
-                          cfg.mass)
+        mu = mass_density(gradient(b_now, cfg.h), motion, ior, cfg.mass)
         for j in range(n):
             pot = evolve_potential(pot, mu, tp)
             state = foa_step(state, pot.u, fp, cfg.h)
             samples.append(FoaSample((k * n + j + 1) * cfg.substep_dt,
                                      state.x, state.y, state.vx, state.vy))
-        potentials.append(pot.u.values)
-    return Scanpath(tuple(samples)), potentials
+        fields.append((mu.values, pot.u.values, ior.values))
+    return Scanpath(tuple(samples)), fields
+
+
+def csv_bytes(path):
+    buf = io.BytesIO()
+    export_scanpath(path, buf)
+    return buf.getvalue()
+
+
+def assert_matches_stepwise_run(frames, cfg):
+    # bit for bit: the rows, and every dump's mass, potential and inhibition
+    want_path, want_fields = stepwise_run(frames, cfg)
+    path, dumps = run_simulation(frames, cfg)
+    assert csv_bytes(path) == csv_bytes(want_path)
+    assert [d.frame_index for d in dumps] == list(range(len(frames) - 1))
+    for d, want in zip(dumps, want_fields):
+        for got, value in zip((d.mass, d.potential, d.ior), want):
+            assert np.array_equal(got.values, value)
 
 
 class TestSubstepLoop:
@@ -638,19 +660,47 @@ class TestSubstepLoop:
     @pytest.mark.parametrize("boundary", ["reflect", "clamp"])
     @pytest.mark.parametrize("sign", ["attract", "repel"])
     def test_in_place_loop_matches_stepwise_run(self, mode, boundary, sign):
-        cfg = parse_config(mode + "alpha1 = 20000\nalpha2 = 50\ndissipation = 0.5\n"
-                           "blur_sigma0 = 1\ndump_every = 1\ninitial_foa = 1.5, 4\n"
-                           f"boundary = {boundary}\nattraction_sign = {sign}\n")
-        want_path, want_u = stepwise_run(self.frames, cfg)
-        path, dumps = run_simulation(self.frames, cfg)
-        got, want = io.BytesIO(), io.BytesIO()
-        export_scanpath(path, got)
-        export_scanpath(want_path, want)
-        assert got.getvalue() == want.getvalue()
         # each dump holds its own frame's potential, not the live buffer
-        assert [d.frame_index for d in dumps] == list(range(6))
-        for d, u in zip(dumps, want_u):
-            assert np.array_equal(d.potential.values, u)
+        assert_matches_stepwise_run(self.frames, parse_config(
+            mode + "alpha1 = 20000\nalpha2 = 50\ndissipation = 0.5\n"
+            "blur_sigma0 = 1\ndump_every = 1\ninitial_foa = 1.5, 4\n"
+            f"boundary = {boundary}\nattraction_sign = {sign}\n"))
+
+    @pytest.mark.parametrize("clip", ["AAAAAAA", "AABBBA"])
+    @pytest.mark.parametrize("setting", [
+        "",  # sigma 0: the blur is the frame itself
+        "blur_sigma0 = 2\nblur_decay_rate = 15\nblur_floor = 1\n",  # floor from frame 2
+        "motion_source = flow_magnitude\nhs_max_iters = 20\n",
+    ], ids=["sigma0", "blur-to-floor", "flow"])
+    def test_repeated_frames_match_stepwise_run(self, monkeypatch, clip, setting):
+        # a repeated frame is the same object again: its blur, detail and
+        # |db/dt| = 0 are reused, and the run stays bit for bit the same
+        cfg = parse_config("lambda_drag = 4\nc = 20\nalpha1 = 20000\nalpha2 = 50\n"
+                           "dissipation = 0.5\ndump_every = 1\ninitial_foa = 1.5, 4\n"
+                           + setting)
+        frames = [{"A": self.frames[0], "B": self.frames[3]}[c] for c in clip]
+        gradients, derivatives = [], []
+
+        def counting_gradient(f, h):
+            gradients.append(f)
+            return gradient(f, h)
+
+        def counting_ddt(prev, nxt, dt):
+            derivatives.append(prev is nxt)
+            return temporal_derivative(prev, nxt, dt)
+
+        monkeypatch.setattr("gazefield.cli.gradient", counting_gradient)
+        monkeypatch.setattr("gazefield.cli.temporal_derivative", counting_ddt)
+        assert_matches_stepwise_run(frames, cfg)
+        sigmas = [schedule_sigma(cfg.blur, k * cfg.frame_dt) for k in range(len(clip) - 1)]
+        # one gradient per run of one frame at one sigma
+        assert len(gradients) == sum(k == 0 or clip[k] != clip[k - 1]
+                                     or sigmas[k] != sigmas[k - 1]
+                                     for k in range(len(clip) - 1))
+        # one derivative per pair of distinct frames, none on a repeated pair
+        flow = cfg.mass.motion_source is MotionSource.FLOW_MAGNITUDE
+        assert derivatives == [False] * (0 if flow else sum(
+            a != b for a, b in zip(clip, clip[1:])))
 
     def test_potential_overflow_names_its_stage(self):
         cfg = parse_config("alpha1 = 1e308\nc = 100\nlambda_drag = 4\n")
@@ -710,6 +760,42 @@ class TestCommands:
         assert outs[0] == outs[1]
         path = import_scanpath(outs[0])
         assert len(path) == 1 + 9 * 4
+
+    @pytest.mark.parametrize("clip, parses", [("A" * 31, 1), ("AABA", 3)],
+                             ids=["31-identical", "AABA"])
+    def test_simulate_parses_a_repeated_file_once(self, tmp_path, monkeypatch, clip,
+                                                  parses):
+        # files with the bytes of the file before them are not parsed again;
+        # a "# frame k" header comment makes every file differ, so every frame
+        # is parsed and recomputed, and the outputs are the same bytes
+        images = {"A": save_pgm(synth.two_blob_image(32, 32, 2.5, 1.0)),
+                  "B": save_pgm(synth.two_blob_image(32, 32, 4.0, 1.0))}
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("alpha1 = 150\nc = 100\nlambda_drag = 4\ndump_every = 2\n",
+                           encoding="utf-8")
+        parsed = []
+
+        def counting_load(data):
+            parsed.append(len(data))
+            return load_pgm(data)
+
+        def run(name, header):
+            frames, out = tmp_path / name, tmp_path / f"out_{name}"
+            frames.mkdir()
+            for k, c in enumerate(clip):
+                (frames / f"frame_{k:04d}.pgm").write_bytes(
+                    b"P5\n" + header(k) + images[c].removeprefix(b"P5\n"))
+            parsed.clear()
+            assert run_cli("simulate", str(cfgfile), str(frames / "frame_*.pgm"),
+                           "--out", str(out)) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}, len(parsed)
+
+        monkeypatch.setattr("gazefield.cli.load_pgm", counting_load)
+        reused, reused_parses = run("plain", lambda k: b"")
+        full, full_parses = run("commented", lambda k: b"# frame %d\n" % k)
+        assert (reused_parses, full_parses) == (parses, len(clip))
+        assert reused == full
+        assert len(reused) == 1 + 3 * len(range(0, len(clip) - 1, 2))  # CSV and dumps
 
     def test_simulate_accepts_expanded_file_list(self, tmp_path, blob_frames_dir):
         cfgfile = tmp_path / "run.cfg"
