@@ -46,12 +46,12 @@ from .foa import (
     AttractionSign,
     BoundaryPolicy,
     FoaParams,
-    FoaState,
     Scanpath,
     _SaccadeStream,
     _check_rows,
+    _stepper as _particle_stepper,
     detect_saccades,  # not called here: kept importable from gazefield.cli
-    foa_step,
+    foa_step,  # not called here: kept importable from gazefield.cli
 )
 from .mass import IorField, IorParams, MassParams, MotionSource, _mass, ior_step
 from .mass import mass_density  # not called here: kept importable from gazefield.cli
@@ -66,7 +66,7 @@ from .potential import (
     _Workspace,
     convergence_in_c,
     direct_potential,
-    evolve_potential,
+    evolve_potential,  # not called here: kept importable from gazefield.cli
     poisson_solve,
     stable_dt,
 )
@@ -337,6 +337,8 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     (b_next), the inhibition, the potential and the particle outlive a
     frame, and the detail |grad b| only across a repeated frame, so a
     generator that reads frames on demand keeps memory flat in clip length.
+    A frame's substeps run as one kernel on bare arrays, set up once per
+    frame; the potential's scratch lives only while they run.
     A repeated frame is the same object as the frame before it (simulate's
     reader yields one object again for a file with the previous file's
     bytes): its blur and detail are reused and its |db/dt| is taken as +0,
@@ -361,27 +363,21 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
     window = _checked_frames(frames)
     f_now = next(window)
     tp = cfg.telegraph_params()
-    fp = cfg.foa_params()
     w, h_px = f_now.width, f_now.height
     check_grid("run_simulation", (h_px, w), min_side=3)
-    if cfg.initial_foa is None:
-        state = FoaState((w - 1) / 2.0, (h_px - 1) / 2.0)
-    else:
-        x0, y0 = cfg.initial_foa
-        if not (0.0 <= x0 <= w - 1 and 0.0 <= y0 <= h_px - 1):
-            raise ConfigError(
-                f"initial_foa {cfg.initial_foa} outside grid "
-                f"[0, {w - 1}] x [0, {h_px - 1}]")
-        state = FoaState(x0, y0)
+    x, y = ((w - 1) / 2.0, (h_px - 1) / 2.0) if cfg.initial_foa is None else cfg.initial_foa
+    if not (0.0 <= x <= w - 1 and 0.0 <= y <= h_px - 1):
+        raise ConfigError(f"initial_foa {cfg.initial_foa} outside grid "
+                          f"[0, {w - 1}] x [0, {h_px - 1}]")
+    vx = vy = 0.0
 
     ior = IorField.zeros(w, h_px)
-    # the potential is stepped in place, and the particle reads it through a
-    # read-only view that follows the steps and never leaves this loop
+    # the potential is stepped in place, and the particle reads it as it steps
     pot = _Workspace(PotentialState.zero(w, h_px))
-    u_live = Field2D._own(pot.u.view(), "potential")
+    particle_step = _particle_stepper(pot.u, cfg.foa_params(), cfg.h)
     substeps = cfg.substeps_per_frame
     dt_frame, dt_sub = cfg.frame_dt, cfg.substep_dt
-    yield array.array("d", (0.0, state.x, state.y, state.vx, state.vy))
+    yield array.array("d", (0.0, x, y, vx, vy))
 
     sigma_prev = b_next = detail = None
     for k, f_next in enumerate(window):
@@ -410,23 +406,22 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
                 motion = np.abs(temporal_derivative(b_now, b_next, dt_frame).values)
         del b_now  # read by the differentiation and the motion only
         with _stage(k, "inhibition"):
-            ior = ior_step(ior, (state.x, state.y), dt_frame, cfg.ior)
+            ior = ior_step(ior, (x, y), dt_frame, cfg.ior)
         with _stage(k, "mass"):
             mu = _mass(detail, motion, ior, cfg.mass)
         del motion  # read by the mass only
         if not repeated:
             detail = None  # else frame k + 1's b_now is frame k's, and so is its detail
-        potential, particle = _stage(k, "potential"), _stage(k, "particle")
-        rows = array.array("d")
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        potential_step = pot.stepper(mu, tp)  # scratch and a view of mu, for this frame
+        rows, stage = array.array("d"), _stage(k, "potential")
+        with np.errstate(over="ignore", invalid="ignore"), stage:  # overflow: NumericalError
             for j in range(substeps):
-                with potential:
-                    evolve_potential(None, mu, tp, _ws=pot)
-                with particle:
-                    # cfg.h (by SimConfig), the grid and the start are checked once
-                    state = foa_step(state, u_live, fp, cfg.h, _checked=True)
-                rows.extend(((k * substeps + j + 1) * dt_sub,
-                             state.x, state.y, state.vx, state.vy))
+                stage.name = "potential"
+                potential_step()
+                stage.name = "particle"
+                x, y, vx, vy = particle_step(x, y, vx, vy)
+                rows.extend(((k * substeps + j + 1) * dt_sub, x, y, vx, vy))
+        del potential_step  # it dies with the frame's substeps
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
             with _stage(k, "dump"):
                 on_dump(FieldDump(k, mu, Field2D(pot.u), ior))  # a copy, not the live u
@@ -750,8 +745,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # one per process, made at import; parse_args keeps no state
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as e:

@@ -12,6 +12,7 @@ speed threshold.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -217,8 +218,7 @@ def _fold(x: float, v: float, top: float, policy: BoundaryPolicy) -> tuple[float
     return edge, 0.0
 
 
-def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0, *,
-             _checked: bool = False) -> FoaState:
+def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0) -> FoaState:
     """Advance the particle one step of v' = v + dt(-drag*v + sign*grad u).
 
     Velocity updates first from the force at the old position, then the
@@ -229,29 +229,38 @@ def foa_step(s: FoaState, u: Field2D, p: FoaParams, h: float = 1.0, *,
     edge and zeroes it.
 
     Raises NumericalError when one step moves farther than the grid extent
-    on either axis: the force or the speed has run away.  _checked skips
-    sample_gradient's checks, for a caller that made them once per run.
+    on either axis: the force or the speed has run away.
     """
-    gx, gy = (_gradient_at(u.values, s.x, s.y, h) if _checked
-              else sample_gradient(u, (s.x, s.y), h))
-    sign = p.attraction_sign.value
-    vx = s.vx + p.dt * (-p.dissipation * s.vx + sign * gx)
-    vy = s.vy + p.dt * (-p.dissipation * s.vy + sign * gy)
-    step_x, step_y = p.dt * vx, p.dt * vy
-    xmax, ymax = float(u.width - 1), float(u.height - 1)
-    # written so a NaN step fails too
-    if not (abs(step_x) <= xmax and abs(step_y) <= ymax):
-        raise NumericalError(
-            f"particle step ({step_x:g}, {step_y:g}) from ({s.x:g}, {s.y:g}) "
-            f"exceeds the {u.width}x{u.height} grid")
-    # the step is within one grid extent, so one fold per axis suffices
-    x, vx = _fold(s.x + step_x, vx, xmax, p.boundary)
-    y, vy = _fold(s.y + step_y, vy, ymax, p.boundary)
-    # a finite step from a finite state leaves every field finite, and the
-    # step check above fails on inf and NaN, so check_real is not run again
-    out = object.__new__(FoaState)
-    out.__dict__.update(x=x, y=y, vx=vx, vy=vy)
-    return out
+    _check_inside(u, s.x, s.y)
+    return FoaState(*_stepper(u.values, p, h)(s.x, s.y, s.vx, s.vy))
+
+
+def _stepper(u: np.ndarray, p: FoaParams, h) -> Callable[..., tuple]:
+    # foa_step without its position check, on (x, y, vx, vy) floats: h, the grid
+    # and what a step reads are checked and looked up once, and u is read at
+    # each step; a step folds the particle back onto the grid, so a start on
+    # the grid needs no further check
+    h = check_real("grid spacing h", h, 0, lo_open=True)
+    check_grid("sample_gradient", u.shape, min_side=2)
+    sign, dt, drag, policy = p.attraction_sign.value, p.dt, p.dissipation, p.boundary
+    rows, cols = u.shape
+    xmax, ymax = float(cols - 1), float(rows - 1)
+
+    def step(x: float, y: float, vx: float, vy: float) -> tuple[float, float, float, float]:
+        gx, gy = _gradient_at(u, x, y, h)
+        vx = vx + dt * (-drag * vx + sign * gx)
+        vy = vy + dt * (-drag * vy + sign * gy)
+        step_x, step_y = dt * vx, dt * vy
+        # written so a NaN step fails too
+        if not (abs(step_x) <= xmax and abs(step_y) <= ymax):
+            raise NumericalError(f"particle step ({step_x:g}, {step_y:g}) from ({x:g}, "
+                                 f"{y:g}) exceeds the {cols}x{rows} grid")
+        # the step is within one grid extent, so one fold per axis suffices
+        x, vx = _fold(x + step_x, vx, xmax, policy)
+        y, vy = _fold(y + step_y, vy, ymax, policy)
+        return x, y, vx, vy
+
+    return step
 
 
 def energy(s: FoaState, u: Field2D, p: FoaParams) -> float:

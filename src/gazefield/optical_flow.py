@@ -31,8 +31,8 @@ from .errors import (
     check_int,
     check_real,
 )
-from .retina import (Field2D, FlowField, VectorField2D, _neighbour_sum, _shifted, gradient,
-                     temporal_derivative)
+from .retina import (Field2D, FlowField, VectorField2D, _line_aligned, _neighbour_sum,
+                     _shifted, gradient, temporal_derivative)
 
 __all__ = [
     "HsParams",
@@ -135,9 +135,7 @@ class _Sweeps:
         m = hi - lo - n  # the vx half of the span; the vy half starts n later
 
         size = -(-2 * n // 8) * 8
-        block = np.zeros(5 * size + 7)
-        skip = -(block.ctypes.data // 8 + lo) % 8
-        flats = block[skip:skip + 5 * size].reshape(5, size)[:, :2 * n]
+        flats = _line_aligned(5 * size, lo).reshape(5, size)[:, :2 * n]
         grids = flats.reshape(5, 2, h + 2, wp)
         inner = grids[:, :, 1:-1, 1:-1]
         inner[0, 0], inner[0, 1], inner[2, 0], inner[2, 1], inner[3, 0] = vx, vy, gx, gy, bt

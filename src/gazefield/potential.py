@@ -13,6 +13,7 @@ solution.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -29,7 +30,7 @@ from .errors import (
     check_member,
     check_real,
 )
-from .retina import Field2D, _lap_plus, _neighbour_sum, _shifted, gradient
+from .retina import Field2D, _lap_plus, _line_aligned, _neighbour_sum, _shifted, gradient
 
 __all__ = [
     "Mode",
@@ -239,24 +240,26 @@ class _Workspace:
     sit -+w and -+1 away.  A step is retina's _lap_plus and the mode's update
     on that span, each ufunc once for all K; the edge columns, and the edge
     rows where two grids meet, are stepped too, then restored, and u_t stays
-    0 on every edge ring.  One grid (K = 1) takes its source and speed from
-    each step's mu and p; a stack (K > 1, from stack) holds a fixed source and
-    one speed per grid, and takes only p's other settings.
+    0 on every edge ring.  The spans of u and u_t, and a stepper's scratch,
+    start on 64-byte lines.  One grid (K = 1) takes its source and speed from
+    the stepper's mu and p; a stack (K > 1, from stack) holds a fixed source
+    and one speed per grid, and takes only p's other settings.
     """
 
     __slots__ = ("u", "u_t", "_span", "_edges", "_ring", "_stack")
 
     def __init__(self, state: PotentialState):
-        self.u, self.u_t = state.u.values.copy(), np.zeros_like(state.u.values)
-        self.u_t[1:-1, 1:-1] = state.u_t.values[1:-1, 1:-1]
-        h, w = self.u.shape
+        h, w = state.u.values.shape
         lo, hi = w + 1, (h - 1) * w - 1
-        u, ut = self.u.reshape(-1), self.u_t.reshape(-1)
+        u, ut = (_line_aligned(h * w, lo) for _ in range(2))
+        self.u, self.u_t = u.reshape(h, w), ut.reshape(h, w)
+        self.u[...] = state.u.values
+        self.u_t[1:-1, 1:-1] = state.u_t.values[1:-1, 1:-1]
         self._span = (np.s_[lo:hi], ut[lo:hi], *_shifted(u, w, lo, hi))
         # columns 0 and w-1 of the inner rows, and the values u holds there
         self._edges = (self.u[1:-1, ::w - 1], self.u_t[1:-1, ::w - 1])
         self._ring = self._edges[0].copy()
-        self._stack = None
+        self._stack = ()
 
     @classmethod
     def stack(cls, mu: Field2D, params: list[TelegraphParams]) -> "_Workspace":
@@ -274,33 +277,40 @@ class _Workspace:
             ws._stack = (np.tile(mu.data, k)[span], scale, *joins)
         return ws
 
-    def step(self, mu: Field2D, p: TelegraphParams) -> None:
+    def stepper(self, mu: Field2D, p: TelegraphParams) -> Callable[[], None]:
+        """A function that steps this workspace once on mu at p's settings; what
+        it reads is looked up once, and it holds two scratch spans and mu."""
         span, ut, centre, *around = self._span
-        tmp = _neighbour_sum(*around)  # scratch per step: an idle workspace holds u, u_t
-        stack = self._stack  # None for one grid, which steps on mu at p's speed
-        source, scale = (mu.data[span], p._drive_scale) if stack is None else stack[:2]
-        drive = _lap_plus(None, tmp, centre, source, p.h)
-        np.multiply(drive, scale, out=drive)
-        if p.mode is Mode.HEAT:
-            np.add(centre, drive, out=centre)
-            ut.fill(0.0)
-        else:
-            half_drag = 0.5 * p.lambda_drag * p.dt
-            np.multiply(ut, p.gamma - half_drag, out=ut)
-            np.add(ut, drive, out=ut)
-            np.divide(ut, p.gamma + half_drag, out=ut)
-            np.multiply(ut, p.dt, out=tmp)
-            np.add(centre, tmp, out=centre)
-        self._edges[0][...], self._edges[1][...] = self._ring, 0.0
-        if stack is not None:
-            stack[2][...] = stack[3][...] = 0.0
-        # a non-finite u_t reaches u through u += dt*u_t, so u alone is checked
-        if not np.isfinite(centre).all():
-            raise NumericalError("potential overflow: result contains non-finite values")
+        tmp, drive = (_line_aligned(ut.size) for _ in range(2))
+        source, scale, *joins = self._stack or (mu.data[span], p._drive_scale)
+        u_edges, ut_edges = self._edges
+        ring, h, heat, dt = self._ring, p.h, p.mode is Mode.HEAT, p.dt
+        half_drag = 0.5 * p.lambda_drag * dt
+        keep, lose = p.gamma - half_drag, p.gamma + half_drag
+
+        def step() -> None:
+            _lap_plus(drive, _neighbour_sum(*around, out=tmp), centre, source, h)
+            np.multiply(drive, scale, out=drive)
+            if heat:
+                np.add(centre, drive, out=centre)
+                ut.fill(0.0)
+            else:
+                np.multiply(ut, keep, out=ut)
+                np.add(ut, drive, out=ut)
+                np.divide(ut, lose, out=ut)
+                np.multiply(ut, dt, out=tmp)
+                np.add(centre, tmp, out=centre)
+            u_edges[...], ut_edges[...] = ring, 0.0
+            for rows in joins:
+                rows[...] = 0.0
+            # a non-finite u_t reaches u through u += dt*u_t, so u alone is checked
+            if not np.isfinite(centre).all():
+                raise NumericalError("potential overflow: result contains non-finite values")
+
+        return step
 
 
-def evolve_potential(state: PotentialState | None, mu: Field2D, p: TelegraphParams,
-                     *, _ws: _Workspace | None = None) -> PotentialState | None:
+def evolve_potential(state: PotentialState, mu: Field2D, p: TelegraphParams) -> PotentialState:
     """One explicit step of gamma*u_tt + lambda*u_t = c^2*(lap u + mu).
 
     Interior pixels advance; the edge ring holds its Dirichlet values and
@@ -309,23 +319,19 @@ def evolve_potential(state: PotentialState | None, mu: Field2D, p: TelegraphPara
     the centered staggered scheme: u_t lives at half steps, the drag term
     is averaged across the step, and u then advances with the fresh u_t,
     which is algebraically the classic three-level centered scheme on u.
-    The step is _Workspace.step, bitwise the one retina.laplacian gives.
+    The step is _Workspace.stepper's, bitwise the one retina.laplacian gives.
 
-    Without _ws, state is copied into a new workspace, stepped once and
-    returned as a new PotentialState; the input is not touched.  With _ws,
-    state is not read (pass None): that workspace advances in place and
-    None is returned.  Stability was enforced when p was built, so a
-    non-finite result can only be overflow: it raises NumericalError.
+    state is copied into a new workspace, stepped once and returned as a
+    new PotentialState; the input is not touched.  Stability was enforced
+    when p was built, so a non-finite result can only be overflow: it
+    raises NumericalError.
     """
-    if _ws is not None:
-        check_grid("evolve_potential", mu.values.shape, _ws.u.shape, min_side=3)
-        return _ws.step(mu, p)
     check_grid("evolve_potential", mu.values.shape, state.u.values.shape, min_side=3)
     ws = _Workspace(state)
     # the edge columns of a ring near float64's limit can overflow, and they
     # are discarded; an overflow that reaches u raises NumericalError
     with np.errstate(over="ignore", invalid="ignore"):
-        ws.step(mu, p)
+        ws.stepper(mu, p)()
     return PotentialState(Field2D._own(ws.u, "potential"), Field2D._own(ws.u_t, "potential"))
 
 
@@ -371,9 +377,11 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     for first in range(0, len(params), per):
         group = params[first:first + per]
         ws = _Workspace.stack(mu, group)
+        step = ws.stepper(mu, group[0])
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
             for _ in range(steps):
-                ws.step(mu, group[0])
+                step()
+        del step  # its scratch is freed before the errors are taken
         for k in range(len(group)):
             g = gradient(Field2D._own(ws.u[k * rows:(k + 1) * rows], "potential"), base.h)
             diff = math.sqrt(float(np.sum((g.dx - g_ref.dx) ** 2)

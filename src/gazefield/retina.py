@@ -257,6 +257,15 @@ def _shifted(flat: np.ndarray, stride: int, lo: int, hi: int, step: int = 1) -> 
     return tuple(flat[lo + d:hi + d:step] for d in (0, -stride, stride, -1, 1))
 
 
+def _line_aligned(size: int, lo: int = 0) -> np.ndarray:
+    """size float64 zeros whose element lo starts on a 64-byte line: a ufunc
+    writes a span that starts on a line up to twice as fast as one 8 bytes off."""
+    block = np.zeros(size + 7)
+    # not .ctypes.data: in a simulate run it left about 55 B alive per call (tracemalloc)
+    skip = -(block.__array_interface__["data"][0] // 8 + lo) % 8
+    return block[skip:skip + size]
+
+
 def _neighbour_sum(up, down, left, right, out=None) -> np.ndarray:
     """((up + down) + left) + right: every stencil's one summation order."""
     out = np.add(up, down, out=out)
@@ -307,17 +316,18 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _convolve_axis(v: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+def _convolve_axis(v: np.ndarray, kernel: np.ndarray, axis: int, tmp: np.ndarray
+                   ) -> np.ndarray:
     radius = len(kernel) // 2
     pad = [(0, 0), (0, 0)]
     pad[axis] = (radius, radius)
     p = np.pad(v, pad, mode="edge")
-    out = np.zeros_like(v)
+    out = _line_aligned(v.size).reshape(v.shape)
     n = v.shape[axis]
     for k, w in enumerate(kernel):
         sl = [slice(None), slice(None)]
         sl[axis] = slice(k, k + n)
-        out += w * p[tuple(sl)]
+        np.add(out, np.multiply(p[tuple(sl)], w, out=tmp), out=out)  # w * p, bit for bit
     return out
 
 
@@ -343,6 +353,7 @@ def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
         raise ParameterError(f"sigma {sigma} needs a kernel radius ceil(3*sigma) "
                              f"above the larger grid side {side}")
     kernel = _gaussian_kernel(sigma)
-    out = _convolve_axis(f.values, kernel, axis=1)
-    out = _convolve_axis(out, kernel, axis=0)
+    tmp = _line_aligned(f.values.size).reshape(f.values.shape)
+    out = _convolve_axis(f.values, kernel, 1, tmp)
+    out = _convolve_axis(out, kernel, 0, tmp)
     return Field2D._own(out, "blur")

@@ -707,6 +707,12 @@ class TestSubstepLoop:
         with pytest.raises(NumericalError, match="stage potential: potential overflow"):
             run_simulation(self.frames, cfg)
 
+    def test_runaway_particle_names_its_stage(self):
+        # the potential stays finite, and its gradient throws the particle off the grid
+        cfg = parse_config("alpha1 = 1e9\nc = 100\nlambda_drag = 4\ninitial_foa = 3, 5\n")
+        with pytest.raises(NumericalError, match="frame 0, stage particle: particle step"):
+            run_simulation(self.frames, cfg)
+
 
 # ---------------------------------------------------------------------------
 # command line
@@ -760,6 +766,30 @@ class TestCommands:
         assert outs[0] == outs[1]
         path = import_scanpath(outs[0])
         assert len(path) == 1 + 9 * 4
+
+    def test_runs_in_one_process_write_what_separate_processes_write(self, tmp_path,
+                                                                       blob_frames_dir):
+        # the parser is built once per process, and nothing of a run outlives it
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("alpha2 = 50\nc = 20\nsubsteps_per_frame = 4\ndump_every = 5\n",
+                           encoding="utf-8")
+        runs = {"saccades": ["--saccade-threshold", "10"], "plain": []}  # peak speed 17.8
+
+        def outputs(out):
+            return {p: (out / p).read_bytes() for p in sorted(os.listdir(out))}
+
+        for name, extra in runs.items():
+            assert run_cli("simulate", str(cfgfile), str(blob_frames_dir / "frame_*.pgm"),
+                           "--out", str(tmp_path / name), *extra) == 0
+        for name, extra in runs.items():
+            out = tmp_path / f"{name}-alone"
+            done = run_cli_process("simulate", str(cfgfile),
+                                   str(blob_frames_dir / "frame_*.pgm"), "--out", str(out),
+                                   *extra)
+            assert done.returncode == 0, done.stderr
+            assert outputs(tmp_path / name) == outputs(out)
+        csv = [(tmp_path / name / "scanpath.csv").read_bytes() for name in runs]
+        assert csv[0] != csv[1]
 
     @pytest.mark.parametrize("clip, parses", [("A" * 31, 1), ("AABA", 3)],
                              ids=["31-identical", "AABA"])

@@ -404,11 +404,34 @@ class TestEvolvePotential:
         p = TelegraphParams(gamma=gamma, lambda_drag=lam, c=1.3, h=0.5,
                             dt=0.9 * stable_dt(mode, gamma, lam, 1.3, 0.5), mode=mode)
         ws = _Workspace(st)
+        step = ws.stepper(mu, p)
         for _ in range(6):
             st = evolve_potential(st, mu, p)
-            assert evolve_potential(None, mu, p, _ws=ws) is None
+            step()
             assert np.array_equal(ws.u, st.u.values)
             assert np.array_equal(ws.u_t, st.u_t.values)
+
+    @pytest.mark.parametrize("shape, speeds", [((64, 64), 1), ((31, 33), 1), ((32, 32), 4)],
+                             ids=["64x64", "33x31", "4-grid-stack"])
+    def test_stepper_spans_start_on_64_byte_lines(self, monkeypatch, shape, speeds):
+        # u's and u_t's spans, and both scratch spans the stepper makes
+        scratch = []
+
+        def recording(size, lo=0):
+            block = aligned(size, lo)
+            scratch.append(block[lo:])
+            return block
+
+        aligned = potential._line_aligned
+        monkeypatch.setattr(potential, "_line_aligned", recording)
+        mu = Field2D(np.random.default_rng(5).uniform(0, 1, shape))
+        base = TelegraphParams(lambda_drag=4.0, c=float(speeds), dt=0.05)
+        ws = _Workspace.stack(mu, [replace(base, c=float(c)) for c in range(1, speeds + 1)])
+        scratch.clear()
+        step = ws.stepper(mu, base)
+        step()
+        spans = [ws._span[1], ws._span[2], *scratch]
+        assert [a.ctypes.data % 64 for a in spans] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("mode, gamma, lam", [
         (Mode.HEAT, 0.0, 1.5), (Mode.DAMPED_WAVE, 0.7, 2.0),

@@ -29,7 +29,7 @@ from gazefield import (
     schedule_sigma,
     temporal_derivative,
 )
-from gazefield.retina import _gaussian_kernel
+from gazefield.retina import _gaussian_kernel, _line_aligned
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +434,13 @@ def test_overflow_from_finite_fields_is_numerical_error(compute):
 # ---------------------------------------------------------------------------
 # gaussian_blur
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("size, lo", [(1, 0), (100, 3), (4096, 65), (33 * 31, 34)])
+def test_line_aligned_starts_element_lo_on_a_line(size, lo):
+    a = _line_aligned(size, lo)
+    assert a.shape == (size,) and not a.any()
+    assert (a.__array_interface__["data"][0] + 8 * lo) % 64 == 0
+
 
 class TestGaussianBlur:
     def test_sigma_zero_is_identity(self):
