@@ -10,14 +10,15 @@ solves every pixel's 2x2 normal equations in one batched ``np.linalg.solve``
 and reports the local rank from ``np.linalg.svd``, which tells where the
 motion is fully determined (about 0.1 s for 3 channels at 256 x 256).
 
-Every flow sweep runs on one kernel, ``_Sweeps``: vx and vy sit back to
-back in one edge-padded flat buffer, and a sweep is a fixed list of in-place
-ufuncs over one contiguous span of it.  ``horn_schunck`` allocates it once
-per solve and ``hs_jacobi_step`` once per call, so both give the same bits.
+Every flow sweep runs on ``_Sweeps``: vx and vy sit back to back in one
+edge-padded flat buffer, and a sweep is one kernel's fixed list of in-place
+ufuncs over one contiguous span of it.  ``horn_schunck`` builds it and its
+kernels once per solve and ``hs_jacobi_step`` once per call: the same bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,21 +112,22 @@ def conjugation_residual(grad: VectorField2D, ddt: Field2D, v: FlowField) -> Fie
 
 
 class _Sweeps:
-    """One flow solve's buffers, allocated once and swept in place.
+    """One flow solve's buffers, allocated once, and its two sweep kernels.
 
     One block holds five planes shaped like an iterate, (2, h+2, w+2): the
     two iterates, (gx, gy), bt with lam + gx*gx + gy*gy, and scratch.  An
     iterate holds vx's and then vy's row-major grid, each with a one-node
-    ghost ring; the two alternate as current and next.  A sweep runs each
-    ufunc once, on the span from vx's first interior node to vy's last,
-    where a node's neighbours sit -+(w+2) and -+1 away; every operand is
-    that span of its own plane or its vx or vy half.  Planes are whole
-    64-byte lines long and the block is offset so that every span, and the
-    denominator after bt, starts on a line: a sweep's speed does not hang
-    on where the allocator put the block.  The ghosts inside the span carry
-    zero gradient and bt, so they take a finite value until the edge
-    replication overwrites them.  ``delta`` is the exact max |next - now|
-    after every sweep, NaN from the first sweep whose update is NaN.
+    ghost ring; the two alternate as current and next.  ``kernel(k)`` is a
+    closure over bare views that sweeps iterate k into iterate 1 - k.  It
+    runs each ufunc once, with positional out, on the span from vx's first
+    interior node to vy's last, where a node's neighbours sit -+(w+2) and
+    -+1 away; every operand is that span of its own plane or its vx or vy
+    half.  Planes are whole 64-byte lines long and the block is offset so
+    that every span, and the denominator after bt, starts on a line: a
+    sweep's speed does not hang on where the allocator put the block.  The
+    ghosts inside the span carry zero gradient and bt, so they take a finite
+    value until the edge replication overwrites them.  A kernel returns the
+    exact max |next - now|, NaN from the first sweep whose update is NaN.
     """
 
     def __init__(self, vx, vy, gx, gy, bt, lam: float):
@@ -139,61 +141,65 @@ class _Sweeps:
         grids = flats.reshape(5, 2, h + 2, wp)
         inner = grids[:, :, 1:-1, 1:-1]
         inner[0, 0], inner[0, 1], inner[2, 0], inner[2, 1], inner[3, 0] = vx, vy, gx, gy, bt
-        g, b, t = (f[lo:hi] for f in flats[2:])
-        self._g, self._gx, self._gy = g, g[:m], g[n:]
-        self._tmp, self._tx, self._ty = t, t[:m], t[n:]
+        g, b, t = [f[lo:hi] for f in flats[2:]]
         d = -(-m // 8) * 8  # the first line past bt
-        self._bt, self._den = b[:m], b[d:d + m]
+        bt, den = b[:m], b[d:d + m]
         # lam + gx*gx + gy*gy, in that order, once per solve
-        np.multiply(self._gx, self._gx, out=self._den)
-        np.add(self._den, lam, out=self._den)
-        np.multiply(self._gy, self._gy, out=self._ty)
-        np.add(self._den, self._ty, out=self._den)
+        np.multiply(g[:m], g[:m], den)
+        np.add(den, lam, den)
+        np.multiply(g[n:], g[n:], t[n:])
+        np.add(den, t[n:], den)
+        # flow[k] is iterate k's (vx, vy), as views
+        self._stencil, self._flats, self.flow = (wp, lo, hi), flats[:2], inner[:2]
+        self._spans = (g, t, bt, den)
+        # per iterate, the views its edge replication copies (see kernel)
+        self._edges = [(f[::wp], f[1::wp], f[w + 1::wp], f[w::wp],
+                        grid[:, ::h + 1], grid[:, 1:h + 1:max(h - 1, 1)])
+                       for f, grid in zip(flats[:2], grids)]
+        for dst, src in zip(self._edges[0][::2], self._edges[0][1::2]):
+            dst[...] = src
 
-        # per iterate: span, up, down, left, right, grid, hs_jacobi_step's args
-        self._iterates = [(*_shifted(f, wp, lo, hi), grid, (*v, *inner[2], inner[3, 0], lam))
-                          for f, grid, v in zip(flats, grids, inner[:2])]
-        _replicate_edges(grids[0])
+    def kernel(self, k: int) -> Callable[[], float]:
+        """A function that sweeps iterate k into iterate 1 - k in place and
+        returns the update's max norm; what it reads is looked up once."""
+        wp, lo, hi = self._stencil
+        now, up, down, left, right = _shifted(self._flats[k], wp, lo, hi)
+        x = self._flats[1 - k][lo:hi]
+        g, t, bt, den = self._spans
+        m = len(bt)
+        gx, gy, tx, ty = g[:m], g[-m:], t[:m], t[-m:]
+        first, first_src, last, last_src, rows, row_src = self._edges[1 - k]
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        absolute, top = np.absolute, np.maximum.reduce
 
-    @property
-    def args(self) -> tuple:
-        """hs_jacobi_step's arguments for the current iterate, as views."""
-        return self._iterates[0][6]
+        def sweep() -> float:
+            multiply(_neighbour_sum(up, down, left, right, x), 0.25, x)  # (ax, ay)
+            # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
+            multiply(g, x, t)
+            add(tx, ty, tx)
+            add(tx, bt, tx)
+            divide(tx, den, tx)
+            # (ax - gx*scale, ay - gy*scale), gy first: scale is tx
+            multiply(gy, tx, ty)
+            multiply(gx, tx, tx)
+            subtract(x, t, x)
+            # out-of-grid neighbours replicate the edge sample, the discrete
+            # zero-Neumann closure for the flow: the ghost columns copy columns
+            # 1 and w, then the ghost rows copy rows 1 and h, corners included
+            first[...] = first_src
+            last[...] = last_src
+            rows[...] = row_src
+            # every ghost in the span now copies an interior node of its
+            # iterate, so the max over the span is the max over the interior
+            subtract(x, now, t)
+            return top(absolute(t, t))
 
-    def sweep(self) -> None:
-        (now, *around, _, _), (x, *_, grid, _) = self._iterates
-        t, tx, ty = self._tmp, self._tx, self._ty
-        np.multiply(_neighbour_sum(*around, out=x), 0.25, out=x)  # (ax, ay)
-        # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
-        np.multiply(self._g, x, out=t)
-        np.add(tx, ty, out=tx)
-        np.add(tx, self._bt, out=tx)
-        np.divide(tx, self._den, out=tx)
-        # (ax - gx*scale, ay - gy*scale), gy first: scale is tx
-        np.multiply(self._gy, tx, out=ty)
-        np.multiply(self._gx, tx, out=tx)
-        np.subtract(x, t, out=x)
-        _replicate_edges(grid)
-        # every ghost in the span now copies an interior node of its
-        # iterate, so the max over the span is the max over the interior
-        np.subtract(x, now, out=t)
-        self.delta = np.abs(t, out=t).max()
-        self._iterates.reverse()
-
-
-def _replicate_edges(grid: np.ndarray) -> None:
-    # out-of-grid neighbours replicate the edge sample, the discrete zero-Neumann
-    # closure for the flow; columns, then rows, so corners copy corner nodes
-    rows = grid.reshape(-1, grid.shape[-1])
-    rows[:, 0] = rows[:, 1]
-    rows[:, -1] = rows[:, -2]
-    grid[:, 0] = grid[:, 1]
-    grid[:, -1] = grid[:, -2]
+        return sweep
 
 
 def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarray,
-                   bt: np.ndarray, lam: float, *,
-                   _ws: _Sweeps | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   bt: np.ndarray, lam: float, *, _ws: Callable[[], float] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray] | float:
     """One synchronous relaxation sweep of the stationarity system.
 
     Each pixel is replaced by the exact minimizer of its local model
@@ -204,17 +210,30 @@ def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarra
     neighbor mean is a quarter of retina's neighbour sum, with out-of-grid
     neighbors replicating the edge sample, and the update is
     ``ax - gx * ((gx*ax + gy*ay + bt) / (lam + gx*gx + gy*gy))``, in that
-    operand order.  ``horn_schunck`` passes its own ``_ws``, whose views the
-    arrays then are; the sweep runs in place on it and returns views of the
-    new iterate.  Without ``_ws`` the inputs are copied in and the result
-    is returned as two new arrays.
+    operand order.  The inputs are copied in and the new (vx, vy) is
+    returned as two new arrays.  ``horn_schunck``'s sweeps pass ``_ws``, one
+    of its solve's kernels, and nothing else is read: the call runs that
+    kernel's sweep in place and returns the update's max norm.
     """
-    if _ws is None:
-        ws = _Sweeps(vx, vy, gx, gy, bt, lam)
-        ws.sweep()
-        return ws.args[0].copy(), ws.args[1].copy()
-    _ws.sweep()
-    return _ws.args[:2]
+    if _ws is not None:
+        return _ws()
+    ws = _Sweeps(vx, vy, gx, gy, bt, lam)
+    ws.kernel(0)()
+    return ws.flow[1, 0].copy(), ws.flow[1, 1].copy()
+
+
+def _relax(ws: _Sweeps, max_iters: int, tol: float) -> tuple[int, float]:
+    """Sweep ws until an update's max norm is below tol or NaN, or max_iters
+    times; returns the sweeps run and the last norm.  Sweep j runs kernel
+    j & 1, so the flow ends in iterate sweeps & 1.  Each sweep is one call
+    of ``hs_jacobi_step``, whose name the benchmark rebinds to count them."""
+    kernels, step = (ws.kernel(0), ws.kernel(1)), hs_jacobi_step
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        for j in range(max_iters):
+            delta = step(None, None, None, None, None, None, _ws=kernels[j & 1])
+            if not delta >= tol:  # a NaN update never falls below tol
+                break
+    return j + 1, delta
 
 
 def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> FlowField:
@@ -238,12 +257,7 @@ def horn_schunck(b_prev: Field2D, b_next: Field2D, dt: float, p: HsParams) -> Fl
     ws = _Sweeps(0.0, 0.0, gx, gy, bt, p.lam)
     del gx, gy, bt  # the workspace holds padded copies
 
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-        for _ in range(p.max_iters):
-            hs_jacobi_step(*ws.args, _ws=ws)
-            if not ws.delta >= p.tol:  # a NaN update never falls below tol
-                break
-    vx, vy = ws.args[:2]
+    vx, vy = ws.flow[_relax(ws, p.max_iters, p.tol)[0] & 1]
     return FlowField._own(vx.copy(), vy.copy(), "flow")
 
 

@@ -268,8 +268,8 @@ def _line_aligned(size: int, lo: int = 0) -> np.ndarray:
 
 def _neighbour_sum(up, down, left, right, out=None) -> np.ndarray:
     """((up + down) + left) + right: every stencil's one summation order."""
-    out = np.add(up, down, out=out)
-    return np.add(np.add(out, left, out=out), right, out=out)
+    out = np.add(up, down, out)
+    return np.add(np.add(out, left, out), right, out)
 
 
 def _lap_plus(out, nsum, centre, mu, h: float) -> np.ndarray:
@@ -316,21 +316,6 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _convolve_axis(v: np.ndarray, kernel: np.ndarray, axis: int, tmp: np.ndarray
-                   ) -> np.ndarray:
-    radius = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    p = np.pad(v, pad, mode="edge")
-    out = _line_aligned(v.size).reshape(v.shape)
-    n = v.shape[axis]
-    for k, w in enumerate(kernel):
-        sl = [slice(None), slice(None)]
-        sl[axis] = slice(k, k + n)
-        np.add(out, np.multiply(p[tuple(sl)], w, out=tmp), out=out)  # w * p, bit for bit
-    return out
-
-
 def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
     """Separable Gaussian smoothing with edge replication.
 
@@ -353,7 +338,18 @@ def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
         raise ParameterError(f"sigma {sigma} needs a kernel radius ceil(3*sigma) "
                              f"above the larger grid side {side}")
     kernel = _gaussian_kernel(sigma)
-    tmp = _line_aligned(f.values.size).reshape(f.values.shape)
-    out = _convolve_axis(f.values, kernel, 1, tmp)
-    out = _convolve_axis(out, kernel, 0, tmp)
+    v, r, (h, w) = f.values, len(kernel) // 2, f.values.shape
+    # edge replication by slices: rows padded by r columns a side, then the row
+    # pass's result, summed into the middle of cols, padded by r rows a side
+    rows = np.empty((h, w + 2 * r))
+    rows[:, :r], rows[:, r:r + w], rows[:, r + w:] = v[:, :1], v, v[:, -1:]
+    cols = _line_aligned((h + 2 * r) * w, r * w).reshape(h + 2 * r, w)
+    mid, tmp = cols[r:r + h], _line_aligned(h * w).reshape(h, w)
+    for k, c in enumerate(kernel):  # each tap in order, c * window bit for bit
+        np.add(mid, np.multiply(rows[:, k:k + w], c, tmp), mid)
+    del rows
+    cols[:r], cols[r + h:] = cols[r], cols[r + h - 1]
+    out = _line_aligned(h * w).reshape(h, w)
+    for k, c in enumerate(kernel):
+        np.add(out, np.multiply(cols[k:k + h], c, tmp), out)
     return Field2D._own(out, "blur")

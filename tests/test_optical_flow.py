@@ -27,6 +27,7 @@ from gazefield.optical_flow import (
     FeatureChannel,
     FeatureStack,
     HsParams,
+    _relax,
     _Sweeps,
     conjugation_residual,
     feature_group_flow,
@@ -347,12 +348,12 @@ class TestSweepKernel:
             gx, gy, bt = hs_setup(a, b, 1.0)
             vx, vy = np.zeros_like(gx), np.zeros_like(gy)
             ws = _Sweeps(0.0, 0.0, gx, gy, bt, lam)
+            kernels = ws.kernel(0), ws.kernel(1)
             for k in range(HS_CAP):
                 nvx, nvy = padded_jacobi_step(vx, vy, gx, gy, bt, lam)
                 want = max(np.abs(nvx - vx).max(), np.abs(nvy - vy).max())
                 vx, vy = nvx, nvy
-                ws.sweep()
-                assert ws.delta == want, k
+                assert kernels[k & 1]() == want, k
 
     @pytest.mark.parametrize("shape", HS_SHAPES + [(1, 1), (1, 5), (2, 2)])
     def test_sweep_operands_start_on_cache_lines(self, shape, monkeypatch):
@@ -362,25 +363,87 @@ class TestSweepKernel:
         # the grid fixes them
         import gazefield.optical_flow as of
         starts = []
-        sweep = of._Sweeps.sweep
+        kernel = of._Sweeps.kernel
 
-        def recording(ws):
-            spans = (ws._iterates[0][0], ws._iterates[1][0], ws._g, ws._tmp, ws._bt, ws._den)
+        def recording(ws, k):
+            _, lo, hi = ws._stencil
+            spans = (*ws._flats[:, lo:hi], *ws._spans)
             starts.append([s.ctypes.data for s in spans])
-            sweep(ws)
+            return kernel(ws, k)
 
-        monkeypatch.setattr(of._Sweeps, "sweep", recording)
+        monkeypatch.setattr(of._Sweeps, "kernel", recording)
         rng = np.random.default_rng(83)
         vx, vy, gx, gy, bt = rng.standard_normal((5,) + shape)
         hs_jacobi_step(vx, vy, gx, gy, bt, 0.1)
-        sweeps = 1
+        kernels = 1
         if min(shape) >= 3:  # horn_schunck's smallest grid
             a, b = flow_pair(shape, seed=83)
             horn_schunck(Field2D(a), Field2D(b), 1.0, HsParams(max_iters=3, tol=1e-300))
-            sweeps += 3
-        assert len(starts) == sweeps
+            kernels += 2
+        assert len(starts) == kernels
         for addresses in starts:
             assert [a % 64 for a in addresses] == [0] * len(addresses)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 2), (3, 3), (5, 17)])
+    def test_ghost_rings_replicate_the_edges_after_every_sweep(self, shape):
+        # a kernel writes one iterate and leaves the other as it was, so both
+        # rings must copy their interiors' edges, corners included
+        rng = np.random.default_rng(89)
+        vx, vy, gx, gy, bt = rng.standard_normal((5,) + shape)
+        ws = _Sweeps(vx, vy, gx, gy, bt, 0.1)
+        grids = ws._flats.reshape((2, 2) + tuple(n + 2 for n in shape))
+        kernels = ws.kernel(0), ws.kernel(1)
+        for k in range(6):
+            kernels[k & 1]()
+            for grid in grids:
+                want = np.pad(grid[:, 1:-1, 1:-1], ((0, 0), (1, 1), (1, 1)), mode="edge")
+                assert np.array_equal(grid, want), k
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    def test_result_iterate_follows_the_sweep_parity(self, lam):
+        # the flow ends in iterate sweeps & 1: one to four sweeps, and a tol
+        # that stops the sweeps on an odd sweep past the first
+        a, b = flow_pair((7, 4), seed=97)
+        cases = [(HsParams(lam=lam, max_iters=k, tol=1e-300), k) for k in (1, 2, 3, 4)]
+        deltas = padded_horn_schunck(a, b, 1.0, cases[-1][0])[2]
+        # just above the third update, which is below the first two
+        assert deltas[2] < min(deltas[:2])
+        cases.append((HsParams(lam=lam, max_iters=HS_CAP,
+                               tol=float(np.nextafter(deltas[2], np.inf))), 3))
+        for p, sweeps in cases:
+            vx, vy, deltas = padded_horn_schunck(a, b, 1.0, p)
+            assert len(deltas) == sweeps
+            v = horn_schunck(Field2D(a), Field2D(b), 1.0, p)
+            assert np.array_equal(v.dx, vx) and np.array_equal(v.dy, vy), p
+            # the loop reports the sweeps it ran and the last update's norm
+            ws = _Sweeps(0.0, 0.0, *hs_setup(a, b, 1.0), lam)
+            assert _relax(ws, p.max_iters, p.tol) == (sweeps, deltas[-1])
+
+    def test_sweeps_allocate_nothing(self):
+        # a 500-sweep solve peaks where a one-sweep solve does, and so do its
+        # sweeps alone: the solve's peak, while its set-up arrays live, would
+        # hide tens of KB kept by the sweeps.  The first call of each,
+        # unmeasured, fills whatever numpy caches on first use
+        import tracemalloc
+        a, b = flow_pair((64, 64), seed=101)
+        fa, fb = Field2D(a), Field2D(b)
+        ws = _Sweeps(0.0, 0.0, *hs_setup(a, b, 1.0), 0.01)
+
+        def peak(run):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            solves = [peak(lambda: horn_schunck(fa, fb, 1.0, HsParams(max_iters=cap, tol=1e-300)))
+                      for cap in (1, 1, 500)]
+            sweeps = [peak(lambda: _relax(ws, cap, 1e-300)) for cap in (1, 1, 500)]
+        finally:
+            tracemalloc.stop()
+        assert abs(solves[2] - solves[1]) <= 1024, solves
+        assert abs(sweeps[2] - sweeps[1]) <= 1024, sweeps
 
     def test_nan_update_stops_after_one_sweep(self, sweep_calls):
         # the synth command's 32x32 moving pair at frame_dt 5e-309: bt is finite,

@@ -525,6 +525,29 @@ class TestGaussianBlur:
             with pytest.raises(ParameterError, match="larger grid side 8"):
                 gaussian_blur(f, sigma)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (33, 31), (256, 256)])
+    def test_bitwise_matches_np_pad_reference(self, shape):
+        # each pass as first written: np.pad's edge mode, then the taps in
+        # order from a zero start; sigma 0.5, 1 and 3 where the grid takes
+        # them, and the widest kernel, radius = larger side
+        side = max(shape)
+        widest = side / 3.0
+        while 3.0 * widest > side:
+            widest = float(np.nextafter(widest, 0.0))
+        assert math.ceil(3.0 * widest) == side
+        v = np.random.default_rng(17).uniform(size=shape)
+        for sigma in [s for s in (0.5, 1.0, 3.0) if 3.0 * s <= side] + [widest]:
+            kernel = _gaussian_kernel(sigma)
+            r, want = len(kernel) // 2, v
+            for axis in (1, 0):
+                pad = [(0, 0), (0, 0)]
+                pad[axis] = (r, r)
+                p, n, acc = np.pad(want, pad, mode="edge"), want.shape[axis], np.zeros(shape)
+                for k, w in enumerate(kernel):
+                    acc = acc + w * (p[:, k:k + n] if axis else p[k:k + n])
+                want = acc
+            assert np.array_equal(gaussian_blur(Field2D(v), sigma).values, want), sigma
+
     def test_semigroup_far_from_boundary(self):
         # blur(blur(f,s1),s2) ~ blur(f, sqrt(s1^2+s2^2)) away from the edges.
         # Truncating at ceil(3*sigma) clips a different variance fraction for
