@@ -281,7 +281,7 @@ _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4, GazefieldError: 
 class _stage:
     # failures anywhere in the loop surface with the frame and stage that
     # produced them, keeping their error category (and so the exit code);
-    # one object can wrap every substep of its frame
+    # one object wraps a whole frame, its name set to the stage that runs
     __slots__ = ("frame_index", "name")
 
     def __init__(self, frame_index: int, name: str):
@@ -344,7 +344,12 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     bytes): its blur and detail are reused and its |db/dt| is taken as +0,
     bit for bit what computing them again gives.  The grid comes from
     frame 0; each frame is checked as it arrives, and a bad one raises
-    DataError naming its index (stage "load").
+    DataError naming its index (stage "load").  Every GazefieldError of the
+    loop keeps its category and names its frame and stage: load, blur,
+    differentiation, motion, inhibition, mass, potential, particle or dump.
+    An overflow anywhere from the blur to the last substep raises
+    NumericalError and no numpy warning, so also none under ``-W error``;
+    on_dump runs outside that scope.
 
     Each dump goes to on_dump as soon as its frame finishes, and the
     returned dump list is then empty; with on_dump None the dumps are
@@ -381,7 +386,8 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
 
     sigma_prev = b_next = detail = None
     for k, f_next in enumerate(window):
-        with _stage(k, "blur"):
+        rows, stage = array.array("d"), _stage(k, "blur")
+        with np.errstate(over="ignore", invalid="ignore"), stage:  # overflow: NumericalError
             sigma = schedule_sigma(cfg.blur, k * dt_frame)
             if sigma != sigma_prev:  # else frame k was blurred with sigma as b_next
                 b_next = detail = None  # stale, they die before frame k is blurred again
@@ -391,37 +397,33 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
             if not repeated:
                 b_next = gaussian_blur(f_now, sigma)
             sigma_prev = sigma
-        with _stage(k, "differentiation"):
+            stage.name = "differentiation"
             if detail is None:  # else it is |grad b_now| from frame k - 1
-                grad_b = gradient(b_now, cfg.h)
-                with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-                    detail = np.hypot(grad_b.dx, grad_b.dy)
-                del grad_b  # read by the hypot only
-        with _stage(k, "motion"):
+                detail = magnitude(gradient(b_now, cfg.h)).values
+            stage.name = "motion"
             if cfg.mass.motion_source is MotionSource.FLOW_MAGNITUDE:
                 motion = magnitude(horn_schunck(b_now, b_next, dt_frame, cfg.hs)).values
             elif repeated:
                 motion = None  # |db/dt| is +0 everywhere
             else:
                 motion = np.abs(temporal_derivative(b_now, b_next, dt_frame).values)
-        del b_now  # read by the differentiation and the motion only
-        with _stage(k, "inhibition"):
+            del b_now  # read by the differentiation and the motion only
+            stage.name = "inhibition"
             ior = ior_step(ior, (x, y), dt_frame, cfg.ior)
-        with _stage(k, "mass"):
+            stage.name = "mass"
             mu = _mass(detail, motion, ior, cfg.mass)
-        del motion  # read by the mass only
-        if not repeated:
-            detail = None  # else frame k + 1's b_now is frame k's, and so is its detail
-        potential_step = pot.stepper(mu, tp)  # scratch and a view of mu, for this frame
-        rows, stage = array.array("d"), _stage(k, "potential")
-        with np.errstate(over="ignore", invalid="ignore"), stage:  # overflow: NumericalError
+            del motion  # read by the mass only
+            if not repeated:
+                detail = None  # else frame k + 1's b_now is frame k's, and so is its detail
+            stage.name = "potential"
+            potential_step = pot.stepper(mu, tp)  # scratch and a view of mu, for this frame
             for j in range(substeps):
-                stage.name = "potential"
                 potential_step()
                 stage.name = "particle"
                 x, y, vx, vy = particle_step(x, y, vx, vy)
                 rows.extend(((k * substeps + j + 1) * dt_sub, x, y, vx, vy))
-        del potential_step  # it dies with the frame's substeps
+                stage.name = "potential"
+            del potential_step  # it dies with the frame's substeps
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
             with _stage(k, "dump"):
                 on_dump(FieldDump(k, mu, Field2D(pot.u), ior))  # a copy, not the live u

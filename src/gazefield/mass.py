@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, check_grid, check_member, check_real, check_sigma
-from .retina import Field2D, VectorField2D
+from .retina import Field2D, VectorField2D, magnitude
 
 __all__ = [
     "MotionSource",
@@ -95,22 +95,21 @@ def mass_density(b_grad: VectorField2D, motion: Field2D, ior: IorField,
     Overflow raises NumericalError.
     """
     check_grid("mass_density", b_grad.dx.shape, motion.values.shape, ior.values.shape)
+    detail = magnitude(b_grad).values
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-        detail = np.hypot(b_grad.dx, b_grad.dy)
-    return _mass(detail, motion.values, ior, p)
+        return _mass(detail, motion.values, ior, p)
 
 
 def _mass(detail: np.ndarray, motion: np.ndarray | None, ior: IorField,
           p: MassParams) -> Field2D:
-    # mass_density from the detail |grad b|, which is read, never written;
-    # motion None is a motion term of +0 everywhere: the detail term is
-    # >= +0 or not finite, and x + +0 is x, bit for bit, for each such x
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-        mu, tmp = np.multiply(detail, p.alpha1), np.subtract(1.0, ior.values)
-        np.multiply(mu, tmp, out=mu)
-        if motion is not None:
-            np.add(mu, np.multiply(motion, p.alpha2, out=tmp), out=mu)
-        return Field2D._own(mu, "mass")
+    # mass_density from the detail |grad b|, which is read, never written, under
+    # the caller's overflow scope; motion None is a motion term of +0 everywhere:
+    # the detail term is >= +0 or not finite, and x + +0 is x, bit for bit, for each
+    mu, tmp = np.multiply(detail, p.alpha1), np.subtract(1.0, ior.values)
+    np.multiply(mu, tmp, out=mu)
+    if motion is not None:
+        np.add(mu, np.multiply(motion, p.alpha2, out=tmp), out=mu)
+    return Field2D._own(mu, "mass")
 
 
 def ior_step(ior: IorField, a: tuple[float, float], dt: float, p: IorParams) -> IorField:

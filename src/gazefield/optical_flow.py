@@ -18,6 +18,7 @@ kernels once per solve and ``hs_jacobi_step`` once per call: the same bits.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -104,11 +105,12 @@ def conjugation_residual(grad: VectorField2D, ddt: Field2D, v: FlowField) -> Fie
     """Pointwise transport residual grad . v + ddt.
 
     Zero means the feature is conjugated with the flow: its value rides
-    along v without changing.
+    along v without changing.  Overflow raises NumericalError.
     """
     check_grid("conjugation_residual", grad.dx.shape, ddt.values.shape, v.dx.shape)
-    return Field2D._own(grad.dx * v.dx + grad.dy * v.dy + ddt.values,
-                        "conjugation residual")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        return Field2D._own(grad.dx * v.dx + grad.dy * v.dy + ddt.values,
+                            "conjugation residual")
 
 
 class _Sweeps:
@@ -270,15 +272,20 @@ def hs_objective(b_grad: VectorField2D, b_t: Field2D, v: FlowField,
     with weight lam/4, the per-edge share of the compact Laplacian the
     sweeps relax.  This is the one discretization the synchronous update
     descends monotonically; per-pixel gradient-square forms with full
-    weight lam are not Lyapunov for it.  The total is scaled by h^2.
+    weight lam are not Lyapunov for it.  The total is scaled by h^2; a
+    total that overflows raises NumericalError.
     """
     check_grid("hs_objective", b_grad.dx.shape, b_t.values.shape, v.dx.shape)
-    data = b_grad.dx * v.dx + b_grad.dy * v.dy + b_t.values
-    total = float(np.sum(data ** 2))
-    for c in (v.dx, v.dy):
-        total += (lam / 4.0) * float(np.sum((c[:, 1:] - c[:, :-1]) ** 2))
-        total += (lam / 4.0) * float(np.sum((c[1:, :] - c[:-1, :]) ** 2))
-    return total * h * h
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        data = b_grad.dx * v.dx + b_grad.dy * v.dy + b_t.values
+        total = float(np.sum(data ** 2))
+        for c in (v.dx, v.dy):
+            total += (lam / 4.0) * float(np.sum((c[:, 1:] - c[:, :-1]) ** 2))
+            total += (lam / 4.0) * float(np.sum((c[1:, :] - c[:-1, :]) ** 2))
+    total = total * h * h
+    if not math.isfinite(total):
+        raise NumericalError("hs_objective overflow: the total is not finite")
+    return total
 
 
 def feature_group_flow(stack: FeatureStack) -> tuple[FlowField, Field2D]:

@@ -335,6 +335,15 @@ def evolve_potential(state: PotentialState, mu: Field2D, p: TelegraphParams) -> 
     return PotentialState(Field2D._own(ws.u, "potential"), Field2D._own(ws.u_t, "potential"))
 
 
+def _l2_norm(dx: np.ndarray, dy: np.ndarray) -> float:
+    """sqrt(sum dx^2 + sum dy^2); a sum that overflows raises NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        norm = math.sqrt(float(np.sum(dx ** 2) + np.sum(dy ** 2)))
+    if not math.isfinite(norm):
+        raise NumericalError("convergence_in_c overflow: a gradient norm is not finite")
+    return norm
+
+
 def convergence_in_c(mu: Field2D, c_list, horizon: float,
                      base: TelegraphParams) -> list[float]:
     """Gradient error against the relaxation solution for each speed in c_list.
@@ -351,7 +360,8 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     stepped alone gives.
     Raises ConfigError, before any solve, when the speeds times the steps
     (horizon / dt) times the nodes (at least 32x32) exceed _MAX_NODE_STEPS,
-    or when dt is unstable for any speed.
+    or when dt is unstable for any speed, and NumericalError when a
+    gradient norm overflows.
     """
     cs = [check_real("c_list entry", c, 0, lo_open=True) for c in c_list]
     if any(b <= a for a, b in zip(cs, cs[1:])):
@@ -369,7 +379,7 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     tol = _REFERENCE_TOL * max(1.0, float(np.abs(mu.values).max()))
     u_ref = poisson_solve(mu, h=base.h, tol=tol, max_iters=_REFERENCE_MAX_ITERS)
     g_ref = gradient(u_ref, base.h)
-    ref_norm = math.sqrt(float(np.sum(g_ref.dx ** 2) + np.sum(g_ref.dy ** 2)))
+    ref_norm = _l2_norm(g_ref.dx, g_ref.dy)
 
     steps, rows = max(1, round(steps)), mu.height
     per = max(1, _MAX_STACK_NODES // mu.values.size)
@@ -381,14 +391,13 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
             for _ in range(steps):
                 step()
-        del step  # its scratch is freed before the errors are taken
-        for k in range(len(group)):
-            g = gradient(Field2D._own(ws.u[k * rows:(k + 1) * rows], "potential"), base.h)
-            diff = math.sqrt(float(np.sum((g.dx - g_ref.dx) ** 2)
-                                   + np.sum((g.dy - g_ref.dy) ** 2)))
-            if ref_norm == 0.0:
-                errors.append(0.0 if diff == 0.0 else math.inf)
-            else:
-                errors.append(diff / ref_norm)
+            del step  # its scratch is freed before the errors are taken
+            for k in range(len(group)):
+                g = gradient(Field2D._own(ws.u[k * rows:(k + 1) * rows], "potential"), base.h)
+                diff = _l2_norm(g.dx - g_ref.dx, g.dy - g_ref.dy)
+                if ref_norm == 0.0:
+                    errors.append(0.0 if diff == 0.0 else math.inf)
+                else:
+                    errors.append(diff / ref_norm)
         del ws, g  # each stack is freed before the next is built
     return errors

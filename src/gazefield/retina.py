@@ -245,16 +245,19 @@ def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
 
     This is ``np.gradient(values, h)``'s rule, the one foa.sample_gradient
     applies at the corners of one cell.  Requires width, height >= 2.
+    Overflow raises NumericalError.
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("gradient", f.values.shape, min_side=2)
-    dy, dx = np.gradient(f.values, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        dy, dx = np.gradient(f.values, h)
     return VectorField2D._own(dx, dy, "gradient")
 
 
 def _shifted(flat: np.ndarray, stride: int, lo: int, hi: int, step: int = 1) -> tuple:
     """flat[lo:hi:step] and its up, down, left and right neighbours, rows stride apart."""
-    return tuple(flat[lo + d:hi + d:step] for d in (0, -stride, stride, -1, 1))
+    # from a list: a generator expression leaves ~80 B of cyclic garbage a call
+    return tuple([flat[lo + d:hi + d:step] for d in (0, -stride, stride, -1, 1)])
 
 
 def _line_aligned(size: int, lo: int = 0) -> np.ndarray:
@@ -286,14 +289,16 @@ def laplacian(f: Field2D, h: float = 1.0) -> Field2D:
 
     Replication keeps constants curvature-free on every pixel.  Interior
     pixels see the plain compact stencil; the potential solvers only ever
-    consume those.  Requires width, height >= 3.
+    consume those.  Requires width, height >= 3.  Overflow raises
+    NumericalError.
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("laplacian", f.values.shape, min_side=3)
     a = np.pad(f.values, 1, mode="edge")
-    nsum = _neighbour_sum(a[:-2, 1:-1], a[2:, 1:-1], a[1:-1, :-2], a[1:-1, 2:])
-    # x + -0.0 is x, bit for bit, -0.0 included
-    return Field2D._own(_lap_plus(None, nsum, a[1:-1, 1:-1], -0.0, h), "laplacian")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        nsum = _neighbour_sum(a[:-2, 1:-1], a[2:, 1:-1], a[1:-1, :-2], a[1:-1, 2:])
+        # x + -0.0 is x, bit for bit, -0.0 included
+        return Field2D._own(_lap_plus(None, nsum, a[1:-1, 1:-1], -0.0, h), "laplacian")
 
 
 def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
@@ -305,8 +310,9 @@ def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
 
 
 def magnitude(vf: VectorField2D) -> Field2D:
-    """Pointwise Euclidean norm of a vector field."""
-    return Field2D._own(np.hypot(vf.dx, vf.dy), "magnitude")
+    """Pointwise Euclidean norm of a vector field; overflow raises NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        return Field2D._own(np.hypot(vf.dx, vf.dy), "magnitude")
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:

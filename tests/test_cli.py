@@ -2,6 +2,7 @@
 
 import array
 import io
+import itertools
 import math
 import os
 import struct
@@ -20,9 +21,11 @@ from gazefield import (
     ConfigError,
     DataError,
     DimensionError,
+    DomainError,
     Field2D,
     FoaSample,
     FoaState,
+    GazefieldError,
     IorField,
     MotionSource,
     Mode,
@@ -713,6 +716,60 @@ class TestSubstepLoop:
         with pytest.raises(NumericalError, match="frame 0, stage particle: particle step"):
             run_simulation(self.frames, cfg)
 
+    @pytest.mark.parametrize("stage, source, error, want", [
+        ("load", "temporal_derivative", DimensionError, DataError),
+        ("blur", "temporal_derivative", ParameterError, ConfigError),
+        ("differentiation", "temporal_derivative", NumericalError, NumericalError),
+        ("motion", "temporal_derivative", NumericalError, NumericalError),
+        ("motion", "flow_magnitude", NumericalError, NumericalError),
+        ("inhibition", "temporal_derivative", DomainError, DataError),
+        ("mass", "temporal_derivative", NumericalError, NumericalError),
+        ("potential", "temporal_derivative", NumericalError, NumericalError),
+        ("particle", "temporal_derivative", DomainError, DataError),
+        ("dump", "temporal_derivative", GazefieldError, GazefieldError),
+    ])
+    def test_error_in_each_stage_names_frame_and_stage(self, monkeypatch, stage, source,
+                                                       error, want):
+        # a failure in frame 1 surfaces as "frame 1, stage NAME" with its
+        # category kept; each stage fails in the call that falls in frame 1 of
+        # what cli calls there (two substeps a frame, every frame distinct)
+        cli = gazefield.cli
+
+        def fail_on_call(fn, n):
+            calls = itertools.count(1)
+
+            def failing(*args):
+                if next(calls) == n:
+                    raise error("injected")
+                return fn(*args)
+            return failing
+
+        cfg = parse_config(f"c = 20\nsubsteps_per_frame = 2\ndump_every = 1\n"
+                           f"motion_source = {source}\nhs_max_iters = 5\n")
+        frames, on_dump = iter(self.frames), None
+        calls = {"blur": ("gaussian_blur", 3), "differentiation": ("gradient", 2),
+                 "motion": ("horn_schunck" if source == "flow_magnitude"
+                            else "temporal_derivative", 2),
+                 "inhibition": ("ior_step", 2), "mass": ("_mass", 2)}
+        if stage in calls:
+            name, n = calls[stage]
+            monkeypatch.setattr(cli, name, fail_on_call(getattr(cli, name), n))
+        elif stage == "load":
+            frames = map(fail_on_call(lambda f: f, 2), self.frames)
+        elif stage == "potential":
+            stepper, step = cli._Workspace.stepper, fail_on_call(lambda run: run(), 3)
+            monkeypatch.setattr(cli._Workspace, "stepper",
+                                lambda ws, mu, p: lambda: step(stepper(ws, mu, p)))
+        elif stage == "particle":
+            stepper = cli._particle_stepper
+            monkeypatch.setattr(cli, "_particle_stepper",
+                                lambda *args: fail_on_call(stepper(*args), 3))
+        else:
+            on_dump = fail_on_call(lambda d: None, 2)
+        with pytest.raises(want, match=rf"^frame 1, stage {stage}: injected$") as info:
+            run_simulation(frames, cfg, on_dump=on_dump)
+        assert type(info.value) is want and type(info.value.__cause__) is error
+
 
 # ---------------------------------------------------------------------------
 # command line
@@ -883,7 +940,8 @@ class TestCommands:
         assert proc.returncode == 4, proc.stderr
 
     @pytest.mark.parametrize("case", ["poisson", "converge", "simulate",
-                                      "simulate-mass", "simulate-motion", "flow-ddt",
+                                      "simulate-mass", "simulate-motion",
+                                      "simulate-gradient", "flow-ddt",
                                       "flow-sweeps", "flow-nan"])
     def test_overflow_under_warnings_as_errors_exits_4_with_one_error_line(
             self, tmp_path, blob_frames_dir, case):
@@ -904,6 +962,8 @@ class TestCommands:
             # the temporal derivative inside horn_schunck overflows
             "simulate-motion": ("simulate", "motion_source = flow_magnitude\nframe_dt = 1e-310\n",
                                 clip),
+            # the gradient divides by h and overflows; frame_dt keeps the substep stable
+            "simulate-gradient": ("simulate", "h = 1e-309\nframe_dt = 5e-309\n", clip),
             "flow-ddt": ("flow", "frame_dt = 1e-310\n", pair),
             # bt stays finite and the sweeps overflow
             "flow-sweeps": ("flow", "frame_dt = 1e-308\n", pair),
@@ -915,6 +975,7 @@ class TestCommands:
         assert proc.returncode == 4, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert not (tmp_path / "out" / "scanpath.csv").exists()
 
     @pytest.mark.parametrize("config", [
         "blur_sigma0 = 1e300\n",  # no kernel of that radius can be allocated

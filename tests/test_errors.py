@@ -1,5 +1,7 @@
 """The shared grid and enum validators, and every call site that uses them."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gazefield import (
     IorField,
     MassParams,
     Mode,
+    NumericalError,
     ParameterError,
     PotentialState,
     TelegraphParams,
@@ -26,6 +29,7 @@ from gazefield import (
     horn_schunck,
     hs_objective,
     laplacian,
+    magnitude,
     mass_density,
     poisson_solve,
     sample_gradient,
@@ -34,6 +38,7 @@ from gazefield import (
 from gazefield.cli import SimConfig, run_simulation
 from gazefield.errors import check_grid, check_member
 from gazefield.optical_flow import HsParams
+from gazefield.potential import convergence_in_c
 
 
 class TestCheckGrid:
@@ -142,3 +147,33 @@ def test_call_site_raises_its_class_and_names_itself(site):
     with pytest.raises(cls, match=rf"^{name}\b") as info:
         call()
     assert type(info.value) is cls
+
+
+def huge():
+    return np.full((4, 4), 1.5e308)
+
+
+# each call overflows on finite input; under -W error numpy's RuntimeWarning
+# used to escape before the non-finite check could raise NumericalError
+OVERFLOWS = {
+    "gradient": lambda: gradient(Field2D(np.arange(16.0).reshape(4, 4)), 1e-309),
+    "laplacian": lambda: laplacian(Field2D(np.arange(16.0).reshape(4, 4)), 1e-160),
+    "magnitude": lambda: magnitude(VectorField2D(huge(), huge())),
+    "mass_density": lambda: mass_density(VectorField2D(huge(), huge()), field(4, 4),
+                                         IorField.zeros(4, 4), MassParams()),
+    "conjugation_residual": lambda: conjugation_residual(
+        VectorField2D(huge(), huge()), Field2D(huge()), FlowField(huge(), huge())),
+    "hs_objective": lambda: hs_objective(VectorField2D(huge(), huge()), Field2D(huge()),
+                                         FlowField(huge(), huge()), 0.1),
+    # the reference potential is finite, and its gradient norm squares and overflows
+    "convergence_in_c": lambda: convergence_in_c(Field2D(np.full((16, 16), 1e160)), [1.0],
+                                                 0.5, TelegraphParams(c=1.0, dt=0.1)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OVERFLOWS))
+def test_overflow_raises_numerical_error_under_warnings_as_errors(site):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflow"):
+            OVERFLOWS[site]()
