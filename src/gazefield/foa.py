@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DataError, DomainError, NumericalError, check_grid, check_member,
                      check_real)
-from .retina import Field2D
+from .retina import Field2D, _finite
 
 __all__ = [
     "AttractionSign",
@@ -179,13 +179,14 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
     retina.gradient, and the corners are blended by _lerp, the rule of
     _bilinear, so the result is bitwise the one the full-grid gradient
     gives, also when read as Python floats, as here.
-    A position off the grid, NaN or infinite included, raises DomainError.
+    A position off the grid, NaN or infinite included, raises DomainError;
+    overflow raises NumericalError.
     """
     x, y = float(pos[0]), float(pos[1])
     _check_inside(u, x, y)
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("sample_gradient", u.values.shape, min_side=2)
-    return _gradient_at(u.values, x, y, h)
+    return _finite(_gradient_at(u.values, x, y, h), "sample_gradient")
 
 
 def _gradient_at(v: np.ndarray, x: float, y: float, h: float) -> tuple[float, float]:
@@ -267,11 +268,11 @@ def energy(s: FoaState, u: Field2D, p: FoaParams) -> float:
     """Kinetic plus potential energy, 0.5|v|^2 - sign*u(a).
 
     Conserved by the continuum dynamics when dissipation is zero; its
-    drift diagnoses integrator quality.
+    drift diagnoses integrator quality.  Overflow raises NumericalError.
     """
     _check_inside(u, s.x, s.y)
-    return 0.5 * (s.vx * s.vx + s.vy * s.vy) \
-        - p.attraction_sign.value * _bilinear(u.values, s.x, s.y)
+    return _finite(0.5 * (s.vx * s.vx + s.vy * s.vy)
+                   - p.attraction_sign.value * _bilinear(u.values, s.x, s.y), "energy")
 
 
 def detect_saccades(path: Scanpath, speed_threshold: float,

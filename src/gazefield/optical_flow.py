@@ -18,7 +18,6 @@ kernels once per solve and ``hs_jacobi_step`` once per call: the same bits.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -33,8 +32,8 @@ from .errors import (
     check_int,
     check_real,
 )
-from .retina import (Field2D, FlowField, VectorField2D, _line_aligned, _neighbour_sum,
-                     _shifted, gradient, temporal_derivative)
+from .retina import (Field2D, FlowField, VectorField2D, _finite, _line_aligned,
+                     _neighbour_sum, _shifted, gradient, temporal_derivative)
 
 __all__ = [
     "HsParams",
@@ -147,10 +146,11 @@ class _Sweeps:
         d = -(-m // 8) * 8  # the first line past bt
         bt, den = b[:m], b[d:d + m]
         # lam + gx*gx + gy*gy, in that order, once per solve
-        np.multiply(g[:m], g[:m], den)
-        np.add(den, lam, den)
-        np.multiply(g[n:], g[n:], t[n:])
-        np.add(den, t[n:], den)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+            np.multiply(g[:m], g[:m], den)
+            np.add(den, lam, den)
+            np.multiply(g[n:], g[n:], t[n:])
+            _finite(np.add(den, t[n:], den), "flow")
         # flow[k] is iterate k's (vx, vy), as views
         self._stencil, self._flats, self.flow = (wp, lo, hi), flats[:2], inner[:2]
         self._spans = (g, t, bt, den)
@@ -213,15 +213,17 @@ def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarra
     neighbors replicating the edge sample, and the update is
     ``ax - gx * ((gx*ax + gy*ay + bt) / (lam + gx*gx + gy*gy))``, in that
     operand order.  The inputs are copied in and the new (vx, vy) is
-    returned as two new arrays.  ``horn_schunck``'s sweeps pass ``_ws``, one
-    of its solve's kernels, and nothing else is read: the call runs that
-    kernel's sweep in place and returns the update's max norm.
+    returned as two new arrays; overflow raises NumericalError.
+    ``horn_schunck``'s sweeps pass ``_ws``, one of its solve's kernels, and
+    nothing else is read: the call runs that kernel's sweep in place and
+    returns the update's max norm.
     """
     if _ws is not None:
         return _ws()
     ws = _Sweeps(vx, vy, gx, gy, bt, lam)
-    ws.kernel(0)()
-    return ws.flow[1, 0].copy(), ws.flow[1, 1].copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        ws.kernel(0)()
+    return _finite((ws.flow[1, 0].copy(), ws.flow[1, 1].copy()), "flow")
 
 
 def _relax(ws: _Sweeps, max_iters: int, tol: float) -> tuple[int, float]:
@@ -282,10 +284,7 @@ def hs_objective(b_grad: VectorField2D, b_t: Field2D, v: FlowField,
         for c in (v.dx, v.dy):
             total += (lam / 4.0) * float(np.sum((c[:, 1:] - c[:, :-1]) ** 2))
             total += (lam / 4.0) * float(np.sum((c[1:, :] - c[:-1, :]) ** 2))
-    total = total * h * h
-    if not math.isfinite(total):
-        raise NumericalError("hs_objective overflow: the total is not finite")
-    return total
+    return _finite(total * h * h, "hs_objective")
 
 
 def feature_group_flow(stack: FeatureStack) -> tuple[FlowField, Field2D]:
@@ -321,7 +320,8 @@ def feature_group_flow(stack: FeatureStack) -> tuple[FlowField, Field2D]:
 
     gt = np.swapaxes(g, -1, -2)
     try:
-        v = np.linalg.solve(gt @ g + stack.ridge * np.eye(2), -(gt @ ft))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+            v = np.linalg.solve(gt @ g + stack.ridge * np.eye(2), -(gt @ ft))
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"flow normal equations are singular: {e}") from e
     return FlowField._own(v[..., 0, 0], v[..., 1, 0], "flow"), Field2D._own(rank, "rank")

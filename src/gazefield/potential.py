@@ -23,14 +23,14 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     GridSizeError,
-    NumericalError,
     ParameterError,
     check_grid,
     check_int,
     check_member,
     check_real,
 )
-from .retina import Field2D, _lap_plus, _line_aligned, _neighbour_sum, _shifted, gradient
+from .retina import (Field2D, _finite, _lap_plus, _line_aligned, _neighbour_sum, _shifted,
+                     gradient)
 
 __all__ = [
     "Mode",
@@ -207,7 +207,7 @@ def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
     u(x) = (1/2pi) * sum_y log(1/|x-y|) * mu(y) * h^2, with the singular
     y = x term replaced by the cell-averaged value
     (1/2pi) * (1.5 - log(h/2)) * mu(x) * h^2.  Quadratic in pixel count, so
-    restricted to grids of at most 64x64.
+    restricted to grids of at most 64x64.  Overflow raises NumericalError.
     """
     if mu.width > _MAX_DIRECT or mu.height > _MAX_DIRECT:
         raise GridSizeError(
@@ -216,19 +216,18 @@ def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
         )
     h = check_real("h", h, 0, lo_open=True)
 
-    ys, xs = np.mgrid[0:mu.height, 0:mu.width]
-    px = (xs.reshape(-1) * h).astype(np.float64)
-    py = (ys.reshape(-1) * h).astype(np.float64)
     src = mu.values.reshape(-1)
     scale = h * h / (2.0 * math.pi)
     self_term = scale * (1.5 - math.log(0.5 * h))
 
     out = np.empty(src.size)
-    for i in range(src.size):
-        d = np.hypot(px - px[i], py - py[i])
-        d[i] = 1.0  # placeholder; the self term is added separately
-        out[i] = -scale * float(np.dot(np.log(d), src)) + self_term * src[i]
-    return Field2D(out.reshape(mu.height, mu.width))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        py, px = np.mgrid[0:mu.height, 0:mu.width].reshape(2, -1) * h
+        for i in range(src.size):
+            d = np.hypot(px - px[i], py - py[i])
+            d[i] = 1.0  # placeholder; the self term is added separately
+            out[i] = -scale * float(np.dot(np.log(d), src)) + self_term * src[i]
+    return Field2D._own(out.reshape(mu.height, mu.width), "potential")
 
 
 class _Workspace:
@@ -304,8 +303,7 @@ class _Workspace:
             for rows in joins:
                 rows[...] = 0.0
             # a non-finite u_t reaches u through u += dt*u_t, so u alone is checked
-            if not np.isfinite(centre).all():
-                raise NumericalError("potential overflow: result contains non-finite values")
+            _finite(centre, "potential")
 
         return step
 
@@ -338,10 +336,7 @@ def evolve_potential(state: PotentialState, mu: Field2D, p: TelegraphParams) -> 
 def _l2_norm(dx: np.ndarray, dy: np.ndarray) -> float:
     """sqrt(sum dx^2 + sum dy^2); a sum that overflows raises NumericalError."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-        norm = math.sqrt(float(np.sum(dx ** 2) + np.sum(dy ** 2)))
-    if not math.isfinite(norm):
-        raise NumericalError("convergence_in_c overflow: a gradient norm is not finite")
-    return norm
+        return _finite(math.sqrt(float(np.sum(dx ** 2) + np.sum(dy ** 2))), "convergence_in_c")
 
 
 def convergence_in_c(mu: Field2D, c_list, horizon: float,

@@ -12,7 +12,7 @@ is bad input, a DataError.  A result a function computed from fields that
 were already validated is adopted with ``Field2D._own`` (or
 ``VectorField2D._own``), which freezes that fresh array in place without a
 copy; the inputs were finite, so a non-finite value there is overflow, a
-NumericalError.
+NumericalError.  ``_finite`` is that one check, also for computed numbers.
 
 Derivatives use central differences in the interior and one-sided
 differences on the boundary.  Every 5-point stencil, laplacian's and the
@@ -66,12 +66,12 @@ def _as_readonly_2d(values, name: str) -> np.ndarray:
     return arr
 
 
-def _adopt(arr: np.ndarray, what: str) -> np.ndarray:
-    # arr was computed from finite fields, so a non-finite value is overflow
-    if not np.isfinite(arr).all():
+def _finite(value, what: str):
+    """value (an array, a float, or a tuple of floats or equal-shape arrays) if all finite;
+    computed from finite inputs, anything else is overflow: NumericalError naming what."""
+    if not np.isfinite(value).all():
         raise NumericalError(f"{what} overflow: result contains non-finite values")
-    arr.setflags(write=False)
-    return arr
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +104,8 @@ class Field2D:
     def _own(cls, values: np.ndarray, what: str) -> "Field2D":
         """Adopt an array computed from validated fields: frozen, not copied."""
         f = object.__new__(cls)
-        object.__setattr__(f, "values", _adopt(values, what))
+        object.__setattr__(f, "values", _finite(values, what))
+        values.setflags(write=False)
         return f
 
 
@@ -124,8 +125,9 @@ class VectorField2D:
     def _own(cls, dx: np.ndarray, dy: np.ndarray, what: str) -> "VectorField2D":
         """Adopt two equal-shape components as Field2D._own adopts one array."""
         vf = object.__new__(cls)
-        object.__setattr__(vf, "dx", _adopt(dx, what))
-        object.__setattr__(vf, "dy", _adopt(dy, what))
+        for name, a in (("dx", dx), ("dy", dy)):
+            object.__setattr__(vf, name, _finite(a, what))
+            a.setflags(write=False)
         return vf
 
 
@@ -333,7 +335,8 @@ def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
     edge replication.
 
     Raises ParameterError, before allocating anything, when the radius
-    ceil(3*sigma) exceeds the larger grid side.
+    ceil(3*sigma) exceeds the larger grid side.  The taps sum to 1 within
+    an ulp, so values near float64's limit can overflow: NumericalError.
     """
     sigma = check_real("sigma", sigma, 0)
     if sigma < 0.025:  # the side taps exp(-1/(2*sigma^2)) < exp(-800) underflow to 0
@@ -351,11 +354,12 @@ def gaussian_blur(f: Field2D, sigma: float) -> Field2D:
     rows[:, :r], rows[:, r:r + w], rows[:, r + w:] = v[:, :1], v, v[:, -1:]
     cols = _line_aligned((h + 2 * r) * w, r * w).reshape(h + 2 * r, w)
     mid, tmp = cols[r:r + h], _line_aligned(h * w).reshape(h, w)
-    for k, c in enumerate(kernel):  # each tap in order, c * window bit for bit
-        np.add(mid, np.multiply(rows[:, k:k + w], c, tmp), mid)
-    del rows
-    cols[:r], cols[r + h:] = cols[r], cols[r + h - 1]
-    out = _line_aligned(h * w).reshape(h, w)
-    for k, c in enumerate(kernel):
-        np.add(out, np.multiply(cols[k:k + h], c, tmp), out)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        for k, c in enumerate(kernel):  # each tap in order, c * window bit for bit
+            np.add(mid, np.multiply(rows[:, k:k + w], c, tmp), mid)
+        del rows
+        cols[:r], cols[r + h:] = cols[r], cols[r + h - 1]
+        out = _line_aligned(h * w).reshape(h, w)
+        for k, c in enumerate(kernel):
+            np.add(out, np.multiply(cols[k:k + h], c, tmp), out)
     return Field2D._own(out, "blur")

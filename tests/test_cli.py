@@ -939,7 +939,7 @@ class TestCommands:
                                "--out", str(tmp_path / "o"))
         assert proc.returncode == 4, proc.stderr
 
-    @pytest.mark.parametrize("case", ["poisson", "converge", "simulate",
+    @pytest.mark.parametrize("case", ["poisson", "poisson-oracle", "converge", "simulate",
                                       "simulate-mass", "simulate-motion",
                                       "simulate-gradient", "flow-ddt",
                                       "flow-sweeps", "flow-nan"])
@@ -956,6 +956,8 @@ class TestCommands:
                 str(blob_frames_dir / "frame_0001.pgm"), *out)
         command, config, args = {
             "poisson": ("poisson", "", (str(src), "--h", "1e200", *out)),
+            # h*h overflows in the dense oracle; this exited 3, as a data error
+            "poisson-oracle": ("poisson", "", (str(src), "--oracle", "--h", "1e200", *out)),
             "converge": ("converge", "", (str(src), "--c", "1", "--h", "1e200")),
             "simulate": ("simulate", "alpha1 = 1e308\nc = 100\nlambda_drag = 4\n", clip),
             "simulate-mass": ("simulate", "alpha2 = 1e308\n", clip),
@@ -976,6 +978,7 @@ class TestCommands:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert not (tmp_path / "out" / "scanpath.csv").exists()
+        assert not (tmp_path / "out").is_file()
 
     @pytest.mark.parametrize("config", [
         "blur_sigma0 = 1e300\n",  # no kernel of that radius can be allocated

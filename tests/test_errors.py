@@ -1,5 +1,6 @@
 """The shared grid and enum validators, and every call site that uses them."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from gazefield import (
     Field2D,
     FlowField,
     FoaParams,
+    FoaState,
     IorField,
     MassParams,
     Mode,
@@ -24,7 +26,11 @@ from gazefield import (
     TelegraphParams,
     VectorField2D,
     conjugation_residual,
+    direct_potential,
+    energy,
     evolve_potential,
+    feature_group_flow,
+    gaussian_blur,
     gradient,
     horn_schunck,
     hs_objective,
@@ -35,9 +41,10 @@ from gazefield import (
     sample_gradient,
     temporal_derivative,
 )
+from gazefield import foa, mass, optical_flow, potential, retina, synth
 from gazefield.cli import SimConfig, run_simulation
 from gazefield.errors import check_grid, check_member
-from gazefield.optical_flow import HsParams
+from gazefield.optical_flow import HsParams, hs_jacobi_step
 from gazefield.potential import convergence_in_c
 
 
@@ -149,8 +156,8 @@ def test_call_site_raises_its_class_and_names_itself(site):
     assert type(info.value) is cls
 
 
-def huge():
-    return np.full((4, 4), 1.5e308)
+def huge(n=4):
+    return np.full((n, n), 1.5e308)
 
 
 # each call overflows on finite input; under -W error numpy's RuntimeWarning
@@ -168,6 +175,28 @@ OVERFLOWS = {
     # the reference potential is finite, and its gradient norm squares and overflows
     "convergence_in_c": lambda: convergence_in_c(Field2D(np.full((16, 16), 1e160)), [1.0],
                                                  0.5, TelegraphParams(c=1.0, dt=0.1)),
+    "temporal_derivative": lambda: temporal_derivative(Field2D(-huge()), Field2D(huge()), 1.0),
+    # the interior's neighbour sums overflow
+    "evolve_potential": lambda: evolve_potential(PotentialState(Field2D(huge()), field(4, 4)),
+                                                 field(4, 4), TelegraphParams()),
+    # h*h is inf: overflow, not a data error
+    "direct_potential": lambda: direct_potential(Field2D(np.ones((16, 16))), h=1e200),
+    # the x difference over h overflows, in Python floats
+    "sample_gradient": lambda: sample_gradient(
+        Field2D(np.tile(np.arange(6.0) * 1e306, (6, 1))), (2.5, 2.5), h=1e-300),
+    # the kinetic term overflows, in Python floats
+    "energy": lambda: energy(FoaState(2.0, 2.0, 1e200, 1e200), field(6, 6), FoaParams()),
+    # G^T G overflows in the normal equations
+    "feature_group_flow": lambda: feature_group_flow(FeatureStack(
+        (FeatureChannel(VectorField2D(huge(6), huge(6)), field(6, 6)),), ridge=1.0)),
+    # the neighbour sum overflows, and the update is NaN
+    "hs_jacobi_step": lambda: hs_jacobi_step(huge(6), huge(6), np.zeros((6, 6)),
+                                             np.zeros((6, 6)), np.zeros((6, 6)), 0.01),
+    # lam + gx*gx + gy*gy overflows at set-up, where the sweeps would return a zero flow
+    "horn_schunck": lambda: horn_schunck(*[Field2D(np.arange(64.0).reshape(8, 8) * 1e160)] * 2,
+                                         1.0, HsParams()),
+    # the taps sum to 1 + 1 ulp, so a field at float64's limit overflows
+    "gaussian_blur": lambda: gaussian_blur(Field2D(np.full((16, 16), np.finfo(float).max)), 2.0),
 }
 
 
@@ -177,3 +206,31 @@ def test_overflow_raises_numerical_error_under_warnings_as_errors(site):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="overflow"):
             OVERFLOWS[site]()
+
+
+# the public functions of the numerical modules with no case in OVERFLOWS,
+# and why none applies
+OVERFLOW_EXEMPT = {
+    "load_pgm": "I/O: samples over maxval lie in [0, 1]",
+    "save_pgm": "I/O: encodes samples clipped to [0, 1]",
+    "schedule_sigma": "bounded: at most sigma0",
+    "ior_step": "bounded: the field stays in [0, 1]",
+    "stable_dt": "a step bound, where inf admits any step",
+    "poisson_solve": "a non-finite residual stops it as ConvergenceError",
+    "foa_step": "runaway check: a step beyond the grid raises NumericalError",
+    "detect_saccades": "computes flags only; the rows pass through",
+    "blob_image": "bounded: clipped to [0, 1]",
+    "two_blob_image": "bounded: clipped to [0, 1]",
+    "black_frames": "zeros",
+    "static_frames": "the input, repeated",
+    "moving_blob_frames": "bounded: clipped to [0, 1]",
+    "add_noise": "bounded: clipped to [0, 1]",
+}
+
+
+def test_every_public_function_has_an_overflow_case_or_an_exemption():
+    public = {name for module in (retina, mass, optical_flow, potential, foa, synth)
+              for name in module.__all__ if inspect.isfunction(getattr(module, name))}
+    assert public - OVERFLOWS.keys() - OVERFLOW_EXEMPT.keys() == set()
+    assert OVERFLOWS.keys() | OVERFLOW_EXEMPT.keys() <= public  # no stale name
+    assert not OVERFLOWS.keys() & OVERFLOW_EXEMPT.keys()
