@@ -45,10 +45,9 @@ __all__ = [
 
 _MAX_DIRECT = 64  # direct_potential is O(N^2) over pixels; desk scale only
 _REFERENCE_TOL, _REFERENCE_MAX_ITERS = 1e-10, 200000  # convergence_in_c's SOR solve
-# convergence_in_c's cap on steps x speeds x nodes (a grid under 32x32, whose step
-# costs about as much, counts as 32x32): 100 times `converge --dt 0.05` at 64x64
+# convergence_in_c's cap on steps x speeds x nodes (a grid under 32x32 counts as 32x32):
+# 100 times `converge --dt 0.05` at 64x64, where _stepped is still within 1e-10 of stepping
 _MAX_NODE_STEPS = 10**9
-_MAX_STACK_NODES = 2**14  # convergence_in_c steps its speeds in stacks of at most this size
 # poisson_solve's defaults, read also by the poisson command's options
 _SOLVE_H, _SOLVE_TOL, _SOLVE_MAX_ITERS = 1.0, 1e-8, 20000
 
@@ -107,14 +106,15 @@ class TelegraphParams:
         if self.mode is Mode.WAVE and self.lambda_drag != 0.0:
             raise ConfigError("wave mode requires lambda_drag = 0")
         bound = stable_dt(self.mode, self.gamma, self.lambda_drag, self.c, self.h)
-        if self.dt > bound * (1.0 + 1e-12):
+        if not self.dt <= bound * (1.0 + 1e-12):  # a NaN bound (h*h and c*c inf) too
             raise ConfigError(
                 f"{self.mode.value} stability violated: dt={self.dt:g} exceeds "
                 f"the bound {bound:g}")
-        # the factor on lap u + mu in a step, worked out once: dt*c^2, over lambda in heat mode
-        scale = self.dt * self.c * self.c
+        # a step's factors, worked out once: dt*c^2 (over lambda in heat mode), gamma -+ drag*dt/2
+        scale, half_drag = self.dt * self.c * self.c, 0.5 * self.lambda_drag * self.dt
         object.__setattr__(self, "_drive_scale",
                            scale / self.lambda_drag if self.mode is Mode.HEAT else scale)
+        object.__setattr__(self, "_keep_lose", (self.gamma - half_drag, self.gamma + half_drag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +206,8 @@ def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
 
     u(x) = (1/2pi) * sum_y log(1/|x-y|) * mu(y) * h^2, with the singular
     y = x term replaced by the cell-averaged value
-    (1/2pi) * (1.5 - log(h/2)) * mu(x) * h^2.  Quadratic in pixel count, so
-    restricted to grids of at most 64x64.  Overflow raises NumericalError.
+    (1/2pi) * (1.5 - log(h/2)) * mu(x) * h^2, so h/2 must not round to 0.
+    Quadratic in pixel count: 64x64 at most.  Overflow raises NumericalError.
     """
     if mu.width > _MAX_DIRECT or mu.height > _MAX_DIRECT:
         raise GridSizeError(
@@ -218,7 +218,7 @@ def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
 
     src = mu.values.reshape(-1)
     scale = h * h / (2.0 * math.pi)
-    self_term = scale * (1.5 - math.log(0.5 * h))
+    self_term = scale * (1.5 - math.log(check_real("h / 2", 0.5 * h, 0, lo_open=True)))
 
     out = np.empty(src.size)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
@@ -231,21 +231,18 @@ def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
 
 
 class _Workspace:
-    """Potentials stepped in place: evolve_potential's and convergence_in_c's state.
+    """A potential stepped in place: evolve_potential's and simulate's state.
 
-    K grids of one shape sit row-wise in u and u_t, (K*h, w) row-major copies,
-    so the interior nodes of all K lie in one contiguous flat span, from index
-    w+1 up to, not including, (K*h-1)*w-1, and the four neighbours of a node
-    sit -+w and -+1 away.  A step is retina's _lap_plus and the mode's update
-    on that span, each ufunc once for all K; the edge columns, and the edge
-    rows where two grids meet, are stepped too, then restored, and u_t stays
-    0 on every edge ring.  The spans of u and u_t, and a stepper's scratch,
-    start on 64-byte lines.  One grid (K = 1) takes its source and speed from
-    the stepper's mu and p; a stack (K > 1, from stack) holds a fixed source
-    and one speed per grid, and takes only p's other settings.
+    u and u_t are (h, w) row-major copies, so the interior nodes lie in one
+    contiguous flat span, from index w+1 up to, not including, (h-1)*w-1,
+    and the four neighbours of a node sit -+w and -+1 away.  A step is
+    retina's _lap_plus and the mode's update on that span, each ufunc once;
+    the edge columns are stepped too, then restored, and u_t stays 0 on the
+    edge ring.  The spans of u and u_t, and a stepper's scratch, start on
+    64-byte lines.
     """
 
-    __slots__ = ("u", "u_t", "_span", "_edges", "_ring", "_stack")
+    __slots__ = ("u", "u_t", "_span", "_edges", "_ring")
 
     def __init__(self, state: PotentialState):
         h, w = state.u.values.shape
@@ -258,34 +255,16 @@ class _Workspace:
         # columns 0 and w-1 of the inner rows, and the values u holds there
         self._edges = (self.u[1:-1, ::w - 1], self.u_t[1:-1, ::w - 1])
         self._ring = self._edges[0].copy()
-        self._stack = ()
-
-    @classmethod
-    def stack(cls, mu: Field2D, params: list[TelegraphParams]) -> "_Workspace":
-        """Zero potentials on mu's grid, one per params, stepped on mu at params' speeds.
-
-        params differ in c alone.  One params gives a one-grid workspace.
-        """
-        k, (h, w) = len(params), mu.values.shape
-        ws = cls(PotentialState.zero(w, k * h))
-        if k > 1:
-            span = ws._span[0]
-            scale = np.repeat([p._drive_scale for p in params], h * w)[span]
-            # rows 0 and h-1 of every grid, where u and u_t are held at 0
-            joins = ws.u.reshape(k, h, w)[:, ::h - 1], ws.u_t.reshape(k, h, w)[:, ::h - 1]
-            ws._stack = (np.tile(mu.data, k)[span], scale, *joins)
-        return ws
 
     def stepper(self, mu: Field2D, p: TelegraphParams) -> Callable[[], None]:
         """A function that steps this workspace once on mu at p's settings; what
         it reads is looked up once, and it holds two scratch spans and mu."""
         span, ut, centre, *around = self._span
         tmp, drive = (_line_aligned(ut.size) for _ in range(2))
-        source, scale, *joins = self._stack or (mu.data[span], p._drive_scale)
+        source, scale = mu.data[span], p._drive_scale
         u_edges, ut_edges = self._edges
         ring, h, heat, dt = self._ring, p.h, p.mode is Mode.HEAT, p.dt
-        half_drag = 0.5 * p.lambda_drag * dt
-        keep, lose = p.gamma - half_drag, p.gamma + half_drag
+        keep, lose = p._keep_lose
 
         def step() -> None:
             _lap_plus(drive, _neighbour_sum(*around, out=tmp), centre, source, h)
@@ -300,8 +279,6 @@ class _Workspace:
                 np.multiply(ut, dt, out=tmp)
                 np.add(centre, tmp, out=centre)
             u_edges[...], ut_edges[...] = ring, 0.0
-            for rows in joins:
-                rows[...] = 0.0
             # a non-finite u_t reaches u through u += dt*u_t, so u alone is checked
             _finite(centre, "potential")
 
@@ -339,6 +316,41 @@ def _l2_norm(dx: np.ndarray, dy: np.ndarray) -> float:
         return _finite(math.sqrt(float(np.sum(dx ** 2) + np.sum(dy ** 2))), "convergence_in_c")
 
 
+def _dst(a: np.ndarray, axis: int) -> np.ndarray:
+    """Type-I DST of a along axis: out[k] = sum_n a[n]*sin(pi*(n+1)*(k+1)/(N+1)), which
+    applied twice gives a*(N+1)/2; taken from the rfft of the odd extension of a."""
+    a = np.moveaxis(a, axis, -1)
+    n = a.shape[-1]
+    odd = np.zeros(a.shape[:-1] + (2 * n + 2,))  # 0, a, 0, -a reversed
+    odd[..., 1:n + 1], odd[..., n + 2:] = a, -a[..., ::-1]
+    return np.moveaxis(np.fft.rfft(odd)[..., 1:n + 1].imag * -0.5, -1, axis)
+
+
+def _stepped(mu: Field2D, p: TelegraphParams, steps: int) -> np.ndarray:
+    """u after `steps` of p's steps from a zero state on mu, in closed form.
+
+    With a zero edge ring, the sine modes diagonalise the 5-point Laplacian:
+    -lap scales mode (j, k) by lam = 4/h^2*(sin^2(pi*j/(2(w-1))) + sin^2(pi*k/(2(h-1)))).
+    Each mode steps alone toward u* = mu^/lam.  A heat step scales u - u* by
+    m = 1 - s*lam (s the drive scale); a wave step maps (u - u*, dt*u_t) by
+    m = [[1 - k, a], [-k, a]], a = keep/lose and k = dt*s*lam/lose, entries
+    O(1) at any stable dt.  So u = u*(1 - m^N) after N steps from rest, with
+    m^N's top-left entry, by repeated squaring, in wave modes.
+    """
+    rows, w = mu.values.shape
+    sy, sx = (np.sin(np.arange(1, n - 1) * (0.5 * math.pi / (n - 1))) ** 2 for n in (rows, w))
+    lam = np.add.outer(sy, sx) * (4.0 / (p.h * p.h))
+    if p.mode is Mode.HEAT:
+        decay = (1.0 - p._drive_scale * lam) ** steps
+    else:
+        keep, lose = p._keep_lose
+        k, m = lam * (p.dt * p._drive_scale / lose), np.empty(lam.shape + (2, 2))
+        m[..., 0, 0], m[..., 1, 0], m[..., :, 1] = 1.0 - k, -k, keep / lose
+        decay = np.linalg.matrix_power(m, steps)[..., 0, 0]
+    u_hat = _dst(_dst(mu.values[1:-1, 1:-1], 0), 1) / lam * (1.0 - decay)
+    return np.pad(_dst(_dst(u_hat, 0), 1) * (4.0 / ((rows - 1) * (w - 1))), 1)
+
+
 def convergence_in_c(mu: Field2D, c_list, horizon: float,
                      base: TelegraphParams) -> list[float]:
     """Gradient error against the relaxation solution for each speed in c_list.
@@ -349,14 +361,13 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     solve to tol 1e-10 * max(1, max|mu|) under the same zero-Dirichlet
     boundary.  A zero reference gradient with a zero evolved gradient
     counts as error 0.  The list is returned as computed; callers assert
-    monotonicity.  The speeds are stepped together in stacks of at most
-    _MAX_STACK_NODES nodes (one grid a stack above 2**13 nodes), each stack
-    freed before the next is built; every error is bitwise the one a speed
-    stepped alone gives.
+    monotonicity.  Each speed's u is the stepper's, taken in closed form on
+    the sine modes (_stepped), one speed at a time; it matches stepping to
+    rounding, about 1e-10 relative at the most steps the budget allows.
     Raises ConfigError, before any solve, when the speeds times the steps
     (horizon / dt) times the nodes (at least 32x32) exceed _MAX_NODE_STEPS,
     or when dt is unstable for any speed, and NumericalError when a
-    gradient norm overflows.
+    potential or a gradient norm overflows.
     """
     cs = [check_real("c_list entry", c, 0, lo_open=True) for c in c_list]
     if any(b <= a for a, b in zip(cs, cs[1:])):
@@ -376,23 +387,10 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     g_ref = gradient(u_ref, base.h)
     ref_norm = _l2_norm(g_ref.dx, g_ref.dy)
 
-    steps, rows = max(1, round(steps)), mu.height
-    per = max(1, _MAX_STACK_NODES // mu.values.size)
-    errors = []
-    for first in range(0, len(params), per):
-        group = params[first:first + per]
-        ws = _Workspace.stack(mu, group)
-        step = ws.stepper(mu, group[0])
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-            for _ in range(steps):
-                step()
-            del step  # its scratch is freed before the errors are taken
-            for k in range(len(group)):
-                g = gradient(Field2D._own(ws.u[k * rows:(k + 1) * rows], "potential"), base.h)
-                diff = _l2_norm(g.dx - g_ref.dx, g.dy - g_ref.dy)
-                if ref_norm == 0.0:
-                    errors.append(0.0 if diff == 0.0 else math.inf)
-                else:
-                    errors.append(diff / ref_norm)
-        del ws, g  # each stack is freed before the next is built
+    steps, errors = max(1, round(steps)), []
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        for p in params:
+            g = gradient(Field2D._own(_stepped(mu, p, steps), "potential"), base.h)
+            diff = _l2_norm(g.dx - g_ref.dx, g.dy - g_ref.dy)
+            errors.append(diff / ref_norm if ref_norm else (0.0 if diff == 0.0 else math.inf))
     return errors

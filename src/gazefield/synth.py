@@ -24,13 +24,14 @@ __all__ = [
 
 # the blob defaults of every generator, read also by the synth command's flags
 _BLOB_SIGMA, _BLOB_AMP = 3.0, 1.0
+_MAX_SIZE = np.iinfo(np.intp).max  # a width, height or count past it is no numpy index
 
 
 def blob_image(width: int, height: int, cx: float, cy: float,
                sigma: float = _BLOB_SIGMA, amp: float = _BLOB_AMP) -> Field2D:
     """Gaussian brightness bump, clipped to [0, 1]; sigma must pass check_sigma."""
-    check_int("width", width, 1)
-    check_int("height", height, 1)
+    check_int("width", width, 1, _MAX_SIZE)
+    check_int("height", height, 1, _MAX_SIZE)
     check_sigma("sigma", sigma)
     check_real("amp", amp)
     ys, xs = np.mgrid[0:height, 0:width]
@@ -49,15 +50,15 @@ def two_blob_image(width: int, height: int, sigma: float = _BLOB_SIGMA,
 
 def black_frames(width: int, height: int, count: int) -> list[Field2D]:
     """All-zero brightness frames."""
-    check_int("width", width, 1)
-    check_int("height", height, 1)
-    check_int("count", count, 2)
+    check_int("width", width, 1, _MAX_SIZE)
+    check_int("height", height, 1, _MAX_SIZE)
+    check_int("count", count, 2, _MAX_SIZE)
     return [Field2D.zeros(width, height) for _ in range(count)]
 
 
 def static_frames(image: Field2D, count: int) -> list[Field2D]:
     """The same image repeated."""
-    check_int("count", count, 2)
+    check_int("count", count, 2, _MAX_SIZE)
     return [image] * count
 
 
@@ -66,7 +67,7 @@ def moving_blob_frames(width: int, height: int, count: int,
                        dt: float, sigma: float = _BLOB_SIGMA, amp: float = _BLOB_AMP
                        ) -> list[Field2D]:
     """A blob translating at constant velocity (pixels/s), one frame per dt."""
-    check_int("count", count, 2)
+    check_int("count", count, 2, _MAX_SIZE)
     check_real("dt", dt, 0, lo_open=True)
     check_real("(count - 1) * dt", (count - 1) * dt)  # finite: no centre is inf * 0
     x0, y0 = (check_real("start", v) for v in start)

@@ -76,13 +76,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_cli_process(*argv, warn="ignore"):
+def run_cli_process(*argv, warn="ignore", timeout=60):
     # a separate process, so a hang fails by timeout instead of stalling
     src = os.path.dirname(os.path.dirname(gazefield.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, "-W", warn, "-m", "gazefield.cli", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def config_value(cfg, key):
@@ -1043,6 +1043,20 @@ class TestCommands:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert name in lines[0]
 
+    @pytest.mark.parametrize("kind", ["black", "two-blobs", "moving-blob"])
+    @pytest.mark.parametrize("size", ["--width", "--frames"])
+    def test_synth_size_past_the_index_range_exits_2(self, tmp_path, kind, size):
+        # np.mgrid raised ValueError and [image] * count OverflowError (exit 1), and
+        # moving-blob built 1x1 frames in memory until it was stopped
+        proc = run_cli_process("synth", kind, "--width", "1", "--height", "1", size,
+                               "1" + "0" * 22, "--out", str(tmp_path / "f"), warn="error",
+                               timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert size[2:].replace("frames", "count") in lines[0]
+        assert not (tmp_path / "f").exists()
+
     @pytest.mark.parametrize("start", [(math.nan, 4.0), (4.0, math.inf)])
     def test_moving_blob_rejects_a_non_finite_start(self, start):
         with pytest.raises(ParameterError, match="start"):
@@ -1106,6 +1120,16 @@ class TestCommands:
         assert run_cli("converge", str(src), *args) == 2
         assert time.perf_counter() - start < 1.0
         assert "node steps" in capsys.readouterr().err
+
+    def test_converge_heat_nan_stability_bound_exits_2(self, tmp_path, capsys):
+        # h*h and c*c overflow, so the heat bound is NaN; it admitted any dt, and
+        # the reference solve then exited 4 at its NaN residual
+        src = tmp_path / "mu.foaf"
+        with open(src, "wb") as fh:
+            export_field(Field2D(np.ones((8, 8))), fh)
+        assert run_cli("converge", str(src), "--mode", "heat", "--gamma", "0", "--c", "1e200",
+                       "--h", "1e200", "--dt", "1") == 2
+        assert "stability violated" in capsys.readouterr().err
 
     def test_converge_bad_speed_list_exits_2(self, tmp_path):
         src = tmp_path / "mu.foaf"
@@ -1197,6 +1221,18 @@ class TestCommands:
         want = gazefield.save_pgm(synth.two_blob_image(64, 64))
         assert (out / "frame_0000.pgm").read_bytes() == want
         assert (out / "frame_0060.pgm").read_bytes() == want
+
+    def test_poisson_oracle_spacing_whose_half_rounds_to_zero_exits_2(self, tmp_path):
+        # math.log(0.5 * h) raised ValueError: math domain error, exit 1
+        src, out = tmp_path / "mu.foaf", tmp_path / "u.foaf"
+        with open(src, "wb") as fh:
+            export_field(Field2D(np.ones((32, 32))), fh)
+        proc = run_cli_process("poisson", str(src), "--oracle", "--h", "5e-324",
+                               "--out", str(out), warn="error")
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: h / 2 "), proc.stderr
+        assert not out.exists()
 
     def test_poisson_oracle_beyond_float32_exits_4(self, tmp_path, capsys):
         src = tmp_path / "mu.foaf"
