@@ -524,6 +524,9 @@ def read_field(source) -> Field2D:
     w, h = struct.unpack("<II", dims)
     if w < 1 or h < 1:
         raise DataError(f"field dimensions must be positive, got {w}x{h}")
+    if 4 * w * h > sys.maxsize:  # a read that large is an OverflowError, not a short read
+        raise DataError(f"field {w}x{h} needs {4 * w * h} payload bytes, past the "
+                        f"index range")
     payload = source.read(4 * w * h)
     if len(payload) < 4 * w * h:
         raise DataError(f"field payload truncated: expected {4 * w * h} bytes, "
@@ -588,14 +591,15 @@ def _cmd_simulate(args) -> int:
         raise DataError(f"frame pattern {' '.join(args.frames)!r} matched "
                         f"{len(paths)} files, need at least 2")
     os.makedirs(args.out, exist_ok=True)
-    dumped = []
+    dumps = 0
 
     def write_dump(d: FieldDump) -> None:
+        nonlocal dumps
         for name, field in (("mass", d.mass), ("potential", d.potential),
                             ("ior", d.ior)):
             out = os.path.join(args.out, f"{name}_{d.frame_index:06d}.foaf")
             _write_bytes(out, lambda fh, f=field: export_field(f, fh))
-        dumped.append(d.frame_index)
+        dumps += 1
 
     def read_frames() -> Iterator[Field2D]:
         # files in a row with equal bytes are parsed once and yield one object,
@@ -612,8 +616,8 @@ def _cmd_simulate(args) -> int:
         _sample_blocks(frames, cfg, write_dump), fh, saccades))
     print(f"{csv_path}: {1 + (len(paths) - 1) * cfg.substeps_per_frame} samples over "
           f"{(len(paths) - 1) * cfg.frame_dt:g} s")
-    if dumped:
-        print(f"{3 * len(dumped)} field dumps in {args.out}")
+    if dumps:
+        print(f"{3 * dumps} field dumps in {args.out}")
     return 0
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, check_grid, check_member, check_real, check_sigma
-from .retina import Field2D, VectorField2D, magnitude
+from .retina import Field2D, VectorField2D, _bump, magnitude
 
 __all__ = [
     "MotionSource",
@@ -118,19 +118,12 @@ def ior_step(ior: IorField, a: tuple[float, float], dt: float, p: IorParams) -> 
     The relaxation toward the Gaussian bump at a is integrated exactly over
     the step (the source is held constant), giving the convex combination
     I' = I*e^(-beta*dt) + (1 - e^(-beta*dt))*G.  Both weights are in [0, 1]
-    and G <= 1, so the field stays in [0, 1] for any dt.  Evaluated in place
-    in two arrays: G as the squared offsets summed, negated, divided by
-    2*sigma^2 (if subnormal, G is 0 off the gaze node) and exponentiated;
-    then I*e^(-beta*dt), plus G*(1 - e^(-beta*dt)).
+    and G <= 1, so the field stays in [0, 1] for any dt.  G comes from retina._bump;
+    then I*e^(-beta*dt), plus G*(1 - e^(-beta*dt)), in place in two arrays.
     """
     ax, ay = check_real("gaze x", a[0]), check_real("gaze y", a[1])
     dt = check_real("dt", dt, 0, lo_open=True)
-    xs = np.arange(ior.width, dtype=np.float64)
-    ys = np.arange(ior.height, dtype=np.float64)[:, None]
-    with np.errstate(over="ignore"):  # the exponent may be -inf: G is 0 there
-        source = np.add((xs - ax) ** 2, (ys - ay) ** 2)
-        np.divide(np.negative(source, out=source), 2.0 * p.sigma_ior ** 2, out=source)
-        np.exp(source, out=source)
+    source = _bump(ior.width, ior.height, ax, ay, p.sigma_ior)
     decay = math.exp(-p.beta * dt)
     out = np.multiply(ior.values, decay)
     np.add(out, np.multiply(source, 1.0 - decay, out=source), out=out)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check_int, check_real, check_sigma
-from .retina import Field2D
+from .errors import ParameterError, check_int, check_real, check_sigma
+from .retina import Field2D, _bump
 
 __all__ = [
     "blob_image",
@@ -24,20 +24,24 @@ __all__ = [
 
 # the blob defaults of every generator, read also by the synth command's flags
 _BLOB_SIGMA, _BLOB_AMP = 3.0, 1.0
-_MAX_SIZE = np.iinfo(np.intp).max  # a width, height or count past it is no numpy index
+_MAX_SIZE = np.iinfo(np.intp).max  # a count or frame byte size past it is no numpy size
+
+
+def _check_frame(width: int, height: int) -> None:
+    check_int("width", width, 1)
+    check_int("height", height, 1)
+    if 8 * width * height > _MAX_SIZE:  # float64 values: numpy's "array is too big"
+        raise ParameterError(f"a {width}x{height} frame needs 8 * width * height bytes, "
+                             f"more than numpy's limit of {_MAX_SIZE}")
 
 
 def blob_image(width: int, height: int, cx: float, cy: float,
                sigma: float = _BLOB_SIGMA, amp: float = _BLOB_AMP) -> Field2D:
     """Gaussian brightness bump, clipped to [0, 1]; sigma must pass check_sigma."""
-    check_int("width", width, 1, _MAX_SIZE)
-    check_int("height", height, 1, _MAX_SIZE)
+    _check_frame(width, height)
     check_sigma("sigma", sigma)
     check_real("amp", amp)
-    ys, xs = np.mgrid[0:height, 0:width]
-    with np.errstate(over="ignore"):  # a subnormal 2*sigma**2: 0 off the centre
-        v = amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
-    return Field2D(np.clip(v, 0.0, 1.0))
+    return Field2D(np.clip(amp * _bump(width, height, cx, cy, sigma), 0.0, 1.0))
 
 
 def two_blob_image(width: int, height: int, sigma: float = _BLOB_SIGMA,
@@ -50,8 +54,7 @@ def two_blob_image(width: int, height: int, sigma: float = _BLOB_SIGMA,
 
 def black_frames(width: int, height: int, count: int) -> list[Field2D]:
     """All-zero brightness frames."""
-    check_int("width", width, 1, _MAX_SIZE)
-    check_int("height", height, 1, _MAX_SIZE)
+    _check_frame(width, height)
     check_int("count", count, 2, _MAX_SIZE)
     return [Field2D.zeros(width, height) for _ in range(count)]
 
@@ -80,6 +83,7 @@ def moving_blob_frames(width: int, height: int, count: int,
 def add_noise(frames: list[Field2D], amplitude: float, seed: int) -> list[Field2D]:
     """Independent uniform pixel noise in [0, amplitude], clipped to [0, 1]."""
     check_real("amplitude", amplitude, 0)
+    check_int("seed", seed, 0)  # numpy's seeds are nonnegative
     if amplitude == 0:
         return list(frames)
     rng = np.random.default_rng(seed)

@@ -1057,6 +1057,20 @@ class TestCommands:
         assert size[2:].replace("frames", "count") in lines[0]
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("kind", ["black", "two-blobs", "moving-blob"])
+    def test_synth_frame_past_numpy_byte_size_exits_2(self, tmp_path, capsys, kind):
+        # each side is inside the index range, but 8 * width * height bytes is not:
+        # np.arange or np.zeros raised "ValueError: array is too big" (exit 1)
+        out = tmp_path / "f"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("synth", kind, "--width", str(2**62), "--height", "4",
+                           "--frames", "2", "--out", str(out))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "8 * width * height" in lines[0], lines
+        assert not out.exists()
+
     @pytest.mark.parametrize("start", [(math.nan, 4.0), (4.0, math.inf)])
     def test_moving_blob_rejects_a_non_finite_start(self, start):
         with pytest.raises(ParameterError, match="start"):
@@ -1097,6 +1111,21 @@ class TestCommands:
         src = tmp_path / "mu.foaf"
         src.write_bytes(b"FOAX garbage")
         assert run_cli("poisson", str(src), "--out", str(tmp_path / "u.foaf")) == 3
+
+    @pytest.mark.parametrize("command", ["poisson", "converge"])
+    def test_field_header_past_the_index_range_exits_3(self, tmp_path, capsys, command):
+        # 4 * w * h bytes is past what one read can ask for: the read raised
+        # "OverflowError: cannot fit 'int' into an index-sized integer" (exit 1)
+        src, out = tmp_path / "mu.foaf", tmp_path / "u.foaf"
+        src.write_bytes(b"FOAF" + struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(16))
+        args = ["--out", str(out)] if command == "poisson" else ["--c", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, str(src), *args) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "4294967295x4294967295" in lines[0], lines
+        assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["mu.foaf"]
 
     def test_converge_command_reports_each_speed(self, tmp_path, capsys):
         img = synth.blob_image(12, 12, 6.0, 6.0, 2.0)

@@ -29,9 +29,10 @@ from gazefield import (
     magnitude,
     save_pgm,
     schedule_sigma,
+    synth,
     temporal_derivative,
 )
-from gazefield.retina import _gaussian_kernel, _line_aligned, _shifted
+from gazefield.retina import _bump, _gaussian_kernel, _line_aligned, _shifted
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +485,21 @@ class TestGaussianBlur:
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         taps = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
         assert np.array_equal(_gaussian_kernel(sigma), taps / taps.sum())
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5, 3.0, 1e-160])
+    def test_one_gaussian_for_the_bump_and_the_blobs(self, sigma):
+        # _bump against full-grid coordinates, and synth.blob_image through it
+        # (ior_step is pinned in test_mass.py, the blur taps above); a subnormal
+        # 2*sigma*sigma leaves the centre node alone, with no warning
+        ys, xs = np.mgrid[0:6, 0:11].astype(np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _bump(11, 6, 3.0, 4.0, sigma)
+            blob = synth.blob_image(11, 6, 3, 4, sigma, 0.8).values  # int centres too
+        with np.errstate(over="ignore"):
+            want = np.exp(-((xs - 3.0) ** 2 + (ys - 4.0) ** 2) / (2.0 * sigma * sigma))
+        assert np.array_equal(got, want) and got[4, 3] == 1.0
+        assert np.array_equal(blob, np.clip(0.8 * want, 0.0, 1.0))
 
     def test_blur_starts_where_the_side_taps_stop_underflowing(self):
         # at 0.025 the kernel is still the centre tap alone; at 0.026 its
