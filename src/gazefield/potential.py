@@ -6,8 +6,9 @@ dense log-kernel sum (the free-space closed form, kept as a desk-scale
 oracle), and explicit time stepping of the damped wave family whose
 quiescent limit is the same Poisson system.  The stepper normalizes the
 source by c^2 so heat, wave, and damped-wave modes share one steady state;
-that makes the large-c limit directly comparable against the relaxation
-solution.
+that makes the large-c limit directly comparable against the elliptic
+solution, which convergence_in_c takes exactly on the sine modes.  The
+relaxation keeps the red and the black nodes in two contiguous planes.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 _MAX_DIRECT = 64  # direct_potential is O(N^2) over pixels; desk scale only
-_REFERENCE_TOL, _REFERENCE_MAX_ITERS = 1e-10, 200000  # convergence_in_c's SOR solve
 # convergence_in_c's cap on steps x speeds x nodes (a grid under 32x32 counts as 32x32):
 # 100 times `converge --dt 0.05` at 64x64, where _stepped is still within 1e-10 of stepping
 _MAX_NODE_STEPS = 10**9
@@ -132,6 +132,28 @@ class PotentialState:
         return cls(Field2D.zeros(width, height), Field2D.zeros(width, height))
 
 
+def _whole_lines(size: int) -> int:
+    """size rounded up to whole 64-byte lines of float64."""
+    return -(-size // 8) * 8
+
+
+def _colour_tiles(planes: np.ndarray, rows: int, w: int) -> list:
+    """(view of planes, slice of the (rows, w) grid) pairs that tile the grid.
+
+    planes[0] and planes[1] hold the red and black nodes of the grid padded to
+    the odd row stride wp = w|1: flat node 2k is planes[0][k] and node 2k+1 is
+    planes[1][k].  Rows 2j and 2j+1 fill wp entries of each plane: red takes the
+    even columns of row 2j, then the odd ones of row 2j+1; black the odd
+    columns of row 2j, then the even ones of row 2j+1 (the pad column last).
+    """
+    wp = w | 1
+    red, black = planes[:, :(rows + 1) // 2 * wp].reshape(2, -1, wp)
+    return [(red[:, :(w + 1) // 2], np.s_[0::2, 0::2]),
+            (red[:rows // 2, (wp + 1) // 2:], np.s_[1::2, 1::2]),
+            (black[:, :w // 2], np.s_[0::2, 1::2]),
+            (black[:rows // 2, (wp - 1) // 2:w], np.s_[1::2, 0::2])]
+
+
 def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
                   max_iters: int = _SOLVE_MAX_ITERS, boundary: Field2D | None = None
                   ) -> Field2D:
@@ -149,8 +171,11 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
 
     The relaxation factor is the classical optimum 2/(1+sin(pi/max(w,h))).
     Red-black ordering makes the sweeps deterministic and vectorizable.  u,
-    h*h*mu and mu share rows of odd stride w|1, so a node's flat parity is its
-    colour, and a half-sweep is stride-2 ufuncs in place on the flat interior.
+    h*h*mu and mu are held as two colour planes of a grid with the odd row
+    stride wp = w|1 (_colour_tiles): flat node 2k is red and 2k+1 black.  A
+    node's four neighbours then lie at fixed offsets in the other plane, so
+    each half-sweep is ufuncs in place on contiguous spans.  The edge and pad
+    nodes inside those spans are relaxed too, then restored.
 
     Raises
     ------
@@ -165,38 +190,61 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
         check_grid("poisson_solve boundary", mu.values.shape, boundary.values.shape)
 
     rows, w = mu.values.shape
-    wp = w | 1  # a pad column of zeros when w is even
-    u, f, m = block = np.zeros((3, rows, wp))  # one allocation: three slowed set-up
-    m[:, :w] = mu.values
-    if boundary is not None:  # its edge ring; the interior is ignored
-        u[:, :w], u[1:-1, 1:w - 1] = boundary.values, 0.0
+    wp, q = w | 1, (w | 1) // 2
+    # one allocation (three slowed set-up), whole lines a plane: node q+1 of
+    # every plane, where the half-sweeps start, starts a line
+    u, f, m = _line_aligned(6 * _whole_lines((rows + 1) // 2 * wp), q + 1).reshape(3, 2, -1)
+    ring = np.zeros_like(mu.values) if boundary is None else boundary.values.copy()
+    ring[1:-1, 1:-1] = 0.0  # the boundary's edge ring: its interior is ignored
+    for (mv, s), (uv, _) in zip(_colour_tiles(m, rows, w), _colour_tiles(u, rows, w)):
+        mv[...], uv[...] = mu.values[s], ring[s]
+    del ring  # a set-up grid, freed before the loop's buffers are made
     omega = 2.0 / (1.0 + math.sin(math.pi / max(w, rows)))
-    uf, ff, mf = block.reshape(3, -1)
-    # flat, the inner rows span [wp, n) and the interior nodes [wp+1, hi); wp+1 is even
+    # the inner rows are flat [wp, n) and the interior nodes lie in [wp+1, hi)
     n, hi = (rows - 1) * wp, (rows - 2) * wp + w - 1
-    nsum, res = np.empty((2, n - wp))
-    edges = uf[wp + w - 1:n + w - 1].reshape(rows - 2, wp)[:, :wp - w + 2]
-    ring = edges.copy()  # columns w-1 and wp-1 of an inner row, column 0 of the next
-    inner = _shifted(uf, wp, wp, n)
-    halves = [(s, _shifted(uf, wp, s, hi, 2), ff[s:hi:2], res[:(hi - s + 1) // 2])
-              for s in (wp + 1, wp + 2)]
+    # colour c's node k reads the other plane at k+d: up, down, left, right
+    shifts = [(-q - 1, q, -1, 0), (-q, q + 1, 0, 1)]
+
+    def span(c, lo, end):  # colour c's nodes k in [lo, end): centre and neighbours
+        return (u[c][lo:end], *[u[1 - c][lo + d:end + d] for d in shifts[c]])
+
+    inner = [(q + 1, (n + 1) // 2), (q, n // 2)]  # each colour's nodes in the inner rows
+    black = _whole_lines(inner[0][1] - inner[0][0])  # black's part starts a line, like red's
+    cuts = [np.s_[c * black:c * black + end - lo] for c, (lo, end) in enumerate(inner)]
+    nsum, res = _line_aligned(cuts[1].stop), _line_aligned(cuts[1].stop)
+    residual_terms = [(span(c, lo, end), m[c][lo:end], cut)
+                      for c, ((lo, end), cut) in enumerate(zip(inner, cuts))]
+    # the edge and pad nodes of the inner rows, x = 0 and x >= w-1: flat, then by colour
+    flat = ((np.arange(1, rows - 1) * wp)[:, None] + [0, *range(w - 1, wp)]).ravel()
+    edges = [flat[flat % 2 == c] // 2 for c in (0, 1)]
+    rim = [u[c][k] for c, k in enumerate(edges)]
+    skip = np.concatenate([edges[0] - inner[0][0], edges[1] - inner[1][0] + black])
+    halves = [(c, span(c, q + 1, (hi + 1 - c) // 2), f[c][q + 1:(hi + 1 - c) // 2])
+              for c in (0, 1)]
 
     # an overflow (of h*h or of u) leaves a NaN or inf residual for good
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(m, h * h, out=f)
         for sweeps in range(max_iters + 1):
-            _lap_plus(res, _neighbour_sum(*inner[1:], out=nsum), inner[0], mf[wp:n], h)
-            residual = float(np.abs(res, out=res).reshape(rows - 2, wp)[:, 1:w - 1].max())
+            for (centre, *around), mc, cut in residual_terms:
+                _lap_plus(res[cut], _neighbour_sum(*around, out=nsum[cut]), centre, mc, h)
+            res[skip] = 0.0
+            residual = float(np.abs(res, out=res).max())
             if residual < tol:
-                return Field2D._own(u[:, :w].copy(), "potential")
+                del nsum  # so the output is the fifth grid held, not the sixth
+                out = np.empty_like(mu.values)
+                for view, s in _colour_tiles(u, rows, w):
+                    out[s] = view
+                return Field2D._own(out, "potential")
             if sweeps == max_iters or not math.isfinite(residual):
                 break
-            for s, (x, *around), fx, acc in halves:  # red (even s), then black
+            for c, (x, *around), fx in halves:  # red, then black
+                acc = res[:x.size]
                 # a red node reads only black ones, which the residual just summed
-                ns = nsum[s - wp:hi - wp:2] if s % 2 == 0 else _neighbour_sum(*around, out=acc)
+                ns = nsum[:x.size] if c == 0 else _neighbour_sum(*around, out=acc)
                 np.multiply(np.add(ns, fx, out=acc), omega * 0.25, out=acc)
                 np.add(np.multiply(x, 1.0 - omega, out=x), acc, out=x)
-                edges[...] = ring
+                u[c][edges[c]] = rim[c]
     raise ConvergenceError(f"relaxation did not reach tol={tol:g} in {sweeps} of at most "
                            f"{max_iters} sweeps", residual)
 
@@ -326,20 +374,39 @@ def _dst(a: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.fft.rfft(odd)[..., 1:n + 1].imag * -0.5, -1, axis)
 
 
-def _stepped(mu: Field2D, p: TelegraphParams, steps: int) -> np.ndarray:
-    """u after `steps` of p's steps from a zero state on mu, in closed form.
+def _sine_modes(mu: Field2D, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(u*^, lam): the elliptic solve of mu and -lap's eigenvalues on the sine modes.
 
     With a zero edge ring, the sine modes diagonalise the 5-point Laplacian:
-    -lap scales mode (j, k) by lam = 4/h^2*(sin^2(pi*j/(2(w-1))) + sin^2(pi*k/(2(h-1)))).
-    Each mode steps alone toward u* = mu^/lam.  A heat step scales u - u* by
-    m = 1 - s*lam (s the drive scale); a wave step maps (u - u*, dt*u_t) by
-    m = [[1 - k, a], [-k, a]], a = keep/lose and k = dt*s*lam/lose, entries
-    O(1) at any stable dt.  So u = u*(1 - m^N) after N steps from rest, with
-    m^N's top-left entry, by repeated squaring, in wave modes.
+    -lap scales mode (j, k) by lam = 4/h^2*(sin^2(pi*j/(2(w-1))) + sin^2(pi*k/(2(h-1)))),
+    so -lap u* = mu has the modes u*^ = mu^/lam, mu^ the interior DST of mu.
+    An h whose 4/h^2 is not finite is overflow: NumericalError.
     """
     rows, w = mu.values.shape
     sy, sx = (np.sin(np.arange(1, n - 1) * (0.5 * math.pi / (n - 1))) ** 2 for n in (rows, w))
-    lam = np.add.outer(sy, sx) * (4.0 / (p.h * p.h))
+    # a lam that underflows to 0 leaves a non-finite u*: NumericalError where it is adopted
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = np.add.outer(sy, sx) * _finite(np.divide(4.0, h * h), "potential")
+        return _dst(_dst(mu.values[1:-1, 1:-1], 0), 1) / lam, lam
+
+
+def _from_modes(u_hat: np.ndarray) -> np.ndarray:
+    """The grid whose interior has the sine modes u_hat and whose edge ring is zero."""
+    rows, w = (n + 2 for n in u_hat.shape)
+    return np.pad(_dst(_dst(u_hat, 0), 1) * (4.0 / ((rows - 1) * (w - 1))), 1)
+
+
+def _stepped(ref_hat: np.ndarray, lam: np.ndarray, p: TelegraphParams,
+             steps: int) -> np.ndarray:
+    """u after `steps` of p's steps from a zero state, in closed form on the sine modes.
+
+    ref_hat and lam are _sine_modes' for the source at p.h.  Each mode steps
+    alone toward u*^.  A heat step scales u - u* by m = 1 - s*lam (s the drive
+    scale); a wave step maps (u - u*, dt*u_t) by m = [[1 - k, a], [-k, a]],
+    a = keep/lose and k = dt*s*lam/lose, entries O(1) at any stable dt.  So
+    u = u*(1 - m^N) after N steps from rest, with m^N's top-left entry, by
+    repeated squaring, in wave modes.
+    """
     if p.mode is Mode.HEAT:
         decay = (1.0 - p._drive_scale * lam) ** steps
     else:
@@ -347,27 +414,27 @@ def _stepped(mu: Field2D, p: TelegraphParams, steps: int) -> np.ndarray:
         k, m = lam * (p.dt * p._drive_scale / lose), np.empty(lam.shape + (2, 2))
         m[..., 0, 0], m[..., 1, 0], m[..., :, 1] = 1.0 - k, -k, keep / lose
         decay = np.linalg.matrix_power(m, steps)[..., 0, 0]
-    u_hat = _dst(_dst(mu.values[1:-1, 1:-1], 0), 1) / lam * (1.0 - decay)
-    return np.pad(_dst(_dst(u_hat, 0), 1) * (4.0 / ((rows - 1) * (w - 1))), 1)
+    return _from_modes(ref_hat * (1.0 - decay))
 
 
 def convergence_in_c(mu: Field2D, c_list, horizon: float,
                      base: TelegraphParams) -> list[float]:
-    """Gradient error against the relaxation solution for each speed in c_list.
+    """Gradient error against the elliptic solution for each speed in c_list.
 
     Every speed evolves a zero state for the given horizon with the same
     dt, h, and mode taken from base (base.c is ignored); the error is
-    |grad u_c - grad u_ref|_2 / |grad u_ref|_2 with u_ref the relaxation
-    solve to tol 1e-10 * max(1, max|mu|) under the same zero-Dirichlet
-    boundary.  A zero reference gradient with a zero evolved gradient
-    counts as error 0.  The list is returned as computed; callers assert
-    monotonicity.  Each speed's u is the stepper's, taken in closed form on
-    the sine modes (_stepped), one speed at a time; it matches stepping to
-    rounding, about 1e-10 relative at the most steps the budget allows.
-    Raises ConfigError, before any solve, when the speeds times the steps
-    (horizon / dt) times the nodes (at least 32x32) exceed _MAX_NODE_STEPS,
-    or when dt is unstable for any speed, and NumericalError when a
-    potential or a gradient norm overflows.
+    |grad u_c - grad u_ref|_2 / |grad u_ref|_2 with u_ref the exact solve of
+    the 5-point system -lap u = mu on the sine modes, under the same
+    zero-Dirichlet boundary.  A zero reference gradient with a zero evolved
+    gradient counts as error 0.  The list is returned as computed; callers
+    assert monotonicity.  Each speed's u is the stepper's, taken in closed
+    form on the same modes (_stepped), one speed at a time; it matches
+    stepping to rounding, about 1e-10 relative at the most steps the budget
+    allows.  Raises ConfigError, before any solve, when the speeds times the
+    steps (horizon / dt) times the nodes (at least 32x32) exceed
+    _MAX_NODE_STEPS, or when dt is unstable for any speed; DimensionError
+    for a grid under 3x3; and NumericalError when a potential or a gradient
+    norm overflows.
     """
     cs = [check_real("c_list entry", c, 0, lo_open=True) for c in c_list]
     if any(b <= a for a, b in zip(cs, cs[1:])):
@@ -381,16 +448,14 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
                           f"the budget of {_MAX_NODE_STEPS:.0e}")
 
     params = [replace(base, c=c) for c in cs]  # every speed's stability, before the solve
-    # relative to mu: SOR's rounding floor grows with the mass, past 1e-10 at 1e4 on 33x31
-    tol = _REFERENCE_TOL * max(1.0, float(np.abs(mu.values).max()))
-    u_ref = poisson_solve(mu, h=base.h, tol=tol, max_iters=_REFERENCE_MAX_ITERS)
-    g_ref = gradient(u_ref, base.h)
-    ref_norm = _l2_norm(g_ref.dx, g_ref.dy)
-
+    check_grid("convergence_in_c", mu.values.shape, min_side=3)
     steps, errors = max(1, round(steps)), []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        ref_hat, lam = _sine_modes(mu, base.h)
+        g_ref = gradient(Field2D._own(_from_modes(ref_hat), "potential"), base.h)
+        ref_norm = _l2_norm(g_ref.dx, g_ref.dy)
         for p in params:
-            g = gradient(Field2D._own(_stepped(mu, p, steps), "potential"), base.h)
+            g = gradient(Field2D._own(_stepped(ref_hat, lam, p, steps), "potential"), base.h)
             diff = _l2_norm(g.dx - g_ref.dx, g.dy - g_ref.dy)
             errors.append(diff / ref_norm if ref_norm else (0.0 if diff == 0.0 else math.inf))
     return errors

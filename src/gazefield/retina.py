@@ -16,8 +16,9 @@ NumericalError.  ``_finite`` is that one check, also for computed numbers.
 
 Derivatives use central differences in the interior and one-sided
 differences on the boundary.  Every 5-point stencil, laplacian's and the
-solvers', is built from _shifted (a span's neighbours as views),
-_neighbour_sum (their one summation order) and _lap_plus (lap u + mu).
+solvers', is built from _neighbour_sum (one summation order of a node's
+neighbours, taken as views; _shifted makes them on a flat span) and
+_lap_plus (lap u + mu).
 laplacian and the blur close their stencils by edge replication, so
 constants have zero curvature; the solvers impose Dirichlet data instead.
 """
@@ -257,10 +258,10 @@ def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     return VectorField2D._own(dx, dy, "gradient")
 
 
-def _shifted(flat: np.ndarray, stride: int, lo: int, hi: int, step: int = 1) -> tuple:
-    """flat[lo:hi:step] and its up, down, left and right neighbours, rows stride apart."""
+def _shifted(flat: np.ndarray, stride: int, lo: int, hi: int) -> tuple:
+    """flat[lo:hi] and its up, down, left and right neighbours, rows stride apart."""
     # from a list: a generator expression leaves ~80 B of cyclic garbage a call
-    return tuple([flat[lo + d:hi + d:step] for d in (0, -stride, stride, -1, 1)])
+    return tuple([flat[lo + d:hi + d] for d in (0, -stride, stride, -1, 1)])
 
 
 def _line_aligned(size: int, lo: int = 0) -> np.ndarray:

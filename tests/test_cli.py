@@ -1168,8 +1168,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["poisson", "converge"])
     def test_non_finite_residual_exits_4_at_once(self, tmp_path, capsys, command):
-        # h*h overflows, so the first sweep leaves a NaN residual; without the
-        # stop, poisson ran all its 20000 sweeps and converge all 200000
+        # h*h overflows: poisson stops at its first sweep's NaN residual instead
+        # of running all 20000 sweeps, and converge's sine-mode reference is not
+        # finite, with no sweeps to run
         src = tmp_path / "mu.foaf"
         with open(src, "wb") as fh:
             export_field(synth.blob_image(64, 64, 32.0, 32.0, 8.0), fh)
@@ -1177,11 +1178,13 @@ class TestCommands:
         start = time.perf_counter()
         assert run_cli(command, str(src), *args, "--h", "1e200") == 4
         assert time.perf_counter() - start < 1.0
-        assert "in 1 of at most" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("in 1 of at most" if command == "poisson" else "potential overflow") in err
 
     def test_converge_on_a_large_mass_meets_its_reference_tolerance(self, tmp_path, capsys):
-        # SOR's rounding floor here is about 2e-9, so an absolute tol of
-        # 1e-10 ran all 200000 reference sweeps (15 s) and exited 4
+        # a relaxed reference has a rounding floor of about 2e-9 here, so an
+        # absolute tol of 1e-10 ran all 200000 sweeps (15 s) and exited 4; the
+        # sine-mode reference has no tolerance to miss
         src = tmp_path / "mu.foaf"
         with open(src, "wb") as fh:
             export_field(Field2D(np.full((31, 33), 1e4)), fh)
@@ -1189,6 +1192,32 @@ class TestCommands:
         assert run_cli("converge", str(src), "--c", "1", "--horizon", "1") == 0
         assert time.perf_counter() - start < 2.0
         assert capsys.readouterr().out.startswith("c=1 relative_gradient_error=")
+
+    def test_converge_prints_the_benchmark_errors(self, tmp_path, capsys):
+        # the elliptic benchmark's converge mass at seed 0: a draw of the 128x128
+        # poisson mass, then a 64x64 one blurred with sigma 2, through FOAF
+        rng = np.random.default_rng(0)
+        rng.uniform(0.0, 1.0, (128, 128))
+        mu = gaussian_blur(Field2D(rng.uniform(0.0, 1.0, (64, 64))), 2.0)
+        src = tmp_path / "mu.foaf"
+        with open(src, "wb") as fh:
+            export_field(mu, fh)
+        with open(src, "rb") as fh:
+            assert np.array_equal(read_field(fh).values, mu.values.astype("<f4"))
+        assert run_cli("converge", str(src), "--c", "1,2,4,8", "--drag", "4",
+                       "--dt", "0.05") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "c=1 relative_gradient_error=0.949911", "c=2 relative_gradient_error=0.837708",
+            "c=4 relative_gradient_error=0.53069", "c=8 relative_gradient_error=0.0857432"]
+
+    def test_converge_on_a_grid_under_3x3_exits_3(self, tmp_path):
+        src = tmp_path / "mu.foaf"
+        with open(src, "wb") as fh:
+            export_field(Field2D(np.ones((2, 2))), fh)
+        proc = run_cli_process("converge", str(src), "--c", "1,2", warn="error")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: convergence_in_c needs at least 3x3, got 2x2"]
 
     @pytest.mark.parametrize("kind", ["flow", "synth"])
     def test_memory_error_exits_3_with_one_error_line(self, tmp_path, capsys,

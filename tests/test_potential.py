@@ -616,9 +616,9 @@ class TestConvergenceInC:
         # dt admits c = 2 but not c = 8 under the CFL bound
         p = TelegraphParams(gamma=1.0, lambda_drag=4.0, c=2.0, h=1.0,
                             dt=0.3, mode=Mode.DAMPED_WAVE)
-        solves = []
-        monkeypatch.setattr(potential, "poisson_solve",
-                            lambda *a, **kw: solves.append(a) or poisson_solve(*a, **kw))
+        solves, sine_modes = [], potential._sine_modes
+        monkeypatch.setattr(potential, "_sine_modes",
+                            lambda *a: solves.append(a) or sine_modes(*a))
         with pytest.raises(ConfigError):
             convergence_in_c(Field2D.zeros(8, 8), [2.0, 8.0], 1.0, p)
         assert solves == []
@@ -638,13 +638,43 @@ class TestConvergenceInC:
         st, steps = PotentialState.zero(width, height), 300
         for _ in range(steps):
             st = evolve_potential(st, mu, base)
-        u = potential._stepped(mu, base, steps)
+        u = potential._stepped(*potential._sine_modes(mu, h), base, steps)
         assert u.shape == (height, width)
         assert np.abs(u - st.u.values).max() <= 3e-13 * np.abs(st.u.values).max()
 
         # each speed's error is the same given alone as given with the others
         errors = convergence_in_c(mu, cs, 9 * base.dt, base)
         assert errors == [convergence_in_c(mu, [c], 9 * base.dt, base)[0] for c in cs]
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("height, width", [(3, 3), (3, 4), (9, 17), (16, 15), (33, 31)])
+    def test_reference_solves_the_five_point_system_to_rounding(self, height, width, h):
+        rng = np.random.default_rng(height * 100 + width)
+        mu = Field2D(rng.uniform(0.0, 1.0, (height, width)))
+        u = potential._from_modes(potential._sine_modes(mu, h)[0])
+        assert u.shape == (height, width)
+        ring = np.ones(u.shape, bool)
+        ring[1:-1, 1:-1] = False
+        assert not u[ring].any()
+        # the rounding of -lap u - mu scales with its largest terms
+        scale = np.abs(mu.values).max() + 8.0 * np.abs(u).max() / (h * h)
+        eps = np.finfo(float).eps
+        residual = np.abs(-interior_lap(Field2D(u), h) - mu.values[1:-1, 1:-1]).max()
+        assert residual <= 8 * eps * scale
+        # SOR stops at a residual under tol; -lap's inverse has max-norm at most
+        # L^2/8 over a side L (the quadratic x(L-x)/2 bounds it), so the two
+        # solves differ by at most that times tol plus the residual's rounding
+        tol, side = 1e-11, (min(height, width) - 1) * h
+        sor = poisson_solve(mu, h, tol=tol, max_iters=200000).values
+        assert np.abs(sor - u).max() <= (tol + 16 * eps * scale) * side * side / 8
+
+    @pytest.mark.parametrize("width, height", [(2, 2), (2, 5), (5, 2), (1, 4)])
+    def test_grid_under_3x3_raises_dimension_error_naming_convergence_in_c(self, width,
+                                                                            height):
+        # without the check, these returned [0.0, 0.0] or raised ZeroDivisionError
+        p = TelegraphParams(lambda_drag=4.0, dt=0.05)
+        with pytest.raises(DimensionError, match="convergence_in_c"):
+            convergence_in_c(Field2D.zeros(width, height), [1.0, 2.0], 1.0, p)
 
     def test_peak_memory_does_not_grow_with_the_speeds(self):
         # each speed's closed form is freed before the next one's is taken
