@@ -33,7 +33,7 @@ from .errors import (
     check_real,
 )
 from .retina import (Field2D, FlowField, VectorField2D, _finite, _line_aligned,
-                     _neighbour_sum, _shifted, gradient, temporal_derivative)
+                     _neighbour_sum, _shifted, _whole_lines, gradient, temporal_derivative)
 
 __all__ = [
     "HsParams",
@@ -137,13 +137,13 @@ class _Sweeps:
         lo, hi = wp + 1, n + h * wp + w + 1
         m = hi - lo - n  # the vx half of the span; the vy half starts n later
 
-        size = -(-2 * n // 8) * 8
+        size = _whole_lines(2 * n)
         flats = _line_aligned(5 * size, lo).reshape(5, size)[:, :2 * n]
         grids = flats.reshape(5, 2, h + 2, wp)
         inner = grids[:, :, 1:-1, 1:-1]
         inner[0, 0], inner[0, 1], inner[2, 0], inner[2, 1], inner[3, 0] = vx, vy, gx, gy, bt
         g, b, t = [f[lo:hi] for f in flats[2:]]
-        d = -(-m // 8) * 8  # the first line past bt
+        d = _whole_lines(m)  # the first line past bt
         bt, den = b[:m], b[d:d + m]
         # lam + gx*gx + gy*gy, in that order, once per solve
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError

@@ -8,7 +8,8 @@ quiescent limit is the same Poisson system.  The stepper normalizes the
 source by c^2 so heat, wave, and damped-wave modes share one steady state;
 that makes the large-c limit directly comparable against the elliptic
 solution, which convergence_in_c takes exactly on the sine modes.  The
-relaxation keeps the red and the black nodes in two contiguous planes.
+relaxation splits the grid, padded to an odd row stride, into its red and
+black nodes, two contiguous planes, and relaxes each colour on one span.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     check_real,
 )
 from .retina import (Field2D, _finite, _lap_plus, _line_aligned, _neighbour_sum, _shifted,
-                     gradient)
+                     _whole_lines, gradient)
 
 __all__ = [
     "Mode",
@@ -132,28 +133,6 @@ class PotentialState:
         return cls(Field2D.zeros(width, height), Field2D.zeros(width, height))
 
 
-def _whole_lines(size: int) -> int:
-    """size rounded up to whole 64-byte lines of float64."""
-    return -(-size // 8) * 8
-
-
-def _colour_tiles(planes: np.ndarray, rows: int, w: int) -> list:
-    """(view of planes, slice of the (rows, w) grid) pairs that tile the grid.
-
-    planes[0] and planes[1] hold the red and black nodes of the grid padded to
-    the odd row stride wp = w|1: flat node 2k is planes[0][k] and node 2k+1 is
-    planes[1][k].  Rows 2j and 2j+1 fill wp entries of each plane: red takes the
-    even columns of row 2j, then the odd ones of row 2j+1; black the odd
-    columns of row 2j, then the even ones of row 2j+1 (the pad column last).
-    """
-    wp = w | 1
-    red, black = planes[:, :(rows + 1) // 2 * wp].reshape(2, -1, wp)
-    return [(red[:, :(w + 1) // 2], np.s_[0::2, 0::2]),
-            (red[:rows // 2, (wp + 1) // 2:], np.s_[1::2, 1::2]),
-            (black[:, :w // 2], np.s_[0::2, 1::2]),
-            (black[:rows // 2, (wp - 1) // 2:w], np.s_[1::2, 0::2])]
-
-
 def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
                   max_iters: int = _SOLVE_MAX_ITERS, boundary: Field2D | None = None
                   ) -> Field2D:
@@ -170,12 +149,15 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
         Max-norm bound on the interior residual of -lap u - mu.
 
     The relaxation factor is the classical optimum 2/(1+sin(pi/max(w,h))).
-    Red-black ordering makes the sweeps deterministic and vectorizable.  u,
-    h*h*mu and mu are held as two colour planes of a grid with the odd row
-    stride wp = w|1 (_colour_tiles): flat node 2k is red and 2k+1 black.  A
-    node's four neighbours then lie at fixed offsets in the other plane, so
-    each half-sweep is ufuncs in place on contiguous spans.  The edge and pad
-    nodes inside those spans are relaxed too, then restored.
+    Red-black ordering makes the sweeps deterministic and vectorizable.  The
+    grid is padded to even rows and the odd row stride wp = w|1, so its flat
+    node p has colour p & 1 and is node p >> 1 of that colour's plane: the
+    padded grid's reshape(-1, 2).T is the (red, black) pair.  u, h*h*mu and
+    mu are held as such planes.  A node's four neighbours then lie at fixed
+    offsets in the other plane, and each colour's residual and half-sweep
+    are ufuncs in place on one contiguous span, from its first interior node
+    to its last.  The edge and pad nodes inside a span are relaxed too, then
+    restored, and count 0 in the residual.
 
     Raises
     ------
@@ -191,62 +173,57 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
 
     rows, w = mu.values.shape
     wp, q = w | 1, (w | 1) // 2
+    padded = ((rows + 1) // 2 * 2, wp)
+    # colour c's interior nodes k lie in [q+1, end[c]): hi - 1 is the last one's flat index
+    hi = (rows - 2) * wp + w - 1
+    lo, end, size = q + 1, ((hi + 1) // 2, hi // 2), padded[0] // 2 * wp
     # one allocation (three slowed set-up), whole lines a plane: node q+1 of
-    # every plane, where the half-sweeps start, starts a line
-    u, f, m = _line_aligned(6 * _whole_lines((rows + 1) // 2 * wp), q + 1).reshape(3, 2, -1)
-    ring = np.zeros_like(mu.values) if boundary is None else boundary.values.copy()
-    ring[1:-1, 1:-1] = 0.0  # the boundary's edge ring: its interior is ignored
-    for (mv, s), (uv, _) in zip(_colour_tiles(m, rows, w), _colour_tiles(u, rows, w)):
-        mv[...], uv[...] = mu.values[s], ring[s]
-    del ring  # a set-up grid, freed before the loop's buffers are made
+    # every plane, where the spans start, starts a line
+    u, f, m = _line_aligned(6 * _whole_lines(size), lo).reshape(3, 2, -1)[..., :size]
+    grid = np.zeros(padded)
+    colours, inner = grid.reshape(-1, 2).T, grid[1:rows - 1, 1:w - 1]
+    if boundary is not None:
+        grid[:rows, :w] = boundary.values
+        inner[...] = 0.0  # the boundary's edge ring: its interior is ignored
+    u[...] = colours
+    grid[:rows, :w] = mu.values
+    m[...] = colours
+    grid.fill(1.0)  # then 1 marks the fixed nodes, edge and pad
+    inner[...] = 0.0
+    edges = [np.flatnonzero(colours[c][lo:e]) for c, e in enumerate(end)]  # in each span
+    del grid, colours, inner  # a set-up grid, freed before the loop's buffers are made
     omega = 2.0 / (1.0 + math.sin(math.pi / max(w, rows)))
-    # the inner rows are flat [wp, n) and the interior nodes lie in [wp+1, hi)
-    n, hi = (rows - 1) * wp, (rows - 2) * wp + w - 1
+    black = _whole_lines(end[0] - lo)  # black's part of the scratch starts a line, like red's
+    nsum, res = (_line_aligned(black + end[1] - lo) for _ in range(2))
     # colour c's node k reads the other plane at k+d: up, down, left, right
     shifts = [(-q - 1, q, -1, 0), (-q, q + 1, 0, 1)]
-
-    def span(c, lo, end):  # colour c's nodes k in [lo, end): centre and neighbours
-        return (u[c][lo:end], *[u[1 - c][lo + d:end + d] for d in shifts[c]])
-
-    inner = [(q + 1, (n + 1) // 2), (q, n // 2)]  # each colour's nodes in the inner rows
-    black = _whole_lines(inner[0][1] - inner[0][0])  # black's part starts a line, like red's
-    cuts = [np.s_[c * black:c * black + end - lo] for c, (lo, end) in enumerate(inner)]
-    nsum, res = _line_aligned(cuts[1].stop), _line_aligned(cuts[1].stop)
-    residual_terms = [(span(c, lo, end), m[c][lo:end], cut)
-                      for c, ((lo, end), cut) in enumerate(zip(inner, cuts))]
-    # the edge and pad nodes of the inner rows, x = 0 and x >= w-1: flat, then by colour
-    flat = ((np.arange(1, rows - 1) * wp)[:, None] + [0, *range(w - 1, wp)]).ravel()
-    edges = [flat[flat % 2 == c] // 2 for c in (0, 1)]
-    rim = [u[c][k] for c, k in enumerate(edges)]
-    skip = np.concatenate([edges[0] - inner[0][0], edges[1] - inner[1][0] + black])
-    halves = [(c, span(c, q + 1, (hi + 1 - c) // 2), f[c][q + 1:(hi + 1 - c) // 2])
-              for c in (0, 1)]
+    spans = [(u[c][lo:e], [u[1 - c][lo + d:e + d] for d in shifts[c]], f[c][lo:e], m[c][lo:e],
+              nsum[c * black:][:e - lo], res[c * black:][:e - lo], edge, u[c][lo:e][edge])
+             for c, (e, edge) in enumerate(zip(end, edges))]
 
     # an overflow (of h*h or of u) leaves a NaN or inf residual for good
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(m, h * h, out=f)
         for sweeps in range(max_iters + 1):
-            for (centre, *around), mc, cut in residual_terms:
-                _lap_plus(res[cut], _neighbour_sum(*around, out=nsum[cut]), centre, mc, h)
-            res[skip] = 0.0
+            for x, around, _, mx, ns, acc, edge, _ in spans:
+                _lap_plus(acc, _neighbour_sum(*around, out=ns), x, mx, h)
+                acc[edge] = 0.0  # the edge and pad nodes count 0
             residual = float(np.abs(res, out=res).max())
             if residual < tol:
-                del nsum  # so the output is the fifth grid held, not the sixth
-                out = np.empty_like(mu.values)
-                for view, s in _colour_tiles(u, rows, w):
-                    out[s] = view
-                return Field2D._own(out, "potential")
-            if sweeps == max_iters or not math.isfinite(residual):
                 break
-            for c, (x, *around), fx in halves:  # red, then black
-                acc = res[:x.size]
-                # a red node reads only black ones, which the residual just summed
-                ns = nsum[:x.size] if c == 0 else _neighbour_sum(*around, out=acc)
+            if sweeps == max_iters or not math.isfinite(residual):
+                raise ConvergenceError(f"relaxation did not reach tol={tol:g} in {sweeps} of "
+                                       f"at most {max_iters} sweeps", residual)
+            for c, (x, around, fx, _, ns, acc, edge, rim) in enumerate(spans):
+                if c:  # black, after red: red reuses the residual's sums of black nodes
+                    _neighbour_sum(*around, out=ns)
                 np.multiply(np.add(ns, fx, out=acc), omega * 0.25, out=acc)
                 np.add(np.multiply(x, 1.0 - omega, out=x), acc, out=x)
-                u[c][edges[c]] = rim[c]
-    raise ConvergenceError(f"relaxation did not reach tol={tol:g} in {sweeps} of at most "
-                           f"{max_iters} sweeps", residual)
+                x[edge] = rim
+    del nsum, res, spans, ns, acc  # every view of the scratch, before the output grid is made
+    grid = np.empty(padded)
+    grid.reshape(-1, 2).T[...] = u
+    return Field2D._own(grid[:rows, :w].copy(), "potential")
 
 
 def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:

@@ -264,6 +264,11 @@ def _shifted(flat: np.ndarray, stride: int, lo: int, hi: int) -> tuple:
     return tuple([flat[lo + d:hi + d] for d in (0, -stride, stride, -1, 1)])
 
 
+def _whole_lines(size: int) -> int:
+    """size rounded up to whole 64-byte lines of float64."""
+    return -(-size // 8) * 8
+
+
 def _line_aligned(size: int, lo: int = 0) -> np.ndarray:
     """size float64 zeros whose element lo starts on a 64-byte line: a ufunc
     writes a span that starts on a line up to twice as fast as one 8 bytes off."""

@@ -263,8 +263,9 @@ class TestPoissonSolve:
     @pytest.mark.parametrize("shape", [(128, 128), (64, 64), (3, 3), (3, 7), (7, 4), (4, 4),
                                        (33, 31), (17, 64), (64, 17), (65, 65)])
     def test_bitwise_equal_to_where_sor(self, shape, h):
-        # same sweeps, same operand order: the in-place stride-2 half-sweeps
-        # over the odd-stride buffer give the reference's bits
+        # same sweeps, same operand order: each colour's residual and
+        # half-sweep, in place on one span of its contiguous colour plane,
+        # give the reference's bits
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         mu = Field2D(rng.uniform(0.0, 1.0, shape))
         for boundary in (None, Field2D(rng.uniform(-1.0, 1.0, shape))):
@@ -273,19 +274,66 @@ class TestPoissonSolve:
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("shape", [(16, 15), (15, 16)], ids=["15x16", "16x15"])
+    @pytest.mark.parametrize("with_boundary", [False, True], ids=["zero-ring", "boundary"])
     @pytest.mark.parametrize("kw", [dict(tol=1e-12, max_iters=3), dict(max_iters=0),
                                     dict(h=1e200)])
-    def test_convergence_error_matches_where_sor(self, kw):
-        # the capped solve, and h*h overflowing to a NaN residual after one sweep
-        mu = Field2D(np.random.default_rng(5).uniform(-1.0, 1.0, (16, 15)))
+    def test_convergence_error_matches_where_sor(self, kw, with_boundary, shape):
+        # the capped solve, and h*h overflowing to a NaN residual after one
+        # sweep, on both parities of rows and columns and with an edge ring
+        rng = np.random.default_rng(5)
+        mu = Field2D(rng.uniform(-1.0, 1.0, shape))
+        boundary = Field2D(rng.uniform(-1.0, 1.0, shape)) if with_boundary else None
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConvergenceError) as want:
-            where_sor(mu, **kw)
+            where_sor(mu, boundary=boundary, **kw)
         with pytest.raises(ConvergenceError) as got:
-            poisson_solve(mu, **kw)
+            poisson_solve(mu, boundary=boundary, **kw)
         assert str(got.value) == str(want.value)
         assert np.array_equal(np.float64(got.value.residual).view(np.uint64),
                               np.float64(want.value.residual).view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(128, 128), (97, 96), (96, 97)])
+    def test_peak_memory_is_five_padded_grids(self, shape):
+        # u, h*h*mu and mu as colour planes and two scratch buffers: the set-up
+        # grid is freed before the scratch is made, and the scratch before the
+        # output grid.  Small grids are left out: fixed overheads weigh more there.
+        rows, w = shape
+        mu = Field2D(np.random.default_rng(rows * 1000 + w).uniform(0.0, 1.0, shape))
+        poisson_solve(mu)  # the second solve is measured: nothing left to import
+        tracemalloc.start()
+        try:
+            poisson_solve(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.6 * 8 * rows * (w | 1)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (31, 33)], ids=["64x64", "33x31"])
+    def test_colour_plane_spans_start_on_64_byte_lines(self, monkeypatch, shape):
+        # node q+1, where every span starts, of the six planes (u, h*h*mu and
+        # mu by colour), and the residual's and neighbour sum's red and black
+        # parts, as the solve hands them to _lap_plus
+        blocks, parts = [], []
+
+        def recording(size, lo=0):
+            blocks.append(aligned(size, lo))
+            return blocks[-1]
+
+        def lap_plus(out, nsum, *rest):
+            parts.extend([out, nsum])
+            return laps(out, nsum, *rest)
+
+        aligned, laps = potential._line_aligned, potential._lap_plus
+        monkeypatch.setattr(potential, "_line_aligned", recording)
+        monkeypatch.setattr(potential, "_lap_plus", lap_plus)
+        with pytest.raises(ConvergenceError):  # one residual, no sweeps
+            poisson_solve(Field2D(np.random.default_rng(5).uniform(0.0, 1.0, shape)),
+                          max_iters=0)
+        q = (shape[1] | 1) // 2
+        starts = [plane[q + 1:] for plane in blocks[0].reshape(6, -1)] + parts
+        assert len(starts) == 10
+        assert [a.ctypes.data % 64 for a in starts] == [0] * 10
 
     @pytest.mark.parametrize("max_iters", [2.5, -1, True])
     def test_max_iters_must_be_a_count(self, max_iters):
