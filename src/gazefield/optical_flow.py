@@ -11,13 +11,14 @@ and reports the local rank from ``np.linalg.svd``, which tells where the
 motion is fully determined (about 0.1 s for 3 channels at 256 x 256).
 
 Every flow sweep runs on ``_Sweeps``: vx and vy sit back to back in one
-edge-padded flat buffer, and a sweep is one kernel's fixed list of in-place
-ufuncs over one contiguous span of it.  ``horn_schunck`` builds it and its
-kernels once per solve and ``hs_jacobi_step`` once per call: the same bits.
+edge-padded flat buffer, and a sweep is one kernel's in-place ufuncs over one
+span of it, the data term only where it acts.  ``horn_schunck`` builds it and
+its kernels once per solve and ``hs_jacobi_step`` once per call: the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -122,13 +123,14 @@ class _Sweeps:
     closure over bare views that sweeps iterate k into iterate 1 - k.  It
     runs each ufunc once, with positional out, on the span from vx's first
     interior node to vy's last, where a node's neighbours sit -+(w+2) and
-    -+1 away; every operand is that span of its own plane or its vx or vy
-    half.  Planes are whole 64-byte lines long and the block is offset so
-    that every span, and the denominator after bt, starts on a line: a
-    sweep's speed does not hang on where the allocator put the block.  The
-    ghosts inside the span carry zero gradient and bt, so they take a finite
-    value until the edge replication overwrites them.  A kernel returns the
-    exact max |next - now|, NaN from the first sweep whose update is NaN.
+    -+1 away, but the data term only on the live band of both halves, the
+    whole 64-byte lines from the first to the last node where gx, gy or bt
+    is not +0 (-0.0 is live), and on the whole halves when that sweep's norm
+    is not finite.  Planes are whole lines long and the block is offset so
+    that every span, the band's vx half and the denominator after bt start
+    on a line: a sweep's speed does not hang on where the allocator put the
+    block.  A kernel returns the exact max |next - now|, NaN from the first
+    sweep whose update is NaN.
     """
 
     def __init__(self, vx, vy, gx, gy, bt, lam: float):
@@ -136,24 +138,31 @@ class _Sweeps:
         wp, n = w + 2, (h + 2) * (w + 2)
         lo, hi = wp + 1, n + h * wp + w + 1
         m = hi - lo - n  # the vx half of the span; the vy half starts n later
+        bits = np.zeros((h, wp), np.uint64)  # node i*wp + j of a half is interior node (i, j)
+        for c in (gx, gy, bt):  # the band's ends by bit pattern, so -0.0 is live
+            bits[:, :w] |= np.asarray(c, np.float64).view(np.uint64)
+        live = np.flatnonzero(bits)
+        first, end = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        band = slice(lo + first // 8 * 8, lo + min(_whole_lines(end), m))
+        del bits, live, first, end  # before the block is allocated
 
         size = _whole_lines(2 * n)
         flats = _line_aligned(5 * size, lo).reshape(5, size)[:, :2 * n]
         grids = flats.reshape(5, 2, h + 2, wp)
         inner = grids[:, :, 1:-1, 1:-1]
         inner[0, 0], inner[0, 1], inner[2, 0], inner[2, 1], inner[3, 0] = vx, vy, gx, gy, bt
-        g, b, t = [f[lo:hi] for f in flats[2:]]
-        d = _whole_lines(m)  # the first line past bt
-        bt, den = b[:m], b[d:d + m]
-        # lam + gx*gx + gy*gy, in that order, once per solve
+        # lam + gx*gx + gy*gy, in that order, once per solve, on bt's plane past bt's span
+        den = flats[3, _whole_lines(m):][:n]
+        gx, dw = flats[2, lo:lo + m], den[lo:lo + m]
+        gy, ty = flats[2, n + lo:hi], flats[4, n + lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-            np.multiply(g[:m], g[:m], den)
-            np.add(den, lam, den)
-            np.multiply(g[n:], g[n:], t[n:])
-            _finite(np.add(den, t[n:], den), "flow")
+            np.multiply(gx, gx, dw)
+            np.add(dw, lam, dw)
+            np.multiply(gy, gy, ty)
+            _finite(np.add(dw, ty, dw), "flow")
         # flow[k] is iterate k's (vx, vy), as views
-        self._stencil, self._flats, self.flow = (wp, lo, hi), flats[:2], inner[:2]
-        self._spans = (g, t, bt, den)
+        self._stencil, self._flats, self.flow = (wp, lo, hi), flats, inner[:2]
+        self._den, self._bands = den, (band, slice(lo, lo + m))
         # per iterate, the views its edge replication copies (see kernel)
         self._edges = [(f[::wp], f[1::wp], f[w + 1::wp], f[w::wp],
                         grid[:, ::h + 1], grid[:, 1:h + 1:max(h - 1, 1)])
@@ -165,36 +174,47 @@ class _Sweeps:
         """A function that sweeps iterate k into iterate 1 - k in place and
         returns the update's max norm; what it reads is looked up once."""
         wp, lo, hi = self._stencil
-        now, up, down, left, right = _shifted(self._flats[k], wp, lo, hi)
-        x = self._flats[1 - k][lo:hi]
-        g, t, bt, den = self._spans
-        m = len(bt)
-        gx, gy, tx, ty = g[:m], g[-m:], t[:m], t[-m:]
+        flats, dens = self._flats, self._den
+        now, up, down, left, right = _shifted(flats[k], wp, lo, hi)
+        x, t = flats[1 - k, lo:hi], flats[4, lo:hi]
         first, first_src, last, last_src, rows, row_src = self._edges[1 - k]
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-        absolute, top = np.absolute, np.maximum.reduce
+        absolute, top, isfinite = np.absolute, np.maximum.reduce, math.isfinite
+
+        def operands(s):
+            # the data term's views on span s of both halves
+            g, xs, ts = [flats[p].reshape(2, -1)[:, s] for p in (2, 1 - k, 4)]
+            return [g, xs, ts, *g, *ts, flats[3, s], dens[s]]
+
+        band_views, whole = operands(self._bands[0]), self._bands[1]
 
         def sweep() -> float:
-            multiply(_neighbour_sum(up, down, left, right, x), 0.25, x)  # (ax, ay)
-            # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
-            multiply(g, x, t)
-            add(tx, ty, tx)
-            add(tx, bt, tx)
-            divide(tx, den, tx)
-            # (ax - gx*scale, ay - gy*scale), gy first: scale is tx
-            multiply(gy, tx, ty)
-            multiply(gx, tx, tx)
-            subtract(x, t, x)
-            # out-of-grid neighbours replicate the edge sample, the discrete
-            # zero-Neumann closure for the flow: the ghost columns copy columns
-            # 1 and w, then the ghost rows copy rows 1 and h, corners included
-            first[...] = first_src
-            last[...] = last_src
-            rows[...] = row_src
-            # every ghost in the span now copies an interior node of its
-            # iterate, so the max over the span is the max over the interior
-            subtract(x, now, t)
-            return top(absolute(t, t))
+            views = band_views
+            while True:
+                g, xs, ts, gx, gy, tx, ty, bt, den = views
+                multiply(_neighbour_sum(up, down, left, right, x), 0.25, x)  # (ax, ay)
+                # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
+                multiply(g, xs, ts)
+                add(tx, ty, tx)
+                add(tx, bt, tx)
+                divide(tx, den, tx)
+                # (ax - gx*scale, ay - gy*scale), gy first: scale is tx
+                multiply(gy, tx, ty)
+                multiply(gx, tx, tx)
+                subtract(xs, ts, xs)
+                # out-of-grid neighbours replicate the edge sample, the discrete
+                # zero-Neumann closure for the flow: the ghost columns copy columns
+                # 1 and w, then the ghost rows copy rows 1 and h, corners included
+                first[...] = first_src
+                last[...] = last_src
+                rows[...] = row_src
+                # every ghost in the span now copies an interior node of its
+                # iterate, so the max over the span is the max over the interior
+                subtract(x, now, t)
+                delta = top(absolute(t, t))
+                if isfinite(delta) or views is not band_views:
+                    return delta
+                views = operands(whole)  # off the band an infinite mean stayed inf, not NaN
 
         return sweep
 

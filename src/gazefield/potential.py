@@ -201,8 +201,8 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
               nsum[c * black:][:e - lo], res[c * black:][:e - lo], edge, u[c][lo:e][edge])
              for c, (e, edge) in enumerate(zip(end, edges))]
 
-    # an overflow (of h*h or of u) leaves a NaN or inf residual for good
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow (of h*h or of u), or h*h rounding to 0, leaves a NaN or inf residual for good
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.multiply(m, h * h, out=f)
         for sweeps in range(max_iters + 1):
             for x, around, _, mx, ns, acc, edge, _ in spans:
@@ -329,8 +329,8 @@ def evolve_potential(state: PotentialState, mu: Field2D, p: TelegraphParams) -> 
     check_grid("evolve_potential", mu.values.shape, state.u.values.shape, min_side=3)
     ws = _Workspace(state)
     # the edge columns of a ring near float64's limit can overflow, and they
-    # are discarded; an overflow that reaches u raises NumericalError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # are discarded; an overflow that reaches u, or h*h rounding to 0, raises NumericalError
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ws.stepper(mu, p)()
     return PotentialState(Field2D._own(ws.u, "potential"), Field2D._own(ws.u_t, "potential"))
 

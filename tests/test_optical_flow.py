@@ -112,6 +112,45 @@ def flow_pair(shape, seed):
     return a, b
 
 
+def flat_pair(name):
+    """A frame pair on a flat background, quantized through PGM, whose gx, gy
+    and bt are exactly +0 off a band of rows: the sweeps' data term runs
+    on that band alone."""
+    if name == "single-row":
+        # row 5 flips from 1 to 0 on a background of 0.5, all exact at maxval 2:
+        # bt is -1/dt on that row, and gy's halves cancel to +0 on rows 4 and 6
+        a, b = np.full((2, 11, 9), 0.5)
+        a[5], b[5] = 1.0, 0.0
+        maxval = 2
+    else:
+        # a 6 px/s blob whose tails quantize to 0, away from or against an edge,
+        # or a full-height bar, moving along x (transposed: x and y swap places)
+        n = 32
+        y = {"middle": 16.0, "top-edge": 1.0, "bottom-edge": 30.0, "full-height": 16.0,
+             "identical": -1e3}[name]
+        a, b = (f.values.copy() for f in synth.moving_blob_frames(
+            n, n, 2, (8.0, y), (6.0, 0.0), 1.0 / 30.0, 1.5, 1.0))
+        if name == "full-height":
+            a, b = (np.repeat(f.max(axis=0, keepdims=True), n, axis=0) for f in (a, b))
+        maxval = 65535
+    return tuple(load_pgm(save_pgm(Field2D(f), maxval)).values for f in (a, b))
+
+
+# the band: inner rows, rows from the first, rows to the last, every row, one
+# row, and none (two identical black frames)
+FLAT_PAIRS = ["middle", "top-edge", "bottom-edge", "full-height", "single-row", "identical"]
+
+
+def frames(shape, seed):
+    # shape is flow_pair's shape, or the name of a flat-background pair
+    return flat_pair(shape) if isinstance(shape, str) else flow_pair(shape, seed)
+
+
+def same_bits(x, y):
+    # np.array_equal takes -0.0 for +0.0
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 def early_stop_params(a, b, lam, cap):
     # a tol that the padded reference first meets well before the cap:
     # just above the smallest update among its first cap // 2 sweeps
@@ -296,30 +335,32 @@ HS_CAP = 40
 
 
 class TestSweepKernel:
-    @pytest.mark.parametrize("shape", HS_SHAPES)
+    @pytest.mark.parametrize("shape", HS_SHAPES + FLAT_PAIRS)
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
     def test_horn_schunck_bitwise_matches_padded_reference(self, shape, lam):
-        a, b = flow_pair(shape, seed=61)
+        a, b = frames(shape, seed=61)
+        # where gx = gy = 0, as for identical flat frames or a flip of one row
+        # in place, the first update is 0, below any tol
+        cap = HS_CAP if any(g.any() for g in hs_setup(a, b, 1.0)[:2]) else 1
         # transposed, the larger update moves from vx to vy
         for a, b in ((a, b), (a.T.copy(), b.T.copy())):
             # one sweep, the cap, and a tol that stops the sweeps early
             cases = [(HsParams(lam=lam, max_iters=1), range(1, 2)),
-                     (HsParams(lam=lam, max_iters=HS_CAP, tol=1e-300),
-                      range(HS_CAP, HS_CAP + 1)),
+                     (HsParams(lam=lam, max_iters=HS_CAP, tol=1e-300), range(cap, cap + 1)),
                      (early_stop_params(a, b, lam, HS_CAP), range(1, HS_CAP // 2 + 1))]
             for p, sweep_range in cases:
                 vx, vy, deltas = padded_horn_schunck(a, b, 1.0, p)
                 assert len(deltas) in sweep_range
                 v = horn_schunck(Field2D(a), Field2D(b), 1.0, p)
-                assert np.array_equal(v.dx, vx) and np.array_equal(v.dy, vy), p
+                assert same_bits(v.dx, vx) and same_bits(v.dy, vy), p
 
-    @pytest.mark.parametrize("shape", HS_SHAPES)
+    @pytest.mark.parametrize("shape", HS_SHAPES + FLAT_PAIRS)
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
     def test_stops_at_the_reference_sweep_for_every_tol(self, shape, lam, sweep_calls):
         # the solve stops on the update's exact max norm; a tol just above
         # each of the reference's updates in turn, rising or falling, must stop
         # it at the same sweep with the same bits
-        a, b = flow_pair(shape, seed=73)
+        a, b = frames(shape, seed=73)
         for a, b in ((a, b), (a.T.copy(), b.T.copy())):
             gx, gy, bt = hs_setup(a, b, 1.0)
             vx, vy = np.zeros_like(gx), np.zeros_like(gy)
@@ -337,7 +378,7 @@ class TestSweepKernel:
                                  HsParams(lam=lam, max_iters=HS_CAP, tol=tol))
                 assert len(sweep_calls) == stop + 1, (k, tol)
                 want_x, want_y = iterates[stop]
-                assert np.array_equal(v.dx, want_x) and np.array_equal(v.dy, want_y), (k, tol)
+                assert same_bits(v.dx, want_x) and same_bits(v.dy, want_y), (k, tol)
 
     @pytest.mark.parametrize("shape", HS_SHAPES)
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
@@ -355,25 +396,44 @@ class TestSweepKernel:
                 vx, vy = nvx, nvy
                 assert kernels[k & 1]() == want, k
 
+    @pytest.mark.parametrize("rows", [(0, 0), (0, 1), (5, 6), (10, 11), (0, 4), (7, 11), (0, 11)])
+    def test_band_sweeps_match_the_reference_from_any_flow(self, rows):
+        # a random flow on a grid whose gx, gy and bt vanish off a run of rows:
+        # none, the first, one inside, the last, from the first, to the last, all
+        rng = np.random.default_rng(103)
+        vx, vy, gx, gy, bt = rng.standard_normal((5, 11, 9))
+        for c in (gx, gy, bt):
+            c[:rows[0]] = c[rows[1]:] = 0.0
+        ws = _Sweeps(vx, vy, gx, gy, bt, 0.1)
+        kernels = ws.kernel(0), ws.kernel(1)
+        for k in range(HS_CAP):
+            nvx, nvy = padded_jacobi_step(vx, vy, gx, gy, bt, 0.1)
+            want = max(np.abs(nvx - vx).max(), np.abs(nvy - vy).max())
+            vx, vy = nvx, nvy
+            assert kernels[k & 1]() == want, k
+            got_x, got_y = ws.flow[(k + 1) & 1]
+            assert same_bits(got_x, vx) and same_bits(got_y, vy), k
+
     @pytest.mark.parametrize("shape", HS_SHAPES + [(1, 1), (1, 5), (2, 2)])
     def test_sweep_operands_start_on_cache_lines(self, shape, monkeypatch):
         # whatever address the block gets, the spans of both iterates, g and
-        # the scratch, and bt and den start on a 64-byte line; the vy halves
-        # sit (h+2)(w+2) nodes on and the neighbours -+1 and -+(w+2) away, as
-        # the grid fixes them
+        # the scratch, and bt and den start on a 64-byte line, and so do their
+        # vx halves on the live band; the vy halves sit (h+2)(w+2) nodes on and
+        # the neighbours -+1 and -+(w+2) away, as the grid fixes them
         import gazefield.optical_flow as of
         starts = []
         kernel = of._Sweeps.kernel
 
         def recording(ws, k):
-            _, lo, hi = ws._stencil
-            spans = (*ws._flats[:, lo:hi], *ws._spans)
-            starts.append([s.ctypes.data for s in spans])
+            starts.append([a.ctypes.data for span in ws._bands
+                           for a in (*ws._flats[:, span], ws._den[span])])
             return kernel(ws, k)
 
         monkeypatch.setattr(of._Sweeps, "kernel", recording)
         rng = np.random.default_rng(83)
         vx, vy, gx, gy, bt = rng.standard_normal((5,) + shape)
+        for c in (gx, gy, bt):  # the live band starts mid-grid
+            c.reshape(-1)[:c.size // 2] = 0.0
         hs_jacobi_step(vx, vy, gx, gy, bt, 0.1)
         kernels = 1
         if min(shape) >= 3:  # horn_schunck's smallest grid
@@ -391,7 +451,7 @@ class TestSweepKernel:
         rng = np.random.default_rng(89)
         vx, vy, gx, gy, bt = rng.standard_normal((5,) + shape)
         ws = _Sweeps(vx, vy, gx, gy, bt, 0.1)
-        grids = ws._flats.reshape((2, 2) + tuple(n + 2 for n in shape))
+        grids = ws._flats[:2].reshape((2, 2) + tuple(n + 2 for n in shape))
         kernels = ws.kernel(0), ws.kernel(1)
         for k in range(6):
             kernels[k & 1]()
@@ -418,6 +478,34 @@ class TestSweepKernel:
             # the loop reports the sweeps it ran and the last update's norm
             ws = _Sweeps(0.0, 0.0, *hs_setup(a, b, 1.0), lam)
             assert _relax(ws, p.max_iters, p.tol) == (sweeps, deltas[-1])
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_negative_zero_coefficients_are_live(self, which):
+        # a -0.0 in gx, gy or bt is live: there the data term turns a mean of
+        # -0.0 into +0.0 in vx, vy or both, where off the band it stays -0.0
+        shape = (6, 7)
+        vx, vy = np.full((2,) + shape, -0.0)
+        coefficients = np.zeros((3,) + shape)
+        coefficients[which, 3, 4] = -0.0
+        want = padded_jacobi_step(vx, vy, *coefficients, 0.1)
+        assert not all(np.signbit(w[3, 4]) for w in want)
+        got = hs_jacobi_step(vx, vy, *coefficients, 0.1)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+    def test_overflowing_mean_off_the_band_stops_after_one_sweep(self):
+        # a flat region's neighbour sums of 1.5e308 overflow: the reference's
+        # data term makes the means NaN, and so must the sweep, not leave them inf
+        shape = (6, 7)
+        vx, vy, gx, gy, bt = np.zeros((5,) + shape)
+        vx[...] = vy[...] = 1.5e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = padded_jacobi_step(vx, vy, gx, gy, bt, 0.1)
+        ws = _Sweeps(vx, vy, gx, gy, bt, 0.1)
+        sweeps, delta = _relax(ws, 10, 1e-4)
+        assert sweeps == 1 and math.isnan(delta)
+        for g, w in zip(ws.flow[1], want):
+            assert np.isnan(w).all() and np.array_equal(g, w, equal_nan=True)
 
     def test_sweeps_allocate_nothing(self):
         # a 500-sweep solve peaks where a one-sweep solve does, and so do its

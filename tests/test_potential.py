@@ -259,6 +259,15 @@ class TestPoissonSolve:
         assert exc.value.residual > 0
         assert math.isfinite(exc.value.residual)
 
+    def test_h_squared_underflow_is_a_convergence_error_without_warning(self):
+        # h*h rounds to 0: the residual divides by zero, and that must stay silent
+        mu, boundary = Field2D(np.ones((5, 5))), Field2D(np.full((5, 5), 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as exc:
+                poisson_solve(mu, h=1e-170, boundary=boundary)
+        assert not math.isfinite(exc.value.residual)
+
     @pytest.mark.parametrize("h", [1.0, 0.7])
     @pytest.mark.parametrize("shape", [(128, 128), (64, 64), (3, 3), (3, 7), (7, 4), (4, 4),
                                        (33, 31), (17, 64), (64, 17), (65, 65)])
@@ -434,6 +443,16 @@ class TestEvolvePotential:
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow"):
             evolve_potential(PotentialState.zero(8, 8), mu,
                              TelegraphParams(c=100, dt=0.007))
+
+    def test_h_squared_underflow_is_numerical_error_without_warning(self):
+        # h*h rounds to 0: the Laplacian of a bump divides by zero
+        u0 = np.zeros((5, 5))
+        u0[1:4, 1:4] = 1.0
+        st = PotentialState(Field2D(u0), Field2D.zeros(5, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow"):
+                evolve_potential(st, Field2D.zeros(5, 5), TelegraphParams(h=1e-170, dt=1e-171))
 
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.7])
     @pytest.mark.parametrize("mode, gamma, lam", [
