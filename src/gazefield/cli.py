@@ -250,11 +250,11 @@ def parse_config(text: str) -> SimConfig:
 
 
 def load_config(path: str) -> SimConfig:
-    """Read and parse a config file; unreadable files are config errors."""
+    """Read and parse a config file; unreadable or non-UTF-8 files are config errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config(text)
 
@@ -531,8 +531,8 @@ def read_field(source) -> Field2D:
     if len(payload) < 4 * w * h:
         raise DataError(f"field payload truncated: expected {4 * w * h} bytes, "
                         f"got {len(payload)}")
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return Field2D(values.reshape((h, w)))
+    with np.errstate(invalid="ignore"):  # a signalling NaN is refused as non-finite
+        return Field2D(np.frombuffer(payload, dtype="<f4").reshape(h, w))
 
 
 def export_flow(v: FlowField, sink) -> None:

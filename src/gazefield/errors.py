@@ -18,6 +18,20 @@ from __future__ import annotations
 import math
 import numbers
 
+__all__ = [
+    "GazefieldError",
+    "ConfigError",
+    "ParameterError",
+    "DataError",
+    "DimensionError",
+    "PgmParseError",
+    "DomainError",
+    "GridSizeError",
+    "NumericalError",
+    "ConvergenceError",
+    "SingularityError",
+]
+
 
 class GazefieldError(Exception):
     """Base class for all errors raised by this package."""

@@ -45,6 +45,7 @@ from .errors import (
 __all__ = [
     "Field2D",
     "VectorField2D",
+    "FlowField",
     "BlurSchedule",
     "load_pgm",
     "save_pgm",

@@ -1,9 +1,12 @@
-"""README's "Library use" snippets run as written, so the example cannot drift."""
+"""README's "Library use" holds: its snippets run as written, so the example
+cannot drift, and every name in a module's __all__ imports from gazefield."""
 
 import re
+import types
 from pathlib import Path
 
-from gazefield import save_pgm, synth
+import gazefield
+from gazefield import errors, foa, mass, optical_flow, potential, retina, save_pgm, synth
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +32,13 @@ def test_library_use_snippets_run(tmp_path, monkeypatch):
     assert len(namespace["path"]) == 1 + 600 * substeps
     exec(compile(second, str(README), "exec"), namespace)
     assert len(namespace["path"]) == 1 + 3 * substeps
+
+
+def test_package_names_are_the_modules_all_lists():
+    public = {name for name, v in vars(gazefield).items()
+              if not name.startswith("_") and not isinstance(v, types.ModuleType)}
+    declared = {name for module in (errors, retina, optical_flow, mass, potential, foa)
+                for name in module.__all__}
+    assert public == declared
+    assert {"hs_jacobi_step", "FlowField"} <= public
+    assert not hasattr(gazefield, "__all__")  # each name is declared once, in its module
