@@ -666,20 +666,19 @@ def _cmd_converge(args) -> int:
 def _cmd_synth(args) -> int:
     w, h, n = args.width, args.height, args.frames
     if args.kind == "black":
-        frames = synth.black_frames(w, h, n)
+        frames = synth._black(w, h, n)
     elif args.kind == "two-blobs":
-        frames = synth.static_frames(
-            synth.two_blob_image(w, h, args.blob_sigma, args.amp), n)
+        frames = synth._static(synth.two_blob_image(w, h, args.blob_sigma, args.amp), n)
     else:
-        frames = synth.moving_blob_frames(
+        frames = synth._moving_blob(
             w, h, n, (w / 4.0, h / 2.0), (args.speed, 0.0), args.frame_dt,
             args.blob_sigma, args.amp)
-    frames = synth.add_noise(frames, args.noise, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    for k, f in enumerate(frames):
+    for k, f in enumerate(synth._noisy(frames, args.noise, args.seed)):  # made as written
+        if k == 0:  # every check has passed and frame 0 exists: only now make --out
+            os.makedirs(args.out, exist_ok=True)
         _write_bytes(os.path.join(args.out, f"frame_{k:04d}.pgm"),
-                     lambda fh, f=f: fh.write(save_pgm(f, args.maxval)))
-    print(f"{len(frames)} {args.kind} frames ({w}x{h}) in {args.out}")
+                     lambda fh: fh.write(save_pgm(f, args.maxval)))
+    print(f"{n} {args.kind} frames ({w}x{h}) in {args.out}")
     return 0
 
 

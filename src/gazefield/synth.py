@@ -1,7 +1,9 @@
 """Synthetic test scenes rendered to brightness frames.
 
 Analytic blobs and flat fields used by the test suite and the `synth`
-command line subcommand.  Generation is the one place randomness is
+command line subcommand.  Each list-returning generator is list() of a
+private one that has checked its arguments by frame 0, which the command
+writes from one frame at a time.  Generation is the one place randomness is
 allowed (optional pixel noise under an explicit seed); everything else in
 the pipeline is deterministic.
 """
@@ -54,15 +56,21 @@ def two_blob_image(width: int, height: int, sigma: float = _BLOB_SIGMA,
 
 def black_frames(width: int, height: int, count: int) -> list[Field2D]:
     """All-zero brightness frames."""
+    return list(_black(width, height, count))
+
+
+def _black(width, height, count):
     _check_frame(width, height)
-    check_int("count", count, 2, _MAX_SIZE)
-    return [Field2D.zeros(width, height) for _ in range(count)]
+    return (Field2D.zeros(width, height) for _ in range(check_int("count", count, 2, _MAX_SIZE)))
 
 
 def static_frames(image: Field2D, count: int) -> list[Field2D]:
     """The same image repeated."""
-    check_int("count", count, 2, _MAX_SIZE)
-    return [image] * count
+    return list(_static(image, count))
+
+
+def _static(image, count):
+    return (image for _ in range(check_int("count", count, 2, _MAX_SIZE)))
 
 
 def moving_blob_frames(width: int, height: int, count: int,
@@ -70,25 +78,29 @@ def moving_blob_frames(width: int, height: int, count: int,
                        dt: float, sigma: float = _BLOB_SIGMA, amp: float = _BLOB_AMP
                        ) -> list[Field2D]:
     """A blob translating at constant velocity (pixels/s), one frame per dt."""
+    return list(_moving_blob(width, height, count, start, velocity, dt, sigma, amp))
+
+
+def _moving_blob(width, height, count, start, velocity, dt, sigma, amp):
     check_int("count", count, 2, _MAX_SIZE)
     check_real("dt", dt, 0, lo_open=True)
     check_real("(count - 1) * dt", (count - 1) * dt)  # finite: no centre is inf * 0
     x0, y0 = (check_real("start", v) for v in start)
     vx, vy = (check_real("velocity", v) for v in velocity)
-    return [blob_image(width, height, x0 + k * dt * vx, y0 + k * dt * vy,
-                       sigma, amp)
-            for k in range(count)]
+    return (blob_image(width, height, x0 + k * dt * vx, y0 + k * dt * vy, sigma, amp)
+            for k in range(count))
 
 
 def add_noise(frames: list[Field2D], amplitude: float, seed: int) -> list[Field2D]:
     """Independent uniform pixel noise in [0, amplitude], clipped to [0, 1]."""
+    return list(_noisy(frames, amplitude, seed))
+
+
+def _noisy(frames, amplitude, seed):
     check_real("amplitude", amplitude, 0)
-    check_int("seed", seed, 0)  # numpy's seeds are nonnegative
-    if amplitude == 0:
-        return list(frames)
-    rng = np.random.default_rng(seed)
-    out = []
+    rng = np.random.default_rng(check_int("seed", seed, 0))  # numpy's seeds are nonnegative
     for f in frames:
-        noisy = f.values + rng.uniform(0.0, amplitude, f.values.shape)
-        out.append(Field2D(np.clip(noisy, 0.0, 1.0)))
-    return out
+        if amplitude:
+            noisy = f.values + rng.uniform(0.0, amplitude, f.values.shape)
+            f = Field2D(np.clip(noisy, 0.0, 1.0))
+        yield f

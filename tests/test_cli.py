@@ -6,8 +6,6 @@ import itertools
 import math
 import os
 import struct
-import subprocess
-import sys
 import time
 import warnings
 from pathlib import Path
@@ -71,18 +69,11 @@ from gazefield.cli import (
 )
 from gazefield.foa import _SaccadeStream, detect_saccades
 
+from cli_process import run_cli_process
+
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def run_cli_process(*argv, warn="ignore", timeout=60):
-    # a separate process, so a hang fails by timeout instead of stalling
-    src = os.path.dirname(os.path.dirname(gazefield.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-W", warn, "-m", "gazefield.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def config_value(cfg, key):
@@ -824,6 +815,19 @@ class TestCommands:
         path = import_scanpath(outs[0])
         assert len(path) == 1 + 9 * 4
 
+    @pytest.mark.parametrize("schedule", ["", "blur_sigma0 = 3\nblur_decay_rate = 2000\n"],
+                             ids=["plain", "decaying-blur"])
+    def test_synth_then_simulate_writes_a_row_per_substep(self, tmp_path, schedule):
+        # the decaying blur has no floor: 2*sigma^2 underflows at frame 6
+        frames, cfgfile, out = tmp_path / "frames", tmp_path / "run.cfg", tmp_path / "out"
+        assert run_cli("synth", "two-blobs", "--frames", "31", "--out", str(frames)) == 0
+        cfgfile.write_text("alpha1 = 150\nc = 100\nlambda_drag = 4\n" + schedule,
+                           encoding="utf-8")
+        assert run_cli("simulate", str(cfgfile), str(frames / "frame_*.pgm"),
+                       "--out", str(out)) == 0
+        rows = (out / "scanpath.csv").read_bytes().splitlines()[1:]  # under the header
+        assert len(rows) == 1 + 30 * 8
+
     def test_runs_in_one_process_write_what_separate_processes_write(self, tmp_path,
                                                                        blob_frames_dir):
         # the parser is built once per process, and nothing of a run outlives it
@@ -942,7 +946,7 @@ class TestCommands:
     @pytest.mark.parametrize("case", ["poisson", "poisson-oracle", "converge", "simulate",
                                       "simulate-mass", "simulate-motion",
                                       "simulate-gradient", "flow-ddt",
-                                      "flow-sweeps", "flow-nan"])
+                                      "flow-sweeps", "flow-nan", "flow-nan-subnormal-dt"])
     def test_overflow_under_warnings_as_errors_exits_4_with_one_error_line(
             self, tmp_path, blob_frames_dir, case):
         # numpy's overflow warnings, raised as errors, used to end these in a
@@ -971,6 +975,8 @@ class TestCommands:
             "flow-sweeps": ("flow", "frame_dt = 1e-308\n", pair),
             # the update is NaN from sweep 1; the sweeps ran on to the cap, for hours
             "flow-nan": ("flow", "frame_dt = 1e-308\nhs_max_iters = 100000000\n", pair),
+            "flow-nan-subnormal-dt": ("flow", "frame_dt = 5e-309\nhs_max_iters = 100000000\n",
+                                      pair),
         }[case]
         cfgfile.write_text(config, encoding="utf-8")
         proc = run_cli_process(command, *args, warn="error")
@@ -1107,10 +1113,22 @@ class TestCommands:
                                    direct_potential(mu).values.astype("<f4"),
                                    atol=1e-7)
 
-    def test_poisson_corrupt_input_exits_3(self, tmp_path):
-        src = tmp_path / "mu.foaf"
-        src.write_bytes(b"FOAX garbage")
-        assert run_cli("poisson", str(src), "--out", str(tmp_path / "u.foaf")) == 3
+    @pytest.mark.parametrize("case, message", [
+        ("garbage", "error: bad field magic"), ("missing-source", "error: cannot read "),
+        ("missing-out-dir", "error: cannot write ")],
+        ids=["garbage", "missing-source", "missing-out-dir"])
+    def test_poisson_corrupt_input_exits_3(self, tmp_path, capsys, case, message):
+        src, out = tmp_path / "mu.foaf", tmp_path / "u.foaf"
+        if case == "garbage":
+            src.write_bytes(b"FOAX garbage")
+        elif case == "missing-out-dir":
+            with open(src, "wb") as fh:
+                export_field(Field2D(np.ones((8, 8))), fh)
+            out = tmp_path / "missing" / "u.foaf"
+        assert run_cli("poisson", str(src), "--out", str(out)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), lines
+        assert not out.exists() and not out.with_name("u.foaf.part").exists()
 
     @pytest.mark.parametrize("command", ["poisson", "converge"])
     def test_field_header_past_the_index_range_exits_3(self, tmp_path, capsys, command):
@@ -1137,6 +1155,19 @@ class TestCommands:
         assert lines[0].startswith("c=1 relative_gradient_error=")
         assert lines[1].startswith("c=2 relative_gradient_error=")
 
+    def test_converge_prints_for_speeds_together_what_each_prints_alone(self, tmp_path,
+                                                                         capsys):
+        src = tmp_path / "mu.foaf"
+        with open(src, "wb") as fh:
+            export_field(Field2D(np.ones((32, 32))), fh)
+        argv = ("converge", str(src), "--dt", "0.05", "--horizon", "2")
+        together = run_cli_process(*argv, "--c", "1,2,3,4,5", warn="error")
+        assert together.returncode == 0, together.stderr
+        for c in "12345":
+            assert run_cli(*argv, "--c", c) == 0
+        alone = capsys.readouterr().out
+        assert together.stdout == alone and len(alone.splitlines()) == 5
+
     @pytest.mark.parametrize("args", [
         ["--c", "1e300"], ["--c", "1,2", "--dt", "1e-9"], ["--c", "1,2", "--horizon", "1e9"],
         ["--c", "1,2", "--horizon", "1e300", "--dt", "1e-300"],
@@ -1156,15 +1187,24 @@ class TestCommands:
         src = tmp_path / "mu.foaf"
         with open(src, "wb") as fh:
             export_field(Field2D(np.ones((8, 8))), fh)
-        assert run_cli("converge", str(src), "--mode", "heat", "--gamma", "0", "--c", "1e200",
-                       "--h", "1e200", "--dt", "1") == 2
-        assert "stability violated" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("converge", str(src), "--mode", "heat", "--gamma", "0",
+                           "--c", "1e200", "--h", "1e200", "--dt", "1") == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "stability violated" in lines[0], lines
+        assert captured.out == ""
 
-    def test_converge_bad_speed_list_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("speeds, message", [
+        ("fast", "error: --c: not a number: 'fast'"),
+        (",", "error: --c needs at least one speed")], ids=["word", "empty"])
+    def test_converge_bad_speed_list_exits_2(self, tmp_path, capsys, speeds, message):
         src = tmp_path / "mu.foaf"
         with open(src, "wb") as fh:
             export_field(Field2D(np.zeros((8, 8))), fh)
-        assert run_cli("converge", str(src), "--c", "fast") == 2
+        assert run_cli("converge", str(src), "--c", speeds) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
     @pytest.mark.parametrize("command", ["poisson", "converge"])
     def test_non_finite_residual_exits_4_at_once(self, tmp_path, capsys, command):
@@ -1219,7 +1259,7 @@ class TestCommands:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: convergence_in_c needs at least 3x3, got 2x2"]
 
-    @pytest.mark.parametrize("kind", ["flow", "synth"])
+    @pytest.mark.parametrize("kind", ["flow", "synth", "synth-frame-0"])
     def test_memory_error_exits_3_with_one_error_line(self, tmp_path, capsys,
                                                        monkeypatch, kind):
         def too_large(*args):
@@ -1232,11 +1272,15 @@ class TestCommands:
             cfgfile.write_text("", encoding="utf-8")
             argv = ["flow", str(cfgfile), str(frame), str(frame),
                     "--out", str(tmp_path / "v.foaf")]
-        else:
+        elif kind == "synth":
             monkeypatch.setattr(synth, "two_blob_image", too_large)
             argv = ["synth", "two-blobs", "--out", str(tmp_path / "frames")]
+        else:  # frame 0 itself, as for synth black --width 1000000000000 --height 4
+            monkeypatch.setattr(synth, "blob_image", too_large)
+            argv = ["synth", "moving-blob", "--out", str(tmp_path / "frames")]
         assert run_cli(*argv) == 3
         assert capsys.readouterr().err == "error: Unable to allocate 298. GiB for an array\n"
+        assert not (tmp_path / "frames").exists()
 
     def test_flow_beyond_float32_exits_4(self, tmp_path, capsys):
         frames = tmp_path / "frames"
@@ -1313,6 +1357,42 @@ class TestCommands:
             v = read_flow(fh)
         assert v.dx.shape == (32, 32)
         assert np.isfinite(v.dx).all() and np.isfinite(v.dy).all()
+
+    def test_flow_between_identical_frames_is_exactly_zero(self, tmp_path):
+        frames, cfgfile, out = tmp_path / "frames", tmp_path / "run.cfg", tmp_path / "v.foaf"
+        assert run_cli("synth", "two-blobs", "--frames", "2", "--out", str(frames)) == 0
+        cfgfile.write_text("alpha1 = 150\nc = 100\nlambda_drag = 4\n", encoding="utf-8")
+        proc = run_cli_process("flow", str(cfgfile), str(frames / "frame_0000.pgm"),
+                               str(frames / "frame_0001.pgm"), "--out", str(out), warn="error")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{out}: 64x64 flow, mean speed 0 px/s\n"
+
+    def test_flows_in_one_process_write_what_separate_processes_write(self, tmp_path,
+                                                                        blob_frames_dir):
+        # each solve builds its own buffers and kernels, so the second flow in a
+        # process, on the reversed pair, writes what a fresh process writes
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("", encoding="utf-8")
+        a, b = (str(blob_frames_dir / f"frame_000{k}.pgm") for k in range(2))
+        pairs = {"fwd": (a, b), "rev": (b, a)}
+        for name, pair in pairs.items():
+            assert run_cli("flow", str(cfgfile), *pair, "--out", str(tmp_path / name)) == 0
+        for name, pair in pairs.items():
+            alone = tmp_path / f"{name}-alone"
+            proc = run_cli_process("flow", str(cfgfile), *pair, "--out", str(alone))
+            assert proc.returncode == 0, proc.stderr
+            assert alone.read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_flow_takes_its_sweep_cap_from_the_config(self, tmp_path, blob_frames_dir):
+        # one sweep and two end in different iterates, so their flows differ
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "v.foaf"
+        flows = []
+        for sweeps in (1, 2):
+            cfgfile.write_text(f"hs_max_iters = {sweeps}\n", encoding="utf-8")
+            assert run_cli("flow", str(cfgfile), str(blob_frames_dir / "frame_0000.pgm"),
+                           str(blob_frames_dir / "frame_0001.pgm"), "--out", str(out)) == 0
+            flows.append(out.read_bytes())
+        assert flows[0] != flows[1]
 
     @pytest.mark.parametrize("command", ["poisson-oracle", "flow-dy"])
     def test_failed_write_leaves_no_file_and_keeps_the_old_one(self, tmp_path, command):

@@ -36,8 +36,7 @@ LONG = {str(10**5), str(10**22), str(2**62)}  # the integers that ask for long r
 # the work budget exits 2 at once, so their LONG values run
 EXEMPT = {
     ("simulate", "substeps_per_frame"): "potential and particle steps a frame",
-    ("synth", "--frames"): "frames, each written as a file (moving-blob makes them all "
-                           "before it writes one)",
+    ("synth", "--frames"): "frames, each written as a file",
 }
 
 NUMERIC_KEYS = [k for k, (_, _, kind) in _CONFIG_KEYS.items() if kind in (int, float)]

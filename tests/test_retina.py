@@ -138,6 +138,10 @@ class TestLoadPgm:
         f = load_pgm(payload)
         np.testing.assert_allclose(f.data, [0.0, 1.0])
 
+    def test_text_is_not_a_file_image(self):
+        with pytest.raises(DataError, match="^load_pgm expects bytes$"):
+            load_pgm("P5 2 2 255\n\x00\x00\x00\x00")
+
     def test_bad_magic_names_offset_zero(self):
         with pytest.raises(PgmParseError) as exc:
             load_pgm(b"P2 2 2 255\n0 0 0 0")

@@ -10,17 +10,13 @@ code, never a traceback or a hang.
 
 import io
 import math
-import os
 import random
 import struct
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import gazefield
 from gazefield import (
     DataError,
     DimensionError,
@@ -32,6 +28,8 @@ from gazefield import (
     synth,
 )
 from gazefield.cli import export_scanpath, main, parse_config, read_field, run_simulation
+
+from cli_process import run_cli_process
 
 EXPLORE = ("alpha1 = 150\nc = 100\nlambda_drag = 4\ndissipation = 0.5\nbeta = 1\n"
            "sigma_ior = 5\n")
@@ -184,6 +182,26 @@ def test_peak_memory_flat_in_clip_length(tmp_path, capsys):
     short, long = peak(50), peak(500)
     capsys.readouterr()
     assert long - short < 4 * 2**20, (short, long)
+
+
+@pytest.mark.parametrize("kind", [["black"], ["two-blobs", "--noise", "0.1"], ["moving-blob"]],
+                         ids=["black", "two-blobs-noise", "moving-blob"])
+def test_synth_peak_memory_flat_in_clip_length(tmp_path, capsys, kind):
+    # each frame is written as it is made: 350 more 64x64 frames held in memory
+    # would take 11.5 MB (the whole clip was held, 26.5 MB at 800 frames)
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["synth", *kind, "--frames", str(n), "--out",
+                         str(tmp_path / f"frames{n}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # warm-up: lazy allocations inside numpy and the interpreter
+    short, long = peak(50), peak(400)
+    capsys.readouterr()
+    assert abs(long - short) < 4096, (short, long)
 
 
 @pytest.mark.parametrize("step", [1, 0], ids=["moving", "static"])
@@ -475,19 +493,10 @@ def hostile_solver_case(rng, root):
         "--dt": ["0.01", "0.1", None], "--horizon": ["0.5", "2", "5"]})]
 
 
-def run_cli_process(argv, timeout):
-    """Run the command line in a separate process, so a hang fails by timeout."""
-    src = os.path.dirname(os.path.dirname(gazefield.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-W", "ignore", "-m", "gazefield.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
-
-
 @pytest.mark.parametrize("case", range(12))
 def test_hostile_input_ends_with_a_documented_exit_code(tmp_path, case):
     argv = hostile_case(random.Random(7000 + case), tmp_path)
-    proc = run_cli_process(argv, timeout=60)
+    proc = run_cli_process(*argv, timeout=60)
     config = (tmp_path / "run.cfg").read_text(encoding="utf-8")
     assert proc.returncode in (0, 2, 3, 4), (config, proc.stderr)
     assert "Traceback" not in proc.stderr, (config, proc.stderr)
@@ -497,6 +506,6 @@ def test_hostile_input_ends_with_a_documented_exit_code(tmp_path, case):
 @pytest.mark.parametrize("case", range(12))
 def test_hostile_solver_input_ends_fast_with_a_documented_exit_code(tmp_path, case):
     argv = hostile_solver_case(random.Random(9000 + case), tmp_path)
-    proc = run_cli_process(argv, timeout=5)
+    proc = run_cli_process(*argv, timeout=5)
     assert proc.returncode in (0, 2, 3, 4), (argv, proc.stderr)
     assert "Traceback" not in proc.stderr, (argv, proc.stderr)
