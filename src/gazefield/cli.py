@@ -75,6 +75,7 @@ from .retina import (
     Field2D,
     FlowField,
     _PGM_MAXVAL,
+    _finite,
     gaussian_blur,
     gradient,
     load_pgm,
@@ -417,13 +418,18 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
                 detail = None  # else frame k + 1's b_now is frame k's, and so is its detail
             stage.name = "potential"
             potential_step = pot.stepper(mu, tp)  # scratch and a view of mu, for this frame
-            for j in range(substeps):
-                potential_step()
-                stage.name = "particle"
-                x, y, vx, vy = particle_step(x, y, vx, vy)
-                rows.extend(((k * substeps + j + 1) * dt_sub, x, y, vx, vy))
-                stage.name = "potential"
-            del potential_step  # it dies with the frame's substeps
+            try:
+                for j in range(substeps):
+                    potential_step()
+                    stage.name = "particle"
+                    x, y, vx, vy = particle_step(x, y, vx, vy)
+                    rows.extend(((k * substeps + j + 1) * dt_sub, x, y, vx, vy))
+                    stage.name = "potential"
+            finally:  # once a frame, and first if a particle step failed: it may have read u
+                del potential_step  # it dies with the frame's substeps, before the check
+                name, stage.name = stage.name, "potential"
+                _finite(pot.u, "potential")  # a bool mask, no float temporary
+                stage.name = name
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
             with _stage(k, "dump"):
                 on_dump(FieldDump(k, mu, Field2D(pot.u), ior))  # a copy, not the live u

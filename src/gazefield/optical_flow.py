@@ -14,6 +14,7 @@ Every flow sweep runs on ``_Sweeps``: vx and vy sit back to back in one
 edge-padded flat buffer, and a sweep is one kernel's in-place ufuncs over one
 span of it, the data term only where it acts.  ``horn_schunck`` builds it and
 its kernels once per solve and ``hs_jacobi_step`` once per call: the same bits.
+A solve's sweep skips the full update norm when one probe node settles it.
 """
 
 from __future__ import annotations
@@ -125,12 +126,15 @@ class _Sweeps:
     interior node to vy's last, where a node's neighbours sit -+(w+2) and
     -+1 away, but the data term only on the live band of both halves, the
     whole 64-byte lines from the first to the last node where gx, gy or bt
-    is not +0 (-0.0 is live), and on the whole halves when that sweep's norm
+    is not +0 (-0.0 is live), and on the whole halves when that sweep's max
     is not finite.  Planes are whole lines long and the block is offset so
     that every span, the band's vx half and the denominator after bt start
     on a line: a sweep's speed does not hang on where the allocator put the
     block.  A kernel returns the exact max |next - now|, NaN from the first
-    sweep whose update is NaN.
+    sweep whose update is NaN, unless ``probe`` = [span offset, bound] has a
+    finite bound (only ``_relax`` sets one): the update at that offset, bit
+    for bit the max's entry, is returned in the max's place when it is
+    finite and at least bound.  Each max moves the probe to its argmax.
     """
 
     def __init__(self, vx, vy, gx, gy, bt, lam: float):
@@ -162,7 +166,7 @@ class _Sweeps:
             _finite(np.add(dw, ty, dw), "flow")
         # flow[k] is iterate k's (vx, vy), as views
         self._stencil, self._flats, self.flow = (wp, lo, hi), flats, inner[:2]
-        self._den, self._bands = den, (band, slice(lo, lo + m))
+        self._den, self._bands, self.probe = den, (band, slice(lo, lo + m)), [0, math.inf]
         # per iterate, the views its edge replication copies (see kernel)
         self._edges = [(f[::wp], f[1::wp], f[w + 1::wp], f[w::wp],
                         grid[:, ::h + 1], grid[:, 1:h + 1:max(h - 1, 1)])
@@ -172,14 +176,14 @@ class _Sweeps:
 
     def kernel(self, k: int) -> Callable[[], float]:
         """A function that sweeps iterate k into iterate 1 - k in place and
-        returns the update's max norm; what it reads is looked up once."""
+        returns the update's max norm or its probe's; it looks up what it reads once."""
         wp, lo, hi = self._stencil
         flats, dens = self._flats, self._den
         now, up, down, left, right = _shifted(flats[k], wp, lo, hi)
-        x, t = flats[1 - k, lo:hi], flats[4, lo:hi]
+        x, t, probe = flats[1 - k, lo:hi], flats[4, lo:hi], self.probe
         first, first_src, last, last_src, rows, row_src = self._edges[1 - k]
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-        absolute, top, isfinite = np.absolute, np.maximum.reduce, math.isfinite
+        absolute, argmax, isfinite, inf = np.absolute, np.argmax, math.isfinite, math.inf
 
         def operands(s):
             # the data term's views on span s of both halves
@@ -208,10 +212,13 @@ class _Sweeps:
                 first[...] = first_src
                 last[...] = last_src
                 rows[...] = row_src
+                delta = abs(x.item(probe[0]) - now.item(probe[0]))  # bit for bit its t below
+                if probe[1] <= delta < inf:  # then so is the max
+                    return delta
                 # every ghost in the span now copies an interior node of its
                 # iterate, so the max over the span is the max over the interior
-                subtract(x, now, t)
-                delta = top(absolute(t, t))
+                probe[0] = p = argmax(absolute(subtract(x, now, t), t))
+                delta = t.item(p)  # the max, or the first NaN
                 if isfinite(delta) or views is not band_views:
                     return delta
                 views = operands(whole)  # off the band an infinite mean stayed inf, not NaN
@@ -236,7 +243,7 @@ def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarra
     returned as two new arrays; overflow raises NumericalError.
     ``horn_schunck``'s sweeps pass ``_ws``, one of its solve's kernels, and
     nothing else is read: the call runs that kernel's sweep in place and
-    returns the update's max norm.
+    returns the update's max norm, or in ``_relax`` a probed update >= tol.
     """
     if _ws is not None:
         return _ws()
@@ -248,15 +255,23 @@ def hs_jacobi_step(vx: np.ndarray, vy: np.ndarray, gx: np.ndarray, gy: np.ndarra
 
 def _relax(ws: _Sweeps, max_iters: int, tol: float) -> tuple[int, float]:
     """Sweep ws until an update's max norm is below tol or NaN, or max_iters
-    times; returns the sweeps run and the last norm.  Sweep j runs kernel
-    j & 1, so the flow ends in iterate sweeps & 1.  Each sweep is one call
-    of ``hs_jacobi_step``, whose name the benchmark rebinds to count them."""
-    kernels, step = (ws.kernel(0), ws.kernel(1)), hs_jacobi_step
+    times; returns the sweeps run and the last norm, exact.  Sweep j runs
+    kernel j & 1, so the flow ends in iterate sweeps & 1.  Each sweep is one
+    call of ``hs_jacobi_step``, whose name the benchmark rebinds to count them.
+    Sweeps between the first and the last are probed at bound tol, so a
+    finite solve stops where the full norm stops it.  On overflow, a node
+    next to a non-finite one turns non-finite in both halves where the data
+    term runs (0 * inf is NaN; the divisor den is fixed and finite), so the
+    stop can come up to about 2(w + h) sweeps later, as that spreads to the
+    probe, and still on a non-finite iterate."""
+    kernels, step, probe = (ws.kernel(0), ws.kernel(1)), hs_jacobi_step, ws.probe
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
         for j in range(max_iters):
+            probe[1] = tol if 0 < j < max_iters - 1 else math.inf
             delta = step(None, None, None, None, None, None, _ws=kernels[j & 1])
             if not delta >= tol:  # a NaN update never falls below tol
                 break
+    probe[1] = math.inf
     return j + 1, delta
 
 

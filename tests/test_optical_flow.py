@@ -6,6 +6,7 @@ oracle.  Pointwise ops are checked against independent per-pixel loops.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -95,6 +96,21 @@ def padded_horn_schunck(a, b, dt, p):
         if deltas[-1] < p.tol:
             break
     return vx, vy, deltas
+
+
+def reference_updates(a, b, dt, lam, sweeps):
+    """The padded reference's first sweeps from zero: each sweep's update
+    |next - now|, vx's then vy's nodes row-major (the order of the kernels'
+    span, whose ghosts copy their neighbours), and each sweep's (vx, vy)."""
+    gx, gy, bt = hs_setup(a, b, dt)
+    vx, vy = np.zeros_like(gx), np.zeros_like(gy)
+    updates, iterates = [], []
+    for _ in range(sweeps):
+        nvx, nvy = padded_jacobi_step(vx, vy, gx, gy, bt, lam)
+        updates.append(np.concatenate([np.abs(nvx - vx).ravel(), np.abs(nvy - vy).ravel()]))
+        vx, vy = nvx, nvy
+        iterates.append((vx, vy))
+    return updates, iterates
 
 
 def flow_pair(shape, seed):
@@ -542,6 +558,56 @@ class TestSweepKernel:
         with pytest.raises(NumericalError):
             horn_schunck(a, b, 5e-309, HsParams(max_iters=5000))
         assert len(sweep_calls) == 1
+
+    @pytest.mark.parametrize("shape", [(7, 4), (33, 33), (64, 3), "middle", "full-height"])
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    def test_probe_moves_when_its_update_falls_below_tol(self, shape, lam, sweep_calls):
+        # the probe starts at sweep 0's argmax node; once that node's update
+        # falls below tol while the max stays above it, the sweep must take
+        # the full norm, go on and move the probe
+        a, b = frames(shape, seed=61)
+        updates, iterates = reference_updates(a, b, 1.0, lam, HS_CAP)
+        deltas = [u.max() for u in updates]
+        tol = float(np.nextafter(deltas[HS_CAP // 2], np.inf))
+        stop = next(j for j, d in enumerate(deltas) if d < tol)
+        probe = np.argmax(updates[0])
+        assert any(updates[j][probe] < tol for j in range(1, stop))
+        v = horn_schunck(Field2D(a), Field2D(b), 1.0, HsParams(lam=lam, max_iters=HS_CAP, tol=tol))
+        assert len(sweep_calls) == stop + 1
+        assert same_bits(v.dx, iterates[stop][0]) and same_bits(v.dy, iterates[stop][1])
+
+    @pytest.mark.parametrize("shape", HS_SHAPES + ["middle", "full-height"])
+    def test_capped_relax_returns_the_exact_last_update_norm(self, shape):
+        # at tol 1e-300 the probe proves every sweep between the first and the
+        # last goes on; the last takes the full norm, below the probe's update
+        a, b = frames(shape, seed=61)
+        updates, iterates = reference_updates(a, b, 1.0, 0.1, HS_CAP)
+        assert updates[-1][np.argmax(updates[0])] < updates[-1].max()
+        for cap in (2, 3, HS_CAP):
+            ws = _Sweeps(0.0, 0.0, *hs_setup(a, b, 1.0), 0.1)
+            assert _relax(ws, cap, 1e-300) == (cap, updates[cap - 1].max())
+            got_x, got_y = ws.flow[cap & 1]
+            assert same_bits(got_x, iterates[cap - 1][0]) and same_bits(got_y, iterates[cap - 1][1])
+
+    @pytest.mark.parametrize("shape, lam, dt", [((64, 64), 0.1, 1.5e-308),
+                                                ((33, 33), 1.0, 1e-308),
+                                                ((5, 17), 0.1, 1.5e-308)])
+    def test_overflow_off_the_probe_ends_in_numerical_error(self, shape, lam, dt, sweep_calls):
+        # the reference's updates overflow on a sweep past the first, and not
+        # at sweep 0's argmax node, the probe: the sweeps go on until the
+        # non-finite nodes spread to it, then stop on a non-finite flow
+        a, b = flow_pair(shape, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            updates, iterates = reference_updates(a, b, dt, lam, 200)
+        first = next(j for j, u in enumerate(updates) if not np.isfinite(u).all())
+        assert first > 0 and np.isfinite(updates[first][np.argmax(updates[0])])
+        assert not all(np.isfinite(c).all() for c in iterates[-1])
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="flow overflow"):
+            horn_schunck(Field2D(a), Field2D(b), dt, HsParams(lam=lam, max_iters=10**8))
+        assert time.perf_counter() - start < 1.0
+        h, w = shape
+        assert first + 1 < len(sweep_calls) <= first + 1 + 2 * (h + w)
 
     @pytest.mark.parametrize("shape", HS_SHAPES + [(1, 1), (1, 5), (2, 2)])
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])

@@ -147,6 +147,28 @@ def test_bad_frame_30_of_40_exits_3_without_scanpath(tmp_path, capsys):
             assert read_field(fh).values.shape == (32, 32)
 
 
+def test_potential_overflow_far_from_the_particle_mid_frame_exits_4(tmp_path, capsys):
+    # three black frames, then a blob in the far corner from the particle:
+    # u first overflows at frame 3's substep 3 of 8, about 20 nodes from the
+    # 4x4 patch the particle reads, so the particle never sees it and u is
+    # checked once at the end of frame 3, before its rows and its dump
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    blob = save_pgm(synth.blob_image(32, 32, 26.0, 26.0, 2.0, 1.0))
+    for k, data in enumerate([save_pgm(Field2D(np.zeros((32, 32))))] * 3 + [blob] * 4):
+        (frames / f"frame_{k:04d}.pgm").write_bytes(data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha1 = 3e307\nc = 40\nlambda_drag = 4\ninitial_foa = 2, 2\n"
+                   "blur_sigma0 = 0.5\ndump_every = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), str(frames / "frame_*.pgm"), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "frame 3, stage potential: potential overflow" in err
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{name}_{k:06d}.foaf" for name in ("mass", "potential", "ior") for k in range(3))
+
+
 def test_differently_sized_frame_mid_clip_exits_3(tmp_path, capsys):
     frames = tmp_path / "frames"
     synth_two_blobs(frames, 12, size=32)
