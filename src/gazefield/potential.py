@@ -15,6 +15,7 @@ black nodes, two contiguous planes, and relaxes each colour on one span.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -51,6 +52,7 @@ _MAX_DIRECT = 64  # direct_potential is O(N^2) over pixels; desk scale only
 _MAX_NODE_STEPS = 10**9
 # poisson_solve's defaults, read also by the poisson command's options
 _SOLVE_H, _SOLVE_TOL, _SOLVE_MAX_ITERS = 1.0, 1e-8, 20000
+_GATE_SWEEPS = 32  # poisson_solve's probe: sweeps one check of max|u| may clear at most
 
 
 class Mode(Enum):
@@ -159,14 +161,33 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
     to its last.  The edge and pad nodes inside a span are relaxed too, then
     restored, and count 0 in the residual.
 
+    Each sweep takes the residual, then relaxes red and black.  A sweep
+    between the first and the last may skip the residual over the grid: it
+    first reads the residual at one probe node, the last full residual's
+    argmax, with the span's IEEE operations in their order (_node_residual),
+    bit for bit that node's entry.  When that is at least tol, so is the max,
+    and the solve goes on as the full residual would have it; otherwise the
+    sweep takes the full residual and moves the probe to its argmax.  A probe
+    cannot see an inf or a NaN elsewhere, so a gate proves there is none.
+    With 1 < omega < 2 a half-sweep maps max|u| <= U to at most 3U + F/2,
+    F = max|h*h*mu|, so k sweeps to at most 9^k (U + F).  At most every
+    _GATE_SWEEPS sweeps max|u| is read, the edge ring and pads included, and
+    the next k sweeps are probed only while 9^k (U + F) < safe/2, with
+    safe = (float max - max|mu|) * min(h*h, 1) / 16.  Under that bound no
+    update overflows, nor does a residual entry (at most 8U/h^2 + max|mu|),
+    with room for rounding; so a skipped residual is finite and at least
+    the probe.  The stop, the sweep count, u's bits and every
+    ConvergenceError, its residual's bits included, are those of a solve
+    that takes the full residual on every sweep.
+
     Raises
     ------
     ConvergenceError carrying the final residual if max_iters sweeps do not
     reach tol, or at once when a sweep leaves a NaN or infinite residual.
     """
     check_grid("poisson_solve", mu.values.shape, min_side=3)
-    check_real("tol", tol, 0, lo_open=True)
-    check_int("max_iters", max_iters, 0)
+    tol = check_real("tol", tol, 0, lo_open=True)
+    max_iters = check_int("max_iters", max_iters, 0)
     h = check_real("h", h, 0, lo_open=True)
     if boundary is not None:
         check_grid("poisson_solve boundary", mu.values.shape, boundary.values.shape)
@@ -179,7 +200,8 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
     lo, end, size = q + 1, ((hi + 1) // 2, hi // 2), padded[0] // 2 * wp
     # one allocation (three slowed set-up), whole lines a plane: node q+1 of
     # every plane, where the spans start, starts a line
-    u, f, m = _line_aligned(6 * _whole_lines(size), lo).reshape(3, 2, -1)[..., :size]
+    block = _line_aligned(6 * _whole_lines(size), lo).reshape(3, -1)
+    u, f, m = block.reshape(3, 2, -1)[..., :size]
     grid = np.zeros(padded)
     colours, inner = grid.reshape(-1, 2).T, grid[1:rows - 1, 1:w - 1]
     if boundary is not None:
@@ -201,19 +223,36 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
               nsum[c * black:][:e - lo], res[c * black:][:e - lo], edge, u[c][lo:e][edge])
              for c, (e, edge) in enumerate(zip(end, edges))]
 
+    hh, probe, until = h * h, None, 0  # sweeps before until are probed
+    mu_max = max(float(mu.values.max()), -float(mu.values.min()))
+    half_safe = (sys.float_info.max - mu_max) * min(hh, 1.0) / 32.0  # safe / 2
+
     # an overflow (of h*h or of u), or h*h rounding to 0, leaves a NaN or inf residual for good
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.multiply(m, h * h, out=f)
+        np.multiply(m, hh, out=f)
+        f_max = max(float(block[1].max()), -float(block[1].min()))  # NaN if h*h overflowed
         for sweeps in range(max_iters + 1):
-            for x, around, _, mx, ns, acc, edge, _ in spans:
-                _lap_plus(acc, _neighbour_sum(*around, out=ns), x, mx, h)
-                acc[edge] = 0.0  # the edge and pad nodes count 0
-            residual = float(np.abs(res, out=res).max())
-            if residual < tol:
-                break
-            if sweeps == max_iters or not math.isfinite(residual):
-                raise ConvergenceError(f"relaxation did not reach tol={tol:g} in {sweeps} of "
-                                       f"at most {max_iters} sweeps", residual)
+            if sweeps and sweeps >= until:  # the gate; a NaN or inf bound opens no sweep
+                bound = 9.0 * (max(float(np.maximum.reduce(block[0])),
+                                   -float(np.minimum.reduce(block[0]))) + f_max)
+                until = sweeps
+                while bound < half_safe and until < min(sweeps + _GATE_SWEEPS, max_iters):
+                    bound, until = bound * 9.0, until + 1
+            if sweeps < until and tol <= _node_residual(*probe, hh):
+                _neighbour_sum(*spans[0][1], out=spans[0][4])  # red's sums, as the pass leaves
+            else:
+                for x, around, _, mx, ns, acc, edge, _ in spans:
+                    _lap_plus(acc, _neighbour_sum(*around, out=ns), x, mx, h)
+                    acc[edge] = 0.0  # the edge and pad nodes count 0
+                p = int(np.argmax(np.abs(res, out=res)))  # the first NaN, if any
+                residual = res.item(p)
+                if residual < tol:
+                    break
+                if sweeps == max_iters or not math.isfinite(residual):
+                    raise ConvergenceError(f"relaxation did not reach tol={tol:g} in {sweeps} "
+                                           f"of at most {max_iters} sweeps", residual)
+                c, k = (1, lo + p - black) if p >= black else (0, lo + p)
+                probe = (u[c], k, u[1 - c], [k + d for d in shifts[c]], m[c])
             for c, (x, around, fx, _, ns, acc, edge, rim) in enumerate(spans):
                 if c:  # black, after red: red reuses the residual's sums of black nodes
                     _neighbour_sum(*around, out=ns)
@@ -224,6 +263,17 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
     grid = np.empty(padded)
     grid.reshape(-1, 2).T[...] = u
     return Field2D._own(grid[:rows, :w].copy(), "potential")
+
+
+def _node_residual(centre, k: int, other, around, mass, hh: float) -> float:
+    """|lap u + mu| at node k of centre's plane, its neighbours at the flat indices
+    around in other's: the IEEE operations of _neighbour_sum and _lap_plus in
+    their order on .item() reads, so bit for bit that node's residual entry."""
+    up, down, left, right = map(other.item, around)
+    r = ((up + down) + left) + right - centre.item(k) * 4.0
+    if hh != 1.0:
+        r = r / hh
+    return abs(r + mass.item(k))
 
 
 def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:
@@ -415,7 +465,7 @@ def convergence_in_c(mu: Field2D, c_list, horizon: float,
     cs = [check_real("c_list entry", c, 0, lo_open=True) for c in c_list]
     if any(b <= a for a, b in zip(cs, cs[1:])):
         raise ParameterError(f"c_list must be strictly ascending, got {c_list}")
-    check_real("horizon", horizon, 0, lo_open=True)
+    horizon = check_real("horizon", horizon, 0, lo_open=True)
     steps = horizon / base.dt  # a float: it can exceed any int round() makes
     work = steps * len(cs) * max(mu.values.size, 32 * 32)
     if not work <= _MAX_NODE_STEPS:  # NaN (no speeds, inf steps) too

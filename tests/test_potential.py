@@ -33,7 +33,7 @@ from gazefield.potential import (
     poisson_solve,
     stable_dt,
 )
-from gazefield.retina import Field2D, gradient, laplacian
+from gazefield.retina import Field2D, gaussian_blur, gradient, laplacian
 
 
 def interior_lap(u: Field2D, h: float) -> np.ndarray:
@@ -293,6 +293,11 @@ class TestPoissonSolve:
         rng = np.random.default_rng(5)
         mu = Field2D(rng.uniform(-1.0, 1.0, shape))
         boundary = Field2D(rng.uniform(-1.0, 1.0, shape)) if with_boundary else None
+        self.same_convergence_error(mu, boundary, **kw)
+
+    @staticmethod
+    def same_convergence_error(mu: Field2D, boundary, **kw) -> str:
+        # poisson_solve raises where_sor's message and residual bits; returns the message
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConvergenceError) as want:
             where_sor(mu, boundary=boundary, **kw)
@@ -301,6 +306,70 @@ class TestPoissonSolve:
         assert str(got.value) == str(want.value)
         assert np.array_equal(np.float64(got.value.residual).view(np.uint64),
                               np.float64(want.value.residual).view(np.uint64))
+        return str(want.value)
+
+    @pytest.mark.parametrize("with_boundary", [False, True], ids=["zero-ring", "boundary"])
+    @pytest.mark.parametrize("shape, scale, h, sweeps", [
+        ((128, 128), 1e305, 1.0, 57), ((64, 64), 1e306, 1.0, 13),
+        ((128, 128), 1e307, 1e-100, 17),  # u stays finite; (nsum - 4u) / h*h overflows
+    ], ids=["128x128-1e305", "64x64-1e306", "128x128-1e307-h1e-100"])
+    def test_overflow_mid_solve_matches_where_sor(self, shape, scale, h, sweeps, with_boundary):
+        # a residual turns inf part-way through the solve: the sweeps that skip the full
+        # residual must not skip that one, nor let u overflow on to a NaN
+        rng = np.random.default_rng(1)
+        mu = Field2D(rng.uniform(0.0, 1.0, shape) * scale)
+        boundary = Field2D(rng.uniform(-1.0, 1.0, shape)) if with_boundary else None
+        assert f" in {sweeps} of " in self.same_convergence_error(mu, boundary, h=h)
+
+    @staticmethod
+    def full_residual_passes(monkeypatch, mu: Field2D) -> tuple[np.ndarray, int]:
+        # the solve's u, and how many sweeps took the residual over the grid
+        # (each such pass calls _lap_plus once per colour)
+        calls, laps = [], potential._lap_plus
+        monkeypatch.setattr(potential, "_lap_plus", lambda *a: calls.append(1) or laps(*a))
+        return poisson_solve(mu).values, len(calls) // 2
+
+    def test_bench_mass_takes_few_full_residual_passes(self, monkeypatch):
+        # elliptic-128's mass: 472 sweeps, every one of them probed but the first,
+        # the last and one where the probe moves
+        mu = gaussian_blur(Field2D(np.random.default_rng(0).uniform(0.0, 1.0, (128, 128))), 2.0)
+        u, passes = self.full_residual_passes(monkeypatch, mu)
+        assert passes <= 5
+        assert np.array_equal(u.view(np.uint64), where_sor(mu).view(np.uint64))
+
+    def test_probe_that_must_move_keeps_the_bits(self, monkeypatch):
+        # on a signed mass the largest residual wanders, so the probe's node falls
+        # below tol again and again while the solve goes on
+        mu = Field2D(np.random.default_rng(0).uniform(-1.0, 1.0, (150, 200)))
+        u, passes = self.full_residual_passes(monkeypatch, mu)
+        assert passes > 2
+        assert np.array_equal(u.view(np.uint64), where_sor(mu).view(np.uint64))
+
+    def test_float32_tol_stops_where_its_float_value_does(self):
+        # NumPy 2 compares a float with a float32 scalar in float32 (NEP 50), NumPy
+        # 1.24 in float64; the solve reads tol as a float, so its stop does not depend
+        # on the numpy version.  The case: the first sweep whose residual is below
+        # every earlier one and rounds up to a float32, which is then the tol
+        mu = Field2D(np.random.default_rng(5).uniform(-1.0, 1.0, (16, 15)))
+        residuals = []
+        for n in range(40):
+            with pytest.raises(ConvergenceError) as exc:
+                poisson_solve(mu, tol=1e-300, max_iters=n)
+            residuals.append(exc.value.residual)
+        n = next(n for n, r in enumerate(residuals)
+                 if n and r < float(np.float32(r)) <= min(residuals[:n]))
+        tol = np.float32(residuals[n])
+        want = where_sor(mu, tol=float(tol))
+        for t in (tol, float(tol)):
+            assert np.array_equal(poisson_solve(mu, tol=t).values.view(np.uint64),
+                                  want.view(np.uint64))
+        # one sweep short of the stop: the same message as for the float
+        capped = []
+        for t, cap in ((tol, np.int16(n - 1)), (float(tol), n - 1)):
+            with pytest.raises(ConvergenceError) as exc:
+                poisson_solve(mu, tol=t, max_iters=cap)
+            capped.append(str(exc.value))
+        assert capped[0] == capped[1]
 
     @pytest.mark.parametrize("shape", [(128, 128), (97, 96), (96, 97)])
     def test_peak_memory_is_five_padded_grids(self, shape):
@@ -734,6 +803,16 @@ class TestConvergenceInC:
         tol, side = 1e-11, (min(height, width) - 1) * h
         sor = poisson_solve(mu, h, tol=tol, max_iters=200000).values
         assert np.abs(sor - u).max() <= (tol + 16 * eps * scale) * side * side / 8
+
+    def test_float32_horizon_gives_the_bits_of_its_float_value(self):
+        # under NEP 50, np.float32(0.35) / 0.1 is a float32 that rounds to 4 steps
+        # where 0.35 as a float takes 3
+        mu = Field2D(np.random.default_rng(3).uniform(0.0, 1.0, (16, 16)))
+        base = TelegraphParams(gamma=1.0, lambda_drag=4.0, c=2.0, dt=0.1)
+        horizon = np.float32(0.35)
+        want = convergence_in_c(mu, [1.0, 2.0], float(horizon), base)
+        assert want == convergence_in_c(mu, [1.0, 2.0], 3 * base.dt, base)
+        assert convergence_in_c(mu, [1.0, 2.0], horizon, base) == want
 
     @pytest.mark.parametrize("width, height", [(2, 2), (2, 5), (5, 2), (1, 4)])
     def test_grid_under_3x3_raises_dimension_error_naming_convergence_in_c(self, width,
