@@ -596,6 +596,8 @@ def _cmd_simulate(args) -> int:
     if len(paths) < 2:
         raise DataError(f"frame pattern {' '.join(args.frames)!r} matched "
                         f"{len(paths)} files, need at least 2")
+    check_real(f"the last sample's time over {len(paths)} frames at frame_dt {cfg.frame_dt:g}",
+               (len(paths) - 1) * cfg.substeps_per_frame * cfg.substep_dt)  # the rows' formula
     os.makedirs(args.out, exist_ok=True)
     dumps = 0
 

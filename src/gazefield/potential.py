@@ -15,7 +15,6 @@ black nodes, two contiguous planes, and relaxes each colour on one span.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -170,15 +169,16 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
     sweep takes the full residual and moves the probe to its argmax.  A probe
     cannot see an inf or a NaN elsewhere, so a gate proves there is none.
     With 1 < omega < 2 a half-sweep maps max|u| <= U to at most 3U + F/2,
-    F = max|h*h*mu|, so k sweeps to at most 9^k (U + F).  At most every
-    _GATE_SWEEPS sweeps max|u| is read, the edge ring and pads included, and
-    the next k sweeps are probed only while 9^k (U + F) < safe/2, with
-    safe = (float max - max|mu|) * min(h*h, 1) / 16.  Under that bound no
-    update overflows, nor does a residual entry (at most 8U/h^2 + max|mu|),
-    with room for rounding; so a skipped residual is finite and at least
-    the probe.  The stop, the sweep count, u's bits and every
-    ConvergenceError, its residual's bits included, are those of a solve
-    that takes the full residual on every sweep.
+    F = max|h*h*mu|, so 32 sweeps to at most 9^32 (U + F).  At most every
+    _GATE_SWEEPS = 32 sweeps U is read, the edge ring and pads included: the
+    next min(32, max_iters - sweep) sweeps are probed if 9^32 (U + F) < safe/2,
+    safe = (float max - max|mu|) * min(h*h, 1) / 16, else none is and U is read
+    again next sweep.  Then no update overflows, nor does a residual entry (at
+    most 8U/h^2 + max|mu|), with room for rounding, so a skipped residual is
+    finite and at least the probe.  The stop, the sweep count, u's bits and
+    every ConvergenceError, its residual's bits included, are those of a solve
+    that takes the full residual on every sweep.  Only U + F past about
+    1e276 * min(h*h, 1) leaves sweeps unprobed that a 9^k bound would clear.
 
     Raises
     ------
@@ -225,19 +225,17 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
 
     hh, probe, until = h * h, None, 0  # sweeps before until are probed
     mu_max = max(float(mu.values.max()), -float(mu.values.min()))
-    half_safe = (sys.float_info.max - mu_max) * min(hh, 1.0) / 32.0  # safe / 2
+    half_safe = (math.nextafter(math.inf, 0.0) - mu_max) * min(hh, 1.0) / 32.0  # safe / 2
 
     # an overflow (of h*h or of u), or h*h rounding to 0, leaves a NaN or inf residual for good
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.multiply(m, hh, out=f)
         f_max = max(float(block[1].max()), -float(block[1].min()))  # NaN if h*h overflowed
         for sweeps in range(max_iters + 1):
-            if sweeps and sweeps >= until:  # the gate; a NaN or inf bound opens no sweep
-                bound = 9.0 * (max(float(np.maximum.reduce(block[0])),
-                                   -float(np.minimum.reduce(block[0]))) + f_max)
-                until = sweeps
-                while bound < half_safe and until < min(sweeps + _GATE_SWEEPS, max_iters):
-                    bound, until = bound * 9.0, until + 1
+            if sweeps and sweeps >= until:  # the gate; a NaN or inf U opens no sweep
+                u_max = max(float(block[0].max()), -float(block[0].min()))
+                if 9.0 ** _GATE_SWEEPS * (u_max + f_max) < half_safe:
+                    until = min(sweeps + _GATE_SWEEPS, max_iters)
             if sweeps < until and tol <= _node_residual(*probe, hh):
                 _neighbour_sum(*spans[0][1], out=spans[0][4])  # red's sums, as the pass leaves
             else:

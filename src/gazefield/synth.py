@@ -41,8 +41,7 @@ def blob_image(width: int, height: int, cx: float, cy: float,
                sigma: float = _BLOB_SIGMA, amp: float = _BLOB_AMP) -> Field2D:
     """Gaussian brightness bump, clipped to [0, 1]; sigma must pass check_sigma."""
     _check_frame(width, height)
-    check_sigma("sigma", sigma)
-    check_real("amp", amp)
+    sigma, amp = check_sigma("sigma", sigma), check_real("amp", amp)
     return Field2D(np.clip(amp * _bump(width, height, cx, cy, sigma), 0.0, 1.0))
 
 
@@ -83,7 +82,7 @@ def moving_blob_frames(width: int, height: int, count: int,
 
 def _moving_blob(width, height, count, start, velocity, dt, sigma, amp):
     check_int("count", count, 2, _MAX_SIZE)
-    check_real("dt", dt, 0, lo_open=True)
+    dt = check_real("dt", dt, 0, lo_open=True)
     check_real("(count - 1) * dt", (count - 1) * dt)  # finite: no centre is inf * 0
     x0, y0 = (check_real("start", v) for v in start)
     vx, vy = (check_real("velocity", v) for v in velocity)

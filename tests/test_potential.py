@@ -322,12 +322,27 @@ class TestPoissonSolve:
         assert f" in {sweeps} of " in self.same_convergence_error(mu, boundary, h=h)
 
     @staticmethod
-    def full_residual_passes(monkeypatch, mu: Field2D) -> tuple[np.ndarray, int]:
-        # the solve's u, and how many sweeps took the residual over the grid
-        # (each such pass calls _lap_plus once per colour)
+    def lap_plus_calls(monkeypatch) -> list:
+        # one entry a _lap_plus call: a sweep that takes the residual over the grid
+        # calls it once per colour
         calls, laps = [], potential._lap_plus
         monkeypatch.setattr(potential, "_lap_plus", lambda *a: calls.append(1) or laps(*a))
+        return calls
+
+    @classmethod
+    def full_residual_passes(cls, monkeypatch, mu: Field2D) -> tuple[np.ndarray, int]:
+        # the solve's u, and how many sweeps took the residual over the grid
+        calls = cls.lap_plus_calls(monkeypatch)
         return poisson_solve(mu).values, len(calls) // 2
+
+    def test_gate_closed_from_the_first_read_takes_every_full_residual(self, monkeypatch):
+        # 9^32 (max|u| + max|h*h*mu|) is past half the safe bound at every read, so
+        # no sweep is probed: all 51 of a solve capped at 50 take the full residual
+        mu = Field2D(np.random.default_rng(1).uniform(0.0, 1.0, (64, 64)) * 1e290)
+        calls = self.lap_plus_calls(monkeypatch)
+        message = self.same_convergence_error(mu, None, max_iters=50)
+        assert " in 50 of at most 50 " in message
+        assert len(calls) == 2 * 51
 
     def test_bench_mass_takes_few_full_residual_passes(self, monkeypatch):
         # elliptic-128's mass: 472 sweeps, every one of them probed but the first,

@@ -6,7 +6,7 @@ import types
 from pathlib import Path
 
 import gazefield
-from gazefield import errors, foa, mass, optical_flow, potential, retina, save_pgm, synth
+from gazefield import cli, errors, foa, mass, optical_flow, potential, retina, save_pgm, synth
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +42,27 @@ def test_package_names_are_the_modules_all_lists():
     assert public == declared
     assert {"hs_jacobi_step", "FlowField"} <= public
     assert not hasattr(gazefield, "__all__")  # each name is declared once, in its module
+
+
+def config_table():
+    # (key, default) of each row of the table under "### Configuration file"
+    section = README.read_text(encoding="utf-8").split("\n### Configuration file\n", 1)[1]
+    table = section.split("\n| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()
+    return [tuple(cell.strip() for cell in row.strip("|").split("|")[:2]) for row in rows]
+
+
+def test_config_table_defaults_are_the_dataclass_defaults():
+    # "Each default below is the default of the matching dataclass field": a float
+    # agrees to the digits printed, so 0.0333333333 is 1/30
+    rows = config_table()
+    assert [key for key, _ in rows] == list(cli._CONFIG_KEYS)
+    defaults = cli.parse_config("")
+    for key, printed in rows:
+        owner, name, kind = cli._CONFIG_KEYS[key]
+        want, got = (getattr(c if owner is None else getattr(c, owner), name)
+                     for c in (defaults, cli.parse_config(f"{key} = {printed}")))
+        if kind is float:
+            digits = len(printed.split("e")[0].replace(".", "").lstrip("0")) or 1
+            want = float(f"{want:.{digits}g}")
+        assert got == want, key

@@ -505,6 +505,16 @@ class TestGaussianBlur:
         assert np.array_equal(got, want) and got[4, 3] == 1.0
         assert np.array_equal(blob, np.clip(0.8 * want, 0.0, 1.0))
 
+    def test_blobs_take_the_floats_their_checks_return(self):
+        # a float32 sigma or dt gives the bits of its float value: under NEP 50 it
+        # would otherwise pull the arithmetic it meets down to float32
+        sigma, dt = np.float32(2.7), np.float32(1.0 / 30.0)
+        got, want = (synth.blob_image(16, 16, 7.3, 8.1, s).values for s in (sigma, float(sigma)))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got, want = (np.array([f.values for f in synth.moving_blob_frames(
+            16, 16, 4, (3, 8), (6, 0), d, 2.7)]) for d in (dt, float(dt)))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_blur_starts_where_the_side_taps_stop_underflowing(self):
         # at 0.025 the kernel is still the centre tap alone; at 0.026 its
         # side taps are subnormal, and the impulse leaks into its neighbours

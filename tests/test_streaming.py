@@ -13,6 +13,7 @@ import math
 import random
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,27 @@ def test_bad_saccade_setting_fails_before_frame_0(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be a finite real" in err
     assert not out.exists()  # nothing made, no dump written
+
+
+@pytest.mark.parametrize("n, settings", [(20, "frame_dt = 1e307\n"),
+                                         (3, "frame_dt = 1e308\ndump_every = 1\n")],
+                         ids=["1e307-20-frames", "1e308-3-frames-dumped"])
+def test_clip_whose_timeline_overflows_fails_before_frame_0(tmp_path, capsys, n, settings):
+    # the first ran 18 frames and failed at frame 18's blur, whose t was inf; the
+    # second exited 3 at an inf sample time, with frames 0 and 1 dumped.  c = 5e-324
+    # keeps these steps stable
+    frames = tmp_path / "frames"
+    synth_two_blobs(frames, n, size=8)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 5e-324\n" + settings, encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(cfg), str(frames / "frame_*.pgm"), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "frame_dt" in lines[0] and f"{n} frames" in lines[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
