@@ -139,6 +139,7 @@ class SimConfig:
                            check_real("frame_dt", self.frame_dt, 0, lo_open=True))
         object.__setattr__(self, "substeps_per_frame",
                            check_int("substeps_per_frame", self.substeps_per_frame, 1))
+        check_real("substeps_per_frame", self.substeps_per_frame)  # substep_dt divides by it
         object.__setattr__(self, "dump_every", check_int("dump_every", self.dump_every, 0))
         if self.initial_foa is not None:
             x, y = self.initial_foa
@@ -678,6 +679,7 @@ def _cmd_synth(args) -> int:
     elif args.kind == "two-blobs":
         frames = synth._static(synth.two_blob_image(w, h, args.blob_sigma, args.amp), n)
     else:
+        synth._check_frame(w, h)  # before the start divides the sides
         frames = synth._moving_blob(
             w, h, n, (w / 4.0, h / 2.0), (args.speed, 0.0), args.frame_dt,
             args.blob_sigma, args.amp)

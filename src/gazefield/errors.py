@@ -95,8 +95,8 @@ def check_real(name: str, v, lo: float | None = None, hi: float | None = None,
 
     A None bound is not checked.  Raises ParameterError otherwise.
     """
-    # a plain float skips the abstract-class check, which is slow
-    real = type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+    # a plain float or int skips the slow abstract-class check and its type cache
+    real = type(v) in (float, int) or (isinstance(v, numbers.Real) and not isinstance(v, bool))
     try:
         ok = (real and math.isfinite(v)
               and (lo is None or (v > lo if lo_open else v >= lo))

@@ -126,8 +126,9 @@ class _Sweeps:
     interior node to vy's last, where a node's neighbours sit -+(w+2) and
     -+1 away, but the data term only on the live band of both halves, the
     whole 64-byte lines from the first to the last node where gx, gy or bt
-    is not +0 (-0.0 is live), and on the whole halves when that sweep's max
-    is not finite.  Planes are whole lines long and the block is offset so
+    is not +0 (-0.0 is live).  Off the band an overflowed mean stays inf
+    where the data term would make it NaN: either is a non-finite flow, which
+    no solve returns.  Planes are whole lines long and the block is offset so
     that every span, the band's vx half and the denominator after bt start
     on a line: a sweep's speed does not hang on where the allocator put the
     block.  A kernel returns the exact max |next - now|, NaN from the first
@@ -166,7 +167,7 @@ class _Sweeps:
             _finite(np.add(dw, ty, dw), "flow")
         # flow[k] is iterate k's (vx, vy), as views
         self._stencil, self._flats, self.flow = (wp, lo, hi), flats, inner[:2]
-        self._den, self._bands, self.probe = den, (band, slice(lo, lo + m)), [0, math.inf]
+        self._den, self._band, self.probe = den, band, [0, math.inf]
         # per iterate, the views its edge replication copies (see kernel)
         self._edges = [(f[::wp], f[1::wp], f[w + 1::wp], f[w::wp],
                         grid[:, ::h + 1], grid[:, 1:h + 1:max(h - 1, 1)])
@@ -178,50 +179,40 @@ class _Sweeps:
         """A function that sweeps iterate k into iterate 1 - k in place and
         returns the update's max norm or its probe's; it looks up what it reads once."""
         wp, lo, hi = self._stencil
-        flats, dens = self._flats, self._den
+        flats, band = self._flats, self._band
         now, up, down, left, right = _shifted(flats[k], wp, lo, hi)
         x, t, probe = flats[1 - k, lo:hi], flats[4, lo:hi], self.probe
         first, first_src, last, last_src, rows, row_src = self._edges[1 - k]
+        # the data term's views on the live band of both halves
+        g, xs, ts = [flats[p].reshape(2, -1)[:, band] for p in (2, 1 - k, 4)]
+        (gx, gy), (tx, ty), bt, den = g, ts, flats[3, band], self._den[band]
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-        absolute, argmax, isfinite, inf = np.absolute, np.argmax, math.isfinite, math.inf
-
-        def operands(s):
-            # the data term's views on span s of both halves
-            g, xs, ts = [flats[p].reshape(2, -1)[:, s] for p in (2, 1 - k, 4)]
-            return [g, xs, ts, *g, *ts, flats[3, s], dens[s]]
-
-        band_views, whole = operands(self._bands[0]), self._bands[1]
+        absolute, argmax, inf = np.absolute, np.argmax, math.inf
 
         def sweep() -> float:
-            views = band_views
-            while True:
-                g, xs, ts, gx, gy, tx, ty, bt, den = views
-                multiply(_neighbour_sum(up, down, left, right, x), 0.25, x)  # (ax, ay)
-                # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
-                multiply(g, xs, ts)
-                add(tx, ty, tx)
-                add(tx, bt, tx)
-                divide(tx, den, tx)
-                # (ax - gx*scale, ay - gy*scale), gy first: scale is tx
-                multiply(gy, tx, ty)
-                multiply(gx, tx, tx)
-                subtract(xs, ts, xs)
-                # out-of-grid neighbours replicate the edge sample, the discrete
-                # zero-Neumann closure for the flow: the ghost columns copy columns
-                # 1 and w, then the ghost rows copy rows 1 and h, corners included
-                first[...] = first_src
-                last[...] = last_src
-                rows[...] = row_src
-                delta = abs(x.item(probe[0]) - now.item(probe[0]))  # bit for bit its t below
-                if probe[1] <= delta < inf:  # then so is the max
-                    return delta
-                # every ghost in the span now copies an interior node of its
-                # iterate, so the max over the span is the max over the interior
-                probe[0] = p = argmax(absolute(subtract(x, now, t), t))
-                delta = t.item(p)  # the max, or the first NaN
-                if isfinite(delta) or views is not band_views:
-                    return delta
-                views = operands(whole)  # off the band an infinite mean stayed inf, not NaN
+            multiply(_neighbour_sum(up, down, left, right, x), 0.25, x)  # (ax, ay)
+            # scale = (gx*ax + gy*ay + bt) / den, in t's vx half
+            multiply(g, xs, ts)
+            add(tx, ty, tx)
+            add(tx, bt, tx)
+            divide(tx, den, tx)
+            # (ax - gx*scale, ay - gy*scale), gy first: scale is tx
+            multiply(gy, tx, ty)
+            multiply(gx, tx, tx)
+            subtract(xs, ts, xs)
+            # out-of-grid neighbours replicate the edge sample, the discrete
+            # zero-Neumann closure for the flow: the ghost columns copy columns
+            # 1 and w, then the ghost rows copy rows 1 and h, corners included
+            first[...] = first_src
+            last[...] = last_src
+            rows[...] = row_src
+            delta = abs(x.item(probe[0]) - now.item(probe[0]))  # bit for bit its t below
+            if probe[1] <= delta < inf:  # then so is the max
+                return delta
+            # every ghost in the span now copies an interior node of its
+            # iterate, so the max over the span is the max over the interior
+            probe[0] = p = argmax(absolute(subtract(x, now, t), t))
+            return t.item(p)  # the max, or the first NaN
 
         return sweep
 
@@ -259,11 +250,11 @@ def _relax(ws: _Sweeps, max_iters: int, tol: float) -> tuple[int, float]:
     kernel j & 1, so the flow ends in iterate sweeps & 1.  Each sweep is one
     call of ``hs_jacobi_step``, whose name the benchmark rebinds to count them.
     Sweeps between the first and the last are probed at bound tol, so a
-    finite solve stops where the full norm stops it.  On overflow, a node
-    next to a non-finite one turns non-finite in both halves where the data
-    term runs (0 * inf is NaN; the divisor den is fixed and finite), so the
-    stop can come up to about 2(w + h) sweeps later, as that spreads to the
-    probe, and still on a non-finite iterate."""
+    finite solve stops where the full norm stops it.  On overflow an inf norm
+    sweeps on, and a node next to a non-finite one turns non-finite in both
+    halves where the data term runs (0 * inf is NaN; the divisor den is fixed
+    and finite), so the stop can come up to about 2(w + h) sweeps later, as
+    that spreads to the probe, and still on a non-finite iterate."""
     kernels, step, probe = (ws.kernel(0), ws.kernel(1)), hs_jacobi_step, ws.probe
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
         for j in range(max_iters):

@@ -215,12 +215,12 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
     edges = [np.flatnonzero(colours[c][lo:e]) for c, e in enumerate(end)]  # in each span
     del grid, colours, inner  # a set-up grid, freed before the loop's buffers are made
     omega = 2.0 / (1.0 + math.sin(math.pi / max(w, rows)))
-    black = _whole_lines(end[0] - lo)  # black's part of the scratch starts a line, like red's
-    nsum, res = (_line_aligned(black + end[1] - lo) for _ in range(2))
+    black = _whole_lines(end[0] - lo)  # black's part of the residual starts a line, like red's
+    nsum, res = _line_aligned(end[0] - lo), _line_aligned(black + end[1] - lo)
     # colour c's node k reads the other plane at k+d: up, down, left, right
     shifts = [(-q - 1, q, -1, 0), (-q, q + 1, 0, 1)]
     spans = [(u[c][lo:e], [u[1 - c][lo + d:e + d] for d in shifts[c]], f[c][lo:e], m[c][lo:e],
-              nsum[c * black:][:e - lo], res[c * black:][:e - lo], edge, u[c][lo:e][edge])
+              nsum[:e - lo], res[c * black:][:e - lo], edge, u[c][lo:e][edge])
              for c, (e, edge) in enumerate(zip(end, edges))]
 
     hh, probe, until = h * h, None, 0  # sweeps before until are probed
@@ -236,9 +236,7 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
                 u_max = max(float(block[0].max()), -float(block[0].min()))
                 if 9.0 ** _GATE_SWEEPS * (u_max + f_max) < half_safe:
                     until = min(sweeps + _GATE_SWEEPS, max_iters)
-            if sweeps < until and tol <= _node_residual(*probe, hh):
-                _neighbour_sum(*spans[0][1], out=spans[0][4])  # red's sums, as the pass leaves
-            else:
+            if sweeps >= until or not tol <= _node_residual(*probe, hh):
                 for x, around, _, mx, ns, acc, edge, _ in spans:
                     _lap_plus(acc, _neighbour_sum(*around, out=ns), x, mx, h)
                     acc[edge] = 0.0  # the edge and pad nodes count 0
@@ -251,11 +249,10 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
                                            f"of at most {max_iters} sweeps", residual)
                 c, k = (1, lo + p - black) if p >= black else (0, lo + p)
                 probe = (u[c], k, u[1 - c], [k + d for d in shifts[c]], m[c])
-            for c, (x, around, fx, _, ns, acc, edge, rim) in enumerate(spans):
-                if c:  # black, after red: red reuses the residual's sums of black nodes
-                    _neighbour_sum(*around, out=ns)
-                np.multiply(np.add(ns, fx, out=acc), omega * 0.25, out=acc)
-                np.add(np.multiply(x, 1.0 - omega, out=x), acc, out=x)
+            for x, around, fx, _, ns, _, edge, rim in spans:
+                _neighbour_sum(*around, out=ns)
+                np.multiply(np.add(ns, fx, out=ns), omega * 0.25, out=ns)
+                np.add(np.multiply(x, 1.0 - omega, out=x), ns, out=x)
                 x[edge] = rim
     del nsum, res, spans, ns, acc  # every view of the scratch, before the output grid is made
     grid = np.empty(padded)
@@ -268,9 +265,7 @@ def _node_residual(centre, k: int, other, around, mass, hh: float) -> float:
     around in other's: the IEEE operations of _neighbour_sum and _lap_plus in
     their order on .item() reads, so bit for bit that node's residual entry."""
     up, down, left, right = map(other.item, around)
-    r = ((up + down) + left) + right - centre.item(k) * 4.0
-    if hh != 1.0:
-        r = r / hh
+    r = (((up + down) + left) + right - centre.item(k) * 4.0) / hh  # x / 1.0 is x
     return abs(r + mass.item(k))
 
 

@@ -48,6 +48,7 @@ def blob_image(width: int, height: int, cx: float, cy: float,
 def two_blob_image(width: int, height: int, sigma: float = _BLOB_SIGMA,
                    amp: float = _BLOB_AMP) -> Field2D:
     """Two equal blobs at quarter and three-quarter width, mid height."""
+    _check_frame(width, height)  # before the centres divide the sides
     left = blob_image(width, height, width / 4.0, height / 2.0, sigma, amp)
     right = blob_image(width, height, 3.0 * width / 4.0, height / 2.0, sigma, amp)
     return Field2D(np.clip(left.values + right.values, 0.0, 1.0))

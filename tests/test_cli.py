@@ -1077,6 +1077,29 @@ class TestCommands:
         assert len(lines) == 1 and "8 * width * height" in lines[0], lines
         assert not out.exists()
 
+    def test_integer_past_float_range_is_a_parameter_error(self, tmp_path, capsys):
+        # a float divided by it raised "OverflowError: int too large to convert
+        # to float" (exit 1): frame_dt / substeps_per_frame in every config that
+        # simulate and flow load, and the blob centres' width / 4 in synth
+        huge = 10**400
+        with pytest.raises(ParameterError, match="^substeps_per_frame "):
+            SimConfig(substeps_per_frame=huge)
+        with pytest.raises(ParameterError, match=r"^a 10+x4 frame needs"):
+            synth.two_blob_image(huge, 4)
+        frames, cfg, out = tmp_path / "f", tmp_path / "run.cfg", tmp_path / "v.foaf"
+        assert run_cli("synth", "black", "--width", "4", "--height", "4", "--frames", "2",
+                       "--out", str(frames)) == 0
+        cfg.write_text(f"substeps_per_frame = {huge}\n", encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("flow", str(cfg), str(frames / "frame_0000.pgm"),
+                           str(frames / "frame_0001.pgm"), "--out", str(out))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: substeps_per_frame "), lines
+        assert not out.exists()
+
     @pytest.mark.parametrize("start", [(math.nan, 4.0), (4.0, math.inf)])
     def test_moving_blob_rejects_a_non_finite_start(self, start):
         with pytest.raises(ParameterError, match="start"):

@@ -189,7 +189,7 @@ OVERFLOWS = {
     # G^T G overflows in the normal equations
     "feature_group_flow": lambda: feature_group_flow(FeatureStack(
         (FeatureChannel(VectorField2D(huge(6), huge(6)), field(6, 6)),), ridge=1.0)),
-    # the neighbour sum overflows, and the update is NaN
+    # the neighbour sum overflows off the band: the update is inf
     "hs_jacobi_step": lambda: hs_jacobi_step(huge(6), huge(6), np.zeros((6, 6)),
                                              np.zeros((6, 6)), np.zeros((6, 6)), 0.01),
     # lam + gx*gx + gy*gy overflows at set-up, where the sweeps would return a zero flow

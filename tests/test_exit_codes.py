@@ -26,7 +26,7 @@ from gazefield.cli import _CONFIG_KEYS, _PARSER, export_scanpath, import_scanpat
 
 FLOATS = ["0", "-0.0", "5e-324", "1e-309", "1e-160", "1e-20", "0.5", "1e20", "1e154",
           "1e200", "1e308", "inf", "nan", "-1"]
-INTS = ["0", "-1", "1", "3", str(10**5), str(10**22), str(2**62)]
+INTS = ["0", "-1", "1", "3", str(10**5), str(10**22), str(2**62), str(10**400)]
 LONG = {str(10**5), str(10**22), str(2**62)}  # the integers that ask for long runs
 
 # (command, option or config key) -> the work its LONG values ask for; that
@@ -133,8 +133,8 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("key", NUMERIC_KEYS + ["initial_foa"])
 def test_simulate_config_key(tmp_path, capsys, inputs, base, key):
     cases = []
-    for v in values("simulate", key, _CONFIG_KEYS[key][2] is int):
-        cfg, out = tmp_path / f"{v}.cfg", tmp_path / f"out{v}"
+    for i, v in enumerate(values("simulate", key, _CONFIG_KEYS[key][2] is int)):
+        cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"out{i}"  # 10**400 is no file name
         settings = {**SIMULATE_BASES[base], key: f"{v},{v}" if key == "initial_foa" else v}
         cfg.write_text("".join(f"{k} = {x}\n" for k, x in settings.items()),
                        encoding="utf-8")
@@ -146,8 +146,8 @@ def test_simulate_config_key(tmp_path, capsys, inputs, base, key):
 @pytest.mark.parametrize("key", FLOW_KEYS)
 def test_flow_config_key(tmp_path, capsys, inputs, key):
     cases = []
-    for v in values("flow", key, _CONFIG_KEYS[key][2] is int):
-        cfg, out = tmp_path / f"{v}.cfg", tmp_path / f"v{v}.foaf"
+    for i, v in enumerate(values("flow", key, _CONFIG_KEYS[key][2] is int)):
+        cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"v{i}.foaf"
         cfg.write_text(f"{key} = {v}\n", encoding="utf-8")
         cases.append((v, ["flow", str(cfg), str(inputs / "clip" / "f0.pgm"),
                           str(inputs / "clip" / "f1.pgm"), "--out", str(out)], out))
@@ -160,8 +160,8 @@ def test_option(tmp_path, capsys, inputs, command, option):
     cfg, cases = tmp_path / "run.cfg", []
     cfg.write_text("", encoding="utf-8")  # simulate's defaults
     for kind in kinds or (None,):
-        for v in values(command, option, is_int_option(command, option)):
-            out = tmp_path / f"{kind}{v}"
+        for i, v in enumerate(values(command, option, is_int_option(command, option))):
+            out = tmp_path / f"{kind}{i}"
             args = [f"{o}={b}" for o, b in base.items() if o != option] + [f"{option}={v}"]
             if command == "simulate":
                 argv = ["simulate", str(cfg), str(inputs / "clip" / "f*.pgm"),
