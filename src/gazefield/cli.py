@@ -50,11 +50,14 @@ from .foa import (
     _SaccadeStream,
     _check_rows,
     _stepper as _particle_stepper,
-    detect_saccades,  # not called here: kept importable from gazefield.cli
-    foa_step,  # not called here: kept importable from gazefield.cli
+    # not called here, like mass_density and evolve_potential below:
+    # perfbench/tracing.py's TARGETS rebinds these names in this module to time
+    # them, until ROADMAP item 4 retires the tracer and these imports
+    detect_saccades,
+    foa_step,
 )
 from .mass import IorField, IorParams, MassParams, MotionSource, _mass, ior_step
-from .mass import mass_density  # not called here: kept importable from gazefield.cli
+from .mass import mass_density  # not called here: a name the tracer rebinds (above)
 from .optical_flow import HsParams, horn_schunck
 from .potential import (
     Mode,
@@ -66,7 +69,7 @@ from .potential import (
     _Workspace,
     convergence_in_c,
     direct_potential,
-    evolve_potential,  # not called here: kept importable from gazefield.cli
+    evolve_potential,  # not called here: a name the tracer rebinds (above)
     poisson_solve,
     stable_dt,
 )

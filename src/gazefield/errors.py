@@ -8,9 +8,10 @@ exit 4.
 Arguments are validated by one rule per kind: check_real and check_int
 accept a finite real (or integral) number, not a bool, in the documented
 range (numpy scalars pass), check_sigma a width with 2*sigma**2 in (0, inf)
-and check_member a member of the setting's Enum; all raise ParameterError.
-check_grid raises DimensionError unless the grids one function combines
-share one shape whose sides reach its minimum.
+and check_member a member of the setting's Enum; all raise ParameterError,
+naming an integer of more than 20 digits by its digit count.  check_grid
+raises DimensionError unless the grids one function combines share one
+shape whose sides reach its minimum.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def check_real(name: str, v, lo: float | None = None, hi: float | None = None,
         return float(v)
     bounds = ("" if lo is None else f" {'>' if lo_open else '>='} {lo}") \
         + ("" if hi is None else f" and <= {hi}")
-    raise ParameterError(f"{name} must be a finite real{bounds}, got {v!r}")
+    raise ParameterError(f"{name} must be a finite real{bounds}, got {_shown(v)}")
 
 
 def check_sigma(name: str, v) -> float:
@@ -124,7 +125,13 @@ def check_int(name: str, v, lo: int, hi: int | None = None) -> int:
             and v >= lo and (hi is None or v <= hi)):
         return int(v)
     upper = "" if hi is None else f" and <= {hi}"
-    raise ParameterError(f"{name} must be an integer >= {lo}{upper}, got {v!r}")
+    raise ParameterError(f"{name} must be an integer >= {lo}{upper}, got {_shown(v)}")
+
+
+def _shown(v) -> str:
+    # repr(v), but an int past 20 digits by its digit count: 10**400 would fill the line
+    big = type(v) is int and not -10**20 < v < 10**20
+    return f"an integer of {len(str(abs(v)))} digits" if big else repr(v)
 
 
 def check_grid(what: str, shape: tuple, *others: tuple, min_side: int = 1) -> None:

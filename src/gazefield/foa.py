@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DataError, DomainError, NumericalError, check_grid, check_member,
                      check_real)
-from .retina import Field2D, _finite
+from .retina import Field2D, _bilinear, _finite, _gradient_at
 
 __all__ = [
     "AttractionSign",
@@ -150,18 +150,6 @@ def _check_rows(rows: np.ndarray, first: int = 0, t_before: float = -math.inf) -
         raise DataError(f"scanpath timestamps must increase strictly at sample {late[0]}")
 
 
-def _lerp(c00, c01, c10, c11, fx: float, fy: float):
-    return (1 - fy) * ((1 - fx) * c00 + fx * c01) + fy * ((1 - fx) * c10 + fx * c11)
-
-
-def _bilinear(arr: np.ndarray, x: float, y: float) -> float:
-    # callers guarantee 0 <= x <= w-1, 0 <= y <= h-1
-    x0, y0 = min(int(x), arr.shape[1] - 2), min(int(y), arr.shape[0] - 2)
-    fx, fy = x - x0, y - y0
-    return float(_lerp(arr[y0, x0], arr[y0, x0 + 1], arr[y0 + 1, x0],
-                       arr[y0 + 1, x0 + 1], fx, fy))
-
-
 def _check_inside(u: Field2D, x: float, y: float):
     if not (0.0 <= x <= u.width - 1 and 0.0 <= y <= u.height - 1):
         raise DomainError(
@@ -175,10 +163,10 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
     The nodal gradient (central differences inside, one-sided at edges) is
     interpolated bilinearly, so the sampled force varies continuously as
     the particle moves across cells.  Only the 4 corners of the cell that
-    holds the position are differentiated, by the difference rule of
-    retina.gradient, and the corners are blended by _lerp, the rule of
-    _bilinear, so the result is bitwise the one the full-grid gradient
-    gives, also when read as Python floats, as here.
+    holds the position are differentiated and blended, by retina._gradient_at:
+    gradient's difference rule and _bilinear's blend, kept beside them in
+    retina, so the result is bitwise the one the full-grid gradient gives,
+    also when read as Python floats, as here.
     A position off the grid, NaN or infinite included, raises DomainError;
     overflow raises NumericalError.
     """
@@ -187,26 +175,6 @@ def sample_gradient(u: Field2D, pos: tuple[float, float], h: float = 1.0
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("sample_gradient", u.values.shape, min_side=2)
     return _finite(_gradient_at(u.values, x, y, h), "sample_gradient")
-
-
-def _gradient_at(v: np.ndarray, x: float, y: float, h: float) -> tuple[float, float]:
-    # sample_gradient after its checks: the at most 12 distinct nodes that the
-    # cell's corners difference are read once, as a patch clipped to the grid
-    rows, cols = v.shape
-    x0, y0 = min(int(x), cols - 2), min(int(y), rows - 2)  # int floors x, y >= 0
-    fx, fy = x - x0, y - y0
-    # whether each corner column (row) has a neighbour on its outer side
-    left, right, up, down = x0 > 0, x0 + 2 < cols, y0 > 0, y0 + 2 < rows
-    p = v[y0 - up:y0 + 2 + down, x0 - left:x0 + 2 + right].tolist()
-    a, b = int(left), int(left) + 1  # columns x0 and x0 + 1 of the patch
-    above, r0, r1, below = p[0], p[up], p[up + 1], p[-1]
-    # central differences span 2h, one-sided ones h, as in retina.gradient
-    wl, wr = (2.0 * h if left else h), (2.0 * h if right else h)
-    wu, wd = (2.0 * h if up else h), (2.0 * h if down else h)
-    return (_lerp((r0[b] - r0[0]) / wl, (r0[-1] - r0[a]) / wr,
-                  (r1[b] - r1[0]) / wl, (r1[-1] - r1[a]) / wr, fx, fy),
-            _lerp((r1[a] - above[a]) / wu, (r1[b] - above[b]) / wu,
-                  (below[a] - r0[a]) / wd, (below[b] - r0[b]) / wd, fx, fy))
 
 
 def _fold(x: float, v: float, top: float, policy: BoundaryPolicy) -> tuple[float, float]:
@@ -305,8 +273,9 @@ class _SaccadeStream:
 
     def feed(self, rows: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
         rows = np.concatenate((self.held, rows)) if len(self.held) else rows
-        # math.hypot per sample: np.hypot differs from it in the last bit
-        speed = np.fromiter(map(math.hypot, rows[:, 3], rows[:, 4]), np.float64, len(rows))
+        # math.hypot per sample (np.hypot differs from it in the last bit), on
+        # Python floats: the same doubles as numpy scalars, without a scalar each
+        speed = np.fromiter(map(math.hypot, *rows[:, 3:5].T.tolist()), np.float64, len(rows))
         flags = speed > self.threshold
         # runs of equal flags, [starts[k], stops[k]); a slow run after a fast
         # one that spans less than min_fixation turns saccadic if a fast run

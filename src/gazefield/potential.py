@@ -10,6 +10,7 @@ that makes the large-c limit directly comparable against the elliptic
 solution, which convergence_in_c takes exactly on the sine modes.  The
 relaxation splits the grid, padded to an odd row stride, into its red and
 black nodes, two contiguous planes, and relaxes each colour on one span.
+The 5-point stencil's arithmetic, on a span and on one node, is retina's.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .errors import (
     check_member,
     check_real,
 )
-from .retina import (Field2D, _finite, _lap_plus, _line_aligned, _neighbour_sum, _shifted,
-                     _whole_lines, gradient)
+from .retina import (Field2D, _finite, _lap_plus, _line_aligned, _neighbour_sum,
+                     _node_residual, _shifted, _whole_lines, gradient)
 
 __all__ = [
     "Mode",
@@ -163,11 +164,12 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
     Each sweep takes the residual, then relaxes red and black.  A sweep
     between the first and the last may skip the residual over the grid: it
     first reads the residual at one probe node, the last full residual's
-    argmax, with the span's IEEE operations in their order (_node_residual),
-    bit for bit that node's entry.  When that is at least tol, so is the max,
-    and the solve goes on as the full residual would have it; otherwise the
-    sweep takes the full residual and moves the probe to its argmax.  A probe
-    cannot see an inf or a NaN elsewhere, so a gate proves there is none.
+    argmax, with the span's IEEE operations in their order (retina's
+    _node_residual, _lap_plus's twin), bit for bit that node's entry.  When
+    that is at least tol, so is the max, and the solve goes on as the full
+    residual would have it; otherwise the sweep takes the full residual and
+    moves the probe to its argmax.  A probe cannot see an inf or a NaN
+    elsewhere, so a gate proves there is none.
     With 1 < omega < 2 a half-sweep maps max|u| <= U to at most 3U + F/2,
     F = max|h*h*mu|, so 32 sweeps to at most 9^32 (U + F).  At most every
     _GATE_SWEEPS = 32 sweeps U is read, the edge ring and pads included: the
@@ -258,15 +260,6 @@ def poisson_solve(mu: Field2D, h: float = _SOLVE_H, tol: float = _SOLVE_TOL,
     grid = np.empty(padded)
     grid.reshape(-1, 2).T[...] = u
     return Field2D._own(grid[:rows, :w].copy(), "potential")
-
-
-def _node_residual(centre, k: int, other, around, mass, hh: float) -> float:
-    """|lap u + mu| at node k of centre's plane, its neighbours at the flat indices
-    around in other's: the IEEE operations of _neighbour_sum and _lap_plus in
-    their order on .item() reads, so bit for bit that node's residual entry."""
-    up, down, left, right = map(other.item, around)
-    r = (((up + down) + left) + right - centre.item(k) * 4.0) / hh  # x / 1.0 is x
-    return abs(r + mass.item(k))
 
 
 def direct_potential(mu: Field2D, h: float = 1.0) -> Field2D:

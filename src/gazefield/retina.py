@@ -15,10 +15,14 @@ copy; the inputs were finite, so a non-finite value there is overflow, a
 NumericalError.  ``_finite`` is that one check, also for computed numbers.
 
 Derivatives use central differences in the interior and one-sided
-differences on the boundary.  Every 5-point stencil, laplacian's and the
+differences on the boundary: gradient on a grid, and its scalar twin
+_gradient_at on the 4 corners of one cell, blended by _lerp (_bilinear's
+rule), for the particle.  Every 5-point stencil, laplacian's and the
 solvers', is built from _neighbour_sum (one summation order of a node's
 neighbours, taken as views; _shifted makes them on a flat span) and
-_lap_plus (lap u + mu).
+_lap_plus (lap u + mu); _node_residual is their scalar twin on one node,
+for the Poisson solve's probe.  A change to a rounding order changes a
+rule and its twin together, here.
 laplacian and the blur close their stencils by edge replication, so
 constants have zero curvature; the solvers impose Dirichlet data instead.
 """
@@ -186,7 +190,6 @@ def load_pgm(data: bytes) -> Field2D:
     """
     if not isinstance(data, (bytes, bytearray)):
         raise DataError("load_pgm expects bytes")
-    data = bytes(data)
     if data[:2] != b"P5":
         raise PgmParseError("not a binary PGM, magic 'P5' missing", 0)
 
@@ -214,16 +217,16 @@ def load_pgm(data: bytes) -> Field2D:
         raise PgmParseError("expected single whitespace byte before raster", pos)
     pos += 1
 
-    bytes_per_sample = 2 if maxval > 255 else 1
-    expected = width * height * bytes_per_sample
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")  # big-endian past one byte
+    expected = width * height * dtype.itemsize
     raster = data[pos:pos + expected]
     if len(raster) < expected:
         raise PgmParseError(
             f"raster truncated, expected {expected} bytes, got {len(raster)}", len(data)
         )
-    dtype = ">u2" if bytes_per_sample == 2 else "u1"
-    samples = np.frombuffer(raster, dtype=dtype).astype(np.float64)
-    return Field2D((samples / maxval).reshape((height, width)))
+    # decoded in the one float64 frame it returns: finite by construction
+    values = np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(np.float64)
+    return Field2D._own(np.divide(values, maxval, out=values), "load_pgm")
 
 
 def save_pgm(f: Field2D, maxval: int = _PGM_MAXVAL) -> bytes:
@@ -248,8 +251,8 @@ def save_pgm(f: Field2D, maxval: int = _PGM_MAXVAL) -> bytes:
 def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     """Discrete gradient: central differences interior, one-sided on the boundary.
 
-    This is ``np.gradient(values, h)``'s rule, the one foa.sample_gradient
-    applies at the corners of one cell.  Requires width, height >= 2.
+    This is ``np.gradient(values, h)``'s rule, the one _gradient_at applies
+    at the corners of one cell.  Requires width, height >= 2.
     Overflow raises NumericalError.
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
@@ -257,6 +260,39 @@ def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
         dy, dx = np.gradient(f.values, h)
     return VectorField2D._own(dx, dy, "gradient")
+
+
+def _lerp(c00, c01, c10, c11, fx: float, fy: float):
+    return (1 - fy) * ((1 - fx) * c00 + fx * c01) + fy * ((1 - fx) * c10 + fx * c11)
+
+
+def _bilinear(arr: np.ndarray, x: float, y: float) -> float:
+    # callers guarantee 0 <= x <= w-1, 0 <= y <= h-1; the cell's corners are
+    # read as Python floats, as _gradient_at reads its patch: the same doubles
+    x0, y0 = min(int(x), arr.shape[1] - 2), min(int(y), arr.shape[0] - 2)
+    (c00, c01), (c10, c11) = arr[y0:y0 + 2, x0:x0 + 2].tolist()
+    return _lerp(c00, c01, c10, c11, x - x0, y - y0)
+
+
+def _gradient_at(v: np.ndarray, x: float, y: float, h: float) -> tuple[float, float]:
+    # _bilinear of gradient's components at (x, y), bit for bit in Python floats,
+    # after foa.sample_gradient's checks: the at most 12 distinct nodes that the
+    # cell's corners difference are read once, as a patch clipped to the grid
+    rows, cols = v.shape
+    x0, y0 = min(int(x), cols - 2), min(int(y), rows - 2)  # int floors x, y >= 0
+    fx, fy = x - x0, y - y0
+    # whether each corner column (row) has a neighbour on its outer side
+    left, right, up, down = x0 > 0, x0 + 2 < cols, y0 > 0, y0 + 2 < rows
+    p = v[y0 - up:y0 + 2 + down, x0 - left:x0 + 2 + right].tolist()
+    a, b = int(left), int(left) + 1  # columns x0 and x0 + 1 of the patch
+    above, r0, r1, below = p[0], p[up], p[up + 1], p[-1]
+    # central differences span 2h, one-sided ones h, as np.gradient's do
+    wl, wr = (2.0 * h if left else h), (2.0 * h if right else h)
+    wu, wd = (2.0 * h if up else h), (2.0 * h if down else h)
+    return (_lerp((r0[b] - r0[0]) / wl, (r0[-1] - r0[a]) / wr,
+                  (r1[b] - r1[0]) / wl, (r1[-1] - r1[a]) / wr, fx, fy),
+            _lerp((r1[a] - above[a]) / wu, (r1[b] - above[b]) / wu,
+                  (below[a] - r0[a]) / wd, (below[b] - r0[b]) / wd, fx, fy))
 
 
 def _shifted(flat: np.ndarray, stride: int, lo: int, hi: int) -> tuple:
@@ -292,6 +328,15 @@ def _lap_plus(out, nsum, centre, mu, h: float) -> np.ndarray:
     if h * h != 1.0:  # x / 1.0 is x, bit for bit
         np.divide(out, h * h, out=out)
     return np.add(out, mu, out=out)
+
+
+def _node_residual(centre, k: int, other, around, mass, hh: float) -> float:
+    """|lap u + mu| at node k of centre's plane, its neighbours at the flat indices
+    around in other's: the IEEE operations of _neighbour_sum and _lap_plus in
+    their order on .item() reads, so bit for bit that node's residual entry."""
+    up, down, left, right = map(other.item, around)
+    r = (((up + down) + left) + right - centre.item(k) * 4.0) / hh  # x / 1.0 is x
+    return abs(r + mass.item(k))
 
 
 def laplacian(f: Field2D, h: float = 1.0) -> Field2D:

@@ -26,12 +26,12 @@ __all__ = [
 
 # the blob defaults of every generator, read also by the synth command's flags
 _BLOB_SIGMA, _BLOB_AMP = 3.0, 1.0
-_MAX_SIZE = np.iinfo(np.intp).max  # a count or frame byte size past it is no numpy size
+_MAX_SIZE = np.iinfo(np.intp).max  # a count, side or frame byte size past it is no numpy size
 
 
 def _check_frame(width: int, height: int) -> None:
-    check_int("width", width, 1)
-    check_int("height", height, 1)
+    check_int("width", width, 1, _MAX_SIZE)
+    check_int("height", height, 1, _MAX_SIZE)
     if 8 * width * height > _MAX_SIZE:  # float64 values: numpy's "array is too big"
         raise ParameterError(f"a {width}x{height} frame needs 8 * width * height bytes, "
                              f"more than numpy's limit of {_MAX_SIZE}")

@@ -1084,7 +1084,7 @@ class TestCommands:
         huge = 10**400
         with pytest.raises(ParameterError, match="^substeps_per_frame "):
             SimConfig(substeps_per_frame=huge)
-        with pytest.raises(ParameterError, match=r"^a 10+x4 frame needs"):
+        with pytest.raises(ParameterError, match=r"^width .*, got an integer of 401 digits$"):
             synth.two_blob_image(huge, 4)
         frames, cfg, out = tmp_path / "f", tmp_path / "run.cfg", tmp_path / "v.foaf"
         assert run_cli("synth", "black", "--width", "4", "--height", "4", "--frames", "2",

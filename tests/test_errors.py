@@ -43,7 +43,7 @@ from gazefield import (
 )
 from gazefield import foa, mass, optical_flow, potential, retina, synth
 from gazefield.cli import SimConfig, run_simulation
-from gazefield.errors import check_grid, check_member
+from gazefield.errors import check_grid, check_int, check_member, check_real
 from gazefield.optical_flow import HsParams, hs_jacobi_step
 from gazefield.potential import convergence_in_c
 
@@ -76,6 +76,15 @@ class TestCheckMember:
     def test_non_member_raises_parameter_error(self, v):
         with pytest.raises(ParameterError, match=r"^mode must be a member of Mode, got"):
             check_member("mode", v, Mode)
+
+
+@pytest.mark.parametrize("v, shown", [
+    (10**20 - 1, "99999999999999999999"), (-10**20, "an integer of 21 digits"),
+    (10**400, "an integer of 401 digits")])
+def test_integer_past_20_digits_is_named_by_its_digit_count(v, shown):
+    for check in (check_int, check_real):
+        with pytest.raises(ParameterError, match=rf"^n must be .*, got {shown}$"):
+            check("n", v, 0, 5)
 
 
 def field(h, w):

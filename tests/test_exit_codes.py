@@ -5,8 +5,9 @@ numeric config key of simulate and flow, takes each value of a hostile
 list, one at a time, on a tiny base input.  Run in process through cli.main
 with warnings as errors, every case must exit 0, 2 (config), 3 (data) or 4
 (numerical), never raise; a failure prints exactly one ``error:`` line and
-leaves no output file behind.  The values that ask for a long run are
-exempt, each option with its reason (EXEMPT).
+leaves no output file behind.  A failure on 10**400 names it by its digit
+count, in a line under 200 characters.  The values that ask for a long run
+are exempt, each option with its reason (EXEMPT).
 
 Every input file format gets the same contract under a seeded byte-level
 fuzz: bit flips, truncations, insertions and numeric tokens, a few hundred
@@ -26,7 +27,8 @@ from gazefield.cli import _CONFIG_KEYS, _PARSER, export_scanpath, import_scanpat
 
 FLOATS = ["0", "-0.0", "5e-324", "1e-309", "1e-160", "1e-20", "0.5", "1e20", "1e154",
           "1e200", "1e308", "inf", "nan", "-1"]
-INTS = ["0", "-1", "1", "3", str(10**5), str(10**22), str(2**62), str(10**400)]
+HUGE = str(10**400)  # its error line names its 401 digits by their count
+INTS = ["0", "-1", "1", "3", str(10**5), str(10**22), str(2**62), HUGE]
 LONG = {str(10**5), str(10**22), str(2**62)}  # the integers that ask for long runs
 
 # (command, option or config key) -> the work its LONG values ask for; that
@@ -110,6 +112,9 @@ def broken(capsys, cases):
             found.append((label, f"exit {code}, stderr {lines}"))
         elif code and files_under(out):
             found.append((label, f"exit {code}, left {files_under(out)}"))
+        elif code and HUGE in label and not (len(lines[0]) < 200
+                                             and "an integer of 401 digits" in lines[0]):
+            found.append((label[:40], f"exit {code}, stderr {lines}"))
     return found
 
 

@@ -22,11 +22,10 @@ from gazefield.foa import (
     _SaccadeStream,
     detect_saccades,
     energy,
-    _bilinear,
     foa_step,
     sample_gradient,
 )
-from gazefield.retina import Field2D, gradient
+from gazefield.retina import Field2D, _bilinear, gradient
 
 
 def gaussian_bump(n: int, cx: float, cy: float, amp: float = 5.0,
@@ -552,6 +551,20 @@ class TestSaccadeStream:
         return [rng.choice([0.3 * self.SUBSTEP, 2.0 * span + self.SUBSTEP]),
                 rng.choice(spans) if spans else self.SUBSTEP,
                 rng.uniform(0, span + self.SUBSTEP)]
+
+    def test_speeds_within_ulps_of_the_threshold_flag_as_numpy_scalars_did(self):
+        # the stream hands math.hypot Python floats, the doubles that the numpy
+        # scalars of whole_path_flags hold, so no flag can flip
+        rng = np.random.default_rng(37)
+        n = 4000
+        speed = self.THRESHOLD + rng.integers(-3, 4, n) * 4e-15
+        angle = rng.uniform(0.0, 2.0 * math.pi, n)
+        rows = np.stack([np.arange(n) * self.SUBSTEP, np.zeros(n), np.zeros(n),
+                         speed * np.cos(angle), speed * np.sin(angle)], axis=1)
+        for min_fixation in (0.3 * self.SUBSTEP, 0.05):
+            got = detect_saccades(Scanpath._own(rows), self.THRESHOLD, min_fixation)
+            want = whole_path_flags(rows, self.THRESHOLD, min_fixation)
+            assert 0 < want.sum() < n and got.saccade.tolist() == want.tolist()
 
     def test_blocks_match_the_whole_path(self):
         rng = np.random.default_rng(2024)

@@ -1,20 +1,28 @@
-"""Mirror symmetries of the whole pipeline (metamorphic relations).
+"""Mirror symmetries of the whole pipeline, and of the elliptic solve
+(metamorphic relations).
 
-Each relation runs ``run_simulation`` on a clip and on its mirror image and
-maps one scanpath onto the other.  It compares two runs of the same code, so
-it keeps holding when the arithmetic of a solver or a stepper changes, where
-a byte test would not.  The clip is a seeded noisy two-blob scene, and the
-gaze starts off both axes of symmetry, under README's ``explore.cfg``
-settings: at the default config the gaze moves only about 3e-5 px, which
-would make any relation hold.  The scanpath CSV resolves about 1e-7 px, and
-the gaps measured were at most 3.2e-14, so a 1e-9 tolerance leaves room on
-both sides.
+Each pipeline relation runs ``run_simulation`` on a clip and on its mirror
+image and maps one scanpath onto the other.  It compares two runs of the
+same code, so it keeps holding when the arithmetic of a solver or a stepper
+changes, where a byte test would not.  The clip is a seeded noisy two-blob
+scene, and the gaze starts off both axes of symmetry, under README's
+``explore.cfg`` settings: at the default config the gaze moves only about
+3e-5 px, which would make any relation hold.  The scanpath CSV resolves
+about 1e-7 px, and the gaps measured were at most 3.2e-14, so a 1e-9
+tolerance leaves room on both sides.
+
+The elliptic relations solve a seeded blurred mass with ``poisson_solve``:
+its transpose gives the transposed potential, and s times the mass at s
+times the tolerance gives s times the potential.  Both differ from the
+exact map only by rounding: at most 3.3e-15 and 4.9e-15 of max|u| over 18
+seeded masses, against a 1e-14 bound.  A stop one sweep apart moves u by
+about the tolerance, far past it.
 """
 
 import numpy as np
 import pytest
 
-from gazefield import Field2D, synth
+from gazefield import Field2D, gaussian_blur, poisson_solve, synth
 from gazefield.cli import parse_config, run_simulation
 
 W, H = 64, 48
@@ -60,3 +68,32 @@ def test_left_right_flip_mirrors_x(run):
     want = rows.copy()
     want[:, 1], want[:, 3] = W - 1 - rows[:, 1], -rows[:, 3]
     assert_maps_to(got, want)
+
+
+def test_up_down_flip_mirrors_y(run):
+    setting, rows = run
+    got = scanpath_rows([Field2D(f.values[::-1].copy()) for f in CLIP], setting,
+                        (START[0], H - 1 - START[1]))
+    want = rows.copy()
+    want[:, 2], want[:, 4] = H - 1 - rows[:, 2], -rows[:, 4]
+    assert_maps_to(got, want)
+
+
+MASS = gaussian_blur(Field2D(np.random.default_rng(0).uniform(0.0, 1.0, (40, 56))), 2.0)
+SOLVE_TOL = 1e-14  # relative to max|u|
+
+
+@pytest.fixture(scope="module")
+def potential():
+    return poisson_solve(MASS).values
+
+
+def test_poisson_of_the_transpose_is_the_transpose(potential):
+    got = poisson_solve(Field2D(MASS.values.T.copy())).values
+    assert np.abs(got - potential.T).max() <= SOLVE_TOL * np.abs(potential).max()
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0, 100.0])
+def test_poisson_scales_with_the_mass(potential, s):
+    got = poisson_solve(Field2D(s * MASS.values), tol=s * 1e-8).values
+    assert np.abs(got - s * potential).max() <= SOLVE_TOL * s * np.abs(potential).max()

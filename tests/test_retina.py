@@ -153,6 +153,23 @@ class TestLoadPgm:
             load_pgm(payload)
         assert exc.value.offset == len(payload)
 
+    @pytest.mark.parametrize("maxval, dtype", [(255, "u1"), (65535, ">u2")])
+    def test_one_load_peaks_below_two_frames(self, maxval, dtype):
+        # one float64 frame, decoded and scaled in place, and the raster's bytes
+        values = np.random.default_rng(4).uniform(0.0, 1.0, (256, 256))
+        payload = save_pgm(Field2D(values), maxval)
+        load_pgm(payload)  # first-call allocations outside the measure
+        tracemalloc.start()
+        try:
+            f = load_pgm(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * values.nbytes
+        assert f.values.base is None and not f.values.flags.writeable  # no view kept
+        samples = np.frombuffer(payload[-values.size * np.dtype(dtype).itemsize:], dtype)
+        np.testing.assert_array_equal(f.values.ravel(), samples / maxval)
+
     def test_maxval_out_of_range(self):
         with pytest.raises(PgmParseError):
             load_pgm(b"P5 2 2 0\n\x00\x00\x00\x00")
