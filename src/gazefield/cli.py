@@ -1,9 +1,9 @@
 """Pipeline orchestration, configuration, and bit-exact exports.
 
 Configuration is a flat UTF-8 ``key = value`` file (``#`` starts a
-comment, unknown keys are hard errors).  The frame loop runs: blur per the
-smoothing schedule, spatial and temporal derivatives (optionally dense
-optical flow), inhibition update at the current gaze point, mass density,
+comment, unknown keys are hard errors).  The frame loop runs: inhibition
+update at the current gaze point, blur per the smoothing schedule, spatial
+and temporal derivatives (optionally dense optical flow), mass density,
 then substeps of potential evolution interleaved with particle steps, the
 potential always updating first.  Scanpaths serialize to CSV with 9
 significant digits and LF endings; fields serialize to a small binary
@@ -79,8 +79,10 @@ from .retina import (
     FlowField,
     _PGM_MAXVAL,
     _finite,
+    _gradient_magnitude,
+    _rate,
     gaussian_blur,
-    gradient,
+    gradient,  # not called here, nor temporal_derivative: names the tracer rebinds (above)
     load_pgm,
     magnitude,
     save_pgm,
@@ -176,7 +178,7 @@ def _parse_initial_foa(text: str) -> tuple[float, float] | None:
         x, y = (float(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(
-            f"config key 'initial_foa': expected 'center' or 'x,y', got {text!r}") from None
+            f"config key 'initial_foa': expected 'center' or 'x,y', got {_quoted(text)}") from None
     return (x, y)
 
 
@@ -208,19 +210,24 @@ _CONFIG_KEYS = {
 }
 
 
+def _quoted(text: str) -> str:
+    # repr(text), but a long value by its first 40 characters and its length
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _parse_value(what: str, kind, text: str):
     """Convert one setting: a number, an integer, an enum spelled as its
     lowercased member name, or whatever a parser function returns."""
     if isinstance(kind, type) and issubclass(kind, Enum):
         members = {m.name.lower(): m for m in kind}
         if text not in members:
-            raise ConfigError(f"{what}: expected one of {sorted(members)}, got {text!r}")
+            raise ConfigError(f"{what}: expected one of {sorted(members)}, got {_quoted(text)}")
         return members[text]
     try:
         return kind(text)
-    except ValueError:
+    except ValueError:  # int() also refuses a digit string past 4300 digits
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what}: not {noun}: {text!r}") from None
+        raise ConfigError(f"{what}: not {noun}: {_quoted(text)}") from None
 
 
 def parse_config(text: str) -> SimConfig:
@@ -327,10 +334,10 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
                    ) -> tuple[Scanpath, list[FieldDump]]:
     """Drive the full pipeline over a frame sequence.
 
-    Per frame: smooth both endpoint frames per the schedule, take the spatial
-    gradient and the motion term (|db/dt|, or the dense flow's speed when the
-    mass wants it), decay-and-deposit inhibition at the gaze point, assemble
-    the mass density, then run substeps_per_frame rounds of potential
+    Per frame: decay-and-deposit inhibition at the gaze point, smooth both
+    endpoint frames per the schedule, take the spatial detail |grad b| and the
+    motion term (|db/dt|, or the dense flow's speed when the mass wants it),
+    assemble the mass density, then run substeps_per_frame rounds of potential
     evolution each followed by one particle step.  The scanpath holds the
     initial state plus one sample per substep; dumps snapshot (mass,
     potential, inhibition) every dump_every-th frame.  Deterministic:
@@ -342,16 +349,23 @@ def run_simulation(frames: Iterable[Field2D], cfg: SimConfig, *,
     (b_next), the inhibition, the potential and the particle outlive a
     frame, and the detail |grad b| only across a repeated frame, so a
     generator that reads frames on demand keeps memory flat in clip length.
-    A frame's substeps run as one kernel on bare arrays, set up once per
-    frame; the potential's scratch lives only while they run.
+    Each stage adds at most one whole-grid array to those: the inhibition
+    runs first, once a stale blur and detail are dropped, so its bump never
+    sits beside the detail and the motion; the detail is np.hypot of the
+    gradient a row block at a time, |db/dt| is taken in place, and the mass
+    takes its scratch a row block at a time (the blur's internals and the
+    flow's set-up aside).  A frame's substeps run as one kernel on bare
+    arrays, set up once per frame; the potential's scratch lives only while
+    they run.
     A repeated frame is the same object as the frame before it (simulate's
     reader yields one object again for a file with the previous file's
     bytes): its blur and detail are reused and its |db/dt| is taken as +0,
     bit for bit what computing them again gives.  The grid comes from
     frame 0; each frame is checked as it arrives, and a bad one raises
     DataError naming its index (stage "load").  Every GazefieldError of the
-    loop keeps its category and names its frame and stage: load, blur,
-    differentiation, motion, inhibition, mass, potential, particle or dump.
+    loop keeps its category and names its frame and stage: load,
+    inhibition, blur, differentiation, motion, mass, potential, particle or
+    dump.
     An overflow anywhere from the blur to the last substep raises
     NumericalError and no numpy warning, so also none under ``-W error``;
     on_dump runs outside that scope.
@@ -395,7 +409,11 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
         with np.errstate(over="ignore", invalid="ignore"), stage:  # overflow: NumericalError
             sigma = schedule_sigma(cfg.blur, k * dt_frame)
             if sigma != sigma_prev:  # else frame k was blurred with sigma as b_next
-                b_next = detail = None  # stale, they die before frame k is blurred again
+                b_next = detail = None  # stale: they die before the inhibition's bump is made
+            stage.name = "inhibition"  # first: it reads only the gaze and the inhibition
+            ior = ior_step(ior, (x, y), dt_frame, cfg.ior)
+            stage.name = "blur"
+            if b_next is None:
                 b_next = gaussian_blur(f_now, sigma)
             repeated = f_next is f_now  # then b_next stays b_now: one frame, one blur
             b_now, f_now = b_next, f_next  # only the blur reads f_now
@@ -404,17 +422,17 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
             sigma_prev = sigma
             stage.name = "differentiation"
             if detail is None:  # else it is |grad b_now| from frame k - 1
-                detail = magnitude(gradient(b_now, cfg.h)).values
+                detail = _gradient_magnitude(b_now, cfg.h)
             stage.name = "motion"
             if cfg.mass.motion_source is MotionSource.FLOW_MAGNITUDE:
                 motion = magnitude(horn_schunck(b_now, b_next, dt_frame, cfg.hs)).values
             elif repeated:
                 motion = None  # |db/dt| is +0 everywhere
-            else:
-                motion = np.abs(temporal_derivative(b_now, b_next, dt_frame).values)
+            else:  # |db/dt| in the one array that _rate makes
+                motion = _finite(_rate(b_now.values, b_next.values, dt_frame),
+                                 "temporal derivative")
+                np.abs(motion, out=motion)
             del b_now  # read by the differentiation and the motion only
-            stage.name = "inhibition"
-            ior = ior_step(ior, (x, y), dt_frame, cfg.ior)
             stage.name = "mass"
             mu = _mass(detail, motion, ior, cfg.mass)
             del motion  # read by the mass only
@@ -432,7 +450,7 @@ def _sample_blocks(frames: Iterable[Field2D], cfg: SimConfig,
             finally:  # once a frame, and first if a particle step failed: it may have read u
                 del potential_step  # it dies with the frame's substeps, before the check
                 name, stage.name = stage.name, "potential"
-                _finite(pot.u, "potential")  # a bool mask, no float temporary
+                _finite(pot.u, "potential")  # its min and max: no temporary
                 stage.name = name
         if cfg.dump_every > 0 and k % cfg.dump_every == 0:
             with _stage(k, "dump"):

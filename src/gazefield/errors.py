@@ -129,9 +129,15 @@ def check_int(name: str, v, lo: int, hi: int | None = None) -> int:
 
 
 def _shown(v) -> str:
-    # repr(v), but an int past 20 digits by its digit count: 10**400 would fill the line
-    big = type(v) is int and not -10**20 < v < 10**20
-    return f"an integer of {len(str(abs(v)))} digits" if big else repr(v)
+    # repr(v), but an int past 20 digits by its digit count: 10**400 would fill the
+    # line.  str() refuses an int past 4300 digits, so the count starts from
+    # bit_length, at or below the true count, and steps up to it
+    if type(v) is not int or -10**20 < v < 10**20:
+        return repr(v)
+    digits = int((abs(v).bit_length() - 1) * math.log10(2))
+    while abs(v) >= 10**digits:
+        digits += 1
+    return f"an integer of {digits} digits"
 
 
 def check_grid(what: str, shape: tuple, *others: tuple, min_side: int = 1) -> None:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, check_grid, check_member, check_real, check_sigma
-from .retina import Field2D, VectorField2D, _bump, magnitude
+from .retina import Field2D, VectorField2D, _bump, _row_step, magnitude
 
 __all__ = [
     "MotionSource",
@@ -104,11 +104,16 @@ def _mass(detail: np.ndarray, motion: np.ndarray | None, ior: IorField,
           p: MassParams) -> Field2D:
     # mass_density from the detail |grad b|, which is read, never written, under
     # the caller's overflow scope; motion None is a motion term of +0 everywhere:
-    # the detail term is >= +0 or not finite, and x + +0 is x, bit for bit, for each
-    mu, tmp = np.multiply(detail, p.alpha1), np.subtract(1.0, ior.values)
-    np.multiply(mu, tmp, out=mu)
-    if motion is not None:
-        np.add(mu, np.multiply(motion, p.alpha2, out=tmp), out=mu)
+    # the detail term is >= +0 or not finite, and x + +0 is x, bit for bit, for each.
+    # mu is the one whole-grid array: 1 - I and alpha2 * motion are taken a row
+    # block at a time into one block of scratch
+    mu, step = np.multiply(detail, p.alpha1), min(_row_step(ior.width), ior.height)
+    tmp = np.empty((step, ior.width))
+    for lo in range(0, ior.height, step):
+        rows, t = mu[lo:lo + step], tmp[:min(step, ior.height - lo)]
+        np.multiply(rows, np.subtract(1.0, ior.values[lo:lo + step], out=t), out=rows)
+        if motion is not None:
+            np.add(rows, np.multiply(motion[lo:lo + step], p.alpha2, out=t), out=rows)
     return Field2D._own(mu, "mass")
 
 

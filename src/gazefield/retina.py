@@ -15,14 +15,15 @@ copy; the inputs were finite, so a non-finite value there is overflow, a
 NumericalError.  ``_finite`` is that one check, also for computed numbers.
 
 Derivatives use central differences in the interior and one-sided
-differences on the boundary: gradient on a grid, and its scalar twin
-_gradient_at on the 4 corners of one cell, blended by _lerp (_bilinear's
-rule), for the particle.  Every 5-point stencil, laplacian's and the
-solvers', is built from _neighbour_sum (one summation order of a node's
-neighbours, taken as views; _shifted makes them on a flat span) and
-_lap_plus (lap u + mu); _node_residual is their scalar twin on one node,
-for the Poisson solve's probe.  A change to a rounding order changes a
-rule and its twin together, here.
+differences on the boundary, np.gradient's rule: _gradient_rows on a block
+of rows (gradient's whole grid, the frame loop's detail a row block at a
+time), and its scalar twin _gradient_at on the 4 corners of one cell,
+blended by _lerp (_bilinear's rule), for the particle.  Every 5-point
+stencil, laplacian's and the solvers', is built from _neighbour_sum (one
+summation order of a node's neighbours, taken as views; _shifted makes
+them on a flat span) and _lap_plus (lap u + mu); _node_residual is their
+scalar twin on one node, for the Poisson solve's probe.  A change to a
+rounding order changes a rule and its twin together, here.
 laplacian and the blur close their stencils by edge replication, so
 constants have zero curvature; the solvers impose Dirichlet data instead.
 """
@@ -74,8 +75,13 @@ def _as_readonly_2d(values, name: str) -> np.ndarray:
 
 def _finite(value, what: str):
     """value (an array, a float, or a tuple of floats or equal-shape arrays) if all finite;
-    computed from finite inputs, anything else is overflow: NumericalError naming what."""
-    if not np.isfinite(value).all():
+    computed from finite inputs, anything else is overflow: NumericalError naming what.
+    An array is judged by its min and max, which a NaN or an inf reaches: no mask."""
+    if isinstance(value, np.ndarray) and value.size:
+        ok = math.isfinite(value.min()) and math.isfinite(value.max())
+    else:
+        ok = np.isfinite(value).all()
+    if not ok:
         raise NumericalError(f"{what} overflow: result contains non-finite values")
     return value
 
@@ -251,15 +257,40 @@ def save_pgm(f: Field2D, maxval: int = _PGM_MAXVAL) -> bytes:
 def gradient(f: Field2D, h: float = 1.0) -> VectorField2D:
     """Discrete gradient: central differences interior, one-sided on the boundary.
 
-    This is ``np.gradient(values, h)``'s rule, the one _gradient_at applies
-    at the corners of one cell.  Requires width, height >= 2.
-    Overflow raises NumericalError.
+    This is ``np.gradient(values, h)``'s rule, bit for bit, from
+    _gradient_rows; _gradient_at applies it at the corners of one cell.
+    Requires width, height >= 2.  Overflow raises NumericalError.
     """
     h = check_real("grid spacing h", h, 0, lo_open=True)
     check_grid("gradient", f.values.shape, min_side=2)
+    dx, dy = np.empty(f.values.shape), np.empty(f.values.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-        dy, dx = np.gradient(f.values, h)
+        _gradient_rows(f.values, h, 0, f.height, dx, dy)
     return VectorField2D._own(dx, dy, "gradient")
+
+
+def _difference(a, b, spacing: float, out) -> None:
+    np.divide(np.subtract(a, b, out=out), spacing, out=out)
+
+
+def _gradient_rows(v: np.ndarray, h: float, lo: int, hi: int, dx, dy) -> None:
+    """Rows lo:hi of gradient's components into dx and dy, C-contiguous and each
+    (hi - lo, width): np.gradient's subtraction, then its division by 2h between
+    two neighbours (central) or by h between a node and its one neighbour (edges)."""
+    b, rows = v[lo:hi], v.shape[0]
+    # the central x-differences on one flat span, which a ufunc runs unbuffered
+    # (a 2-d strided one buffers all 3 operands); the two edge columns, whose
+    # span entries wrap onto the next row, are then written one-sided
+    flat = b.reshape(-1)
+    _difference(flat[2:], flat[:-2], 2.0 * h, dx.reshape(-1)[1:-1])
+    _difference(b[:, 1], b[:, 0], h, dx[:, 0])
+    _difference(b[:, -1], b[:, -2], h, dx[:, -1])
+    c0, c1 = max(lo, 1), min(hi, rows - 1)  # the rows with a neighbour above and below
+    _difference(v[c0 + 1:c1 + 1], v[c0 - 1:c1 - 1], 2.0 * h, dy[c0 - lo:c1 - lo])
+    if lo == 0:
+        _difference(v[1], v[0], h, dy[0])
+    if hi == rows:
+        _difference(v[-1], v[-2], h, dy[-1])
 
 
 def _lerp(c00, c01, c10, c11, fx: float, fy: float):
@@ -315,6 +346,15 @@ def _line_aligned(size: int, lo: int = 0) -> np.ndarray:
     return block[skip:skip + size]
 
 
+# a row block's bytes: the frame stages take their scratch a block at a time
+_BLOCK_BYTES = 32 * 1024
+
+
+def _row_step(width: int) -> int:
+    """Rows of float64 in one row block of a width-wide grid: at least one."""
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
 def _neighbour_sum(up, down, left, right, out=None) -> np.ndarray:
     """((up + down) + left) + right: every stencil's one summation order."""
     out = np.add(up, down, out)
@@ -361,13 +401,36 @@ def temporal_derivative(prev: Field2D, nxt: Field2D, dt: float) -> Field2D:
     check_grid("temporal_derivative", prev.values.shape, nxt.values.shape)
     dt = check_real("dt", dt, 0, lo_open=True)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
-        return Field2D._own((nxt.values - prev.values) / dt, "temporal derivative")
+        return Field2D._own(_rate(prev.values, nxt.values, dt), "temporal derivative")
+
+
+def _rate(prev: np.ndarray, nxt: np.ndarray, dt: float) -> np.ndarray:
+    """(nxt - prev) / dt in one new array, unchecked, in the caller's overflow scope."""
+    out = np.subtract(nxt, prev)
+    return np.divide(out, dt, out=out)
 
 
 def magnitude(vf: VectorField2D) -> Field2D:
     """Pointwise Euclidean norm of a vector field; overflow raises NumericalError."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
         return Field2D._own(np.hypot(vf.dx, vf.dy), "magnitude")
+
+
+def _gradient_magnitude(f: Field2D, h: float) -> np.ndarray:
+    """magnitude(gradient(f, h)).values, bit for bit, as its one whole-grid array:
+    np.hypot of _gradient_rows' output, a block of _row_step rows at a time.
+    A non-finite result runs magnitude(gradient(f, h)) to raise its error."""
+    v = f.values
+    out, step = np.empty(v.shape), min(_row_step(f.width), f.height)
+    dx, dy = np.empty((step, f.width)), np.empty((step, f.width))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: NumericalError
+        for lo in range(0, f.height, step):
+            n = min(step, f.height - lo)
+            _gradient_rows(v, h, lo, lo + n, dx[:n], dy[:n])
+            np.hypot(dx[:n], dy[:n], out=out[lo:lo + n])
+    if not math.isfinite(out.max()):  # out >= 0 or NaN
+        magnitude(gradient(f, h))  # "gradient overflow" or "magnitude overflow"
+    return out
 
 
 def _bump(width: int, height: int, cx: float, cy: float, sigma: float) -> np.ndarray:

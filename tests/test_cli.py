@@ -68,6 +68,7 @@ from gazefield.cli import (
     _stream_scanpath,
 )
 from gazefield.foa import _SaccadeStream, detect_saccades
+from gazefield.retina import _gradient_magnitude, _rate
 
 from cli_process import run_cli_process
 
@@ -129,6 +130,19 @@ class TestParseConfig:
     def test_bad_int(self):
         with pytest.raises(ConfigError, match=r"'substeps_per_frame'"):
             parse_config("substeps_per_frame = 2.5\n")
+
+    @pytest.mark.parametrize("key, value", [("substeps_per_frame", "1" * 5000),
+                                            ("initial_foa", "1" * 5000),
+                                            ("mode", "x" * 5000)])
+    def test_long_value_is_echoed_by_its_start_and_length(self, tmp_path, capsys,
+                                                         key, value):
+        # 5000 digits are past int()'s digit limit; the line shows 40 characters
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert run_cli("simulate", str(cfg), "f*.pgm", "--out", str(tmp_path / "o")) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200, lines
+        assert lines[0].endswith(f" {value[:40]!r}... (5000 characters)")
 
     def test_bad_enum_lists_choices(self):
         with pytest.raises(ConfigError, match=r"heat.*damped_wave|damped_wave.*heat"):
@@ -554,9 +568,9 @@ class TestRunSimulation:
 
         def counting_ddt(prev, nxt, dt):
             calls.append(dt)
-            return temporal_derivative(prev, nxt, dt)
+            return _rate(prev, nxt, dt)
 
-        monkeypatch.setattr("gazefield.cli.temporal_derivative", counting_ddt)
+        monkeypatch.setattr("gazefield.cli._rate", counting_ddt)
         frames = synth.moving_blob_frames(16, 16, 6, (5.0, 8.0), (6.0, 0.0),
                                           cfg.frame_dt)
         run_simulation(tuple(frames), cfg)
@@ -677,14 +691,14 @@ class TestSubstepLoop:
 
         def counting_gradient(f, h):
             gradients.append(f)
-            return gradient(f, h)
+            return _gradient_magnitude(f, h)
 
         def counting_ddt(prev, nxt, dt):
             derivatives.append(prev is nxt)
-            return temporal_derivative(prev, nxt, dt)
+            return _rate(prev, nxt, dt)
 
-        monkeypatch.setattr("gazefield.cli.gradient", counting_gradient)
-        monkeypatch.setattr("gazefield.cli.temporal_derivative", counting_ddt)
+        monkeypatch.setattr("gazefield.cli._gradient_magnitude", counting_gradient)
+        monkeypatch.setattr("gazefield.cli._rate", counting_ddt)
         assert_matches_stepwise_run(frames, cfg)
         sigmas = [schedule_sigma(cfg.blur, k * cfg.frame_dt) for k in range(len(clip) - 1)]
         # one gradient per run of one frame at one sigma
@@ -700,6 +714,18 @@ class TestSubstepLoop:
         cfg = parse_config("alpha1 = 1e308\nc = 100\nlambda_drag = 4\n")
         with pytest.raises(NumericalError, match="stage potential: potential overflow"):
             run_simulation(self.frames, cfg)
+
+    @pytest.mark.parametrize("v, text", [
+        (np.where(np.indices((8, 8)).sum(axis=0) % 2, 1e308, -1e308), "gradient"),
+        (np.pad([[-1.5e308]], ((0, 7), (0, 7))), "magnitude"),
+    ], ids=["gradient", "magnitude"])
+    def test_detail_overflow_names_gradient_or_magnitude(self, v, text):
+        # the detail's text is magnitude(gradient(b))'s: a difference past float
+        # range, or a finite gradient whose hypot is not
+        frame = Field2D(v)
+        with pytest.raises(NumericalError, match=rf"^frame 0, stage differentiation: "
+                                                 rf"{text} overflow: result contains"):
+            run_simulation((frame, frame), parse_config("c = 20\n"))
 
     def test_runaway_particle_names_its_stage(self):
         # the potential stays finite, and its gradient throws the particle off the grid
@@ -738,9 +764,8 @@ class TestSubstepLoop:
         cfg = parse_config(f"c = 20\nsubsteps_per_frame = 2\ndump_every = 1\n"
                            f"motion_source = {source}\nhs_max_iters = 5\n")
         frames, on_dump = iter(self.frames), None
-        calls = {"blur": ("gaussian_blur", 3), "differentiation": ("gradient", 2),
-                 "motion": ("horn_schunck" if source == "flow_magnitude"
-                            else "temporal_derivative", 2),
+        calls = {"blur": ("gaussian_blur", 3), "differentiation": ("_gradient_magnitude", 2),
+                 "motion": ("horn_schunck" if source == "flow_magnitude" else "_rate", 2),
                  "inhibition": ("ior_step", 2), "mass": ("_mass", 2)}
         if stage in calls:
             name, n = calls[stage]

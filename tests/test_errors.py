@@ -87,6 +87,16 @@ def test_integer_past_20_digits_is_named_by_its_digit_count(v, shown):
             check("n", v, 0, 5)
 
 
+def test_integer_past_str_digit_limit_is_a_parameter_error():
+    # str() refuses an int past 4300 digits: the count comes from bit_length
+    for call in (lambda: check_int("n", 10**5000, 0, 5), lambda: check_real("x", 10**5000)):
+        with pytest.raises(ParameterError, match=r"got an integer of 5001 digits$"):
+            call()
+    for v in (10**5000 - 1, -(10**5000 - 1)):
+        with pytest.raises(ParameterError, match=r"got an integer of 5000 digits$"):
+            check_int("n", v, 0, 5)
+
+
 def field(h, w):
     return Field2D(np.zeros((h, w)))
 

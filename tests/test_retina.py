@@ -32,7 +32,14 @@ from gazefield import (
     synth,
     temporal_derivative,
 )
-from gazefield.retina import _bump, _gaussian_kernel, _line_aligned, _shifted
+from gazefield.retina import (
+    _bump,
+    _gaussian_kernel,
+    _gradient_magnitude,
+    _gradient_rows,
+    _line_aligned,
+    _shifted,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +78,18 @@ def blur_oracle(v, sigma):
                     acc += k2[dy + r, dx + r] * v[yy, xx]
             out[y, x] = acc
     return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def signed_zeros(shape):
+    # normal values, a third of the nodes set to -0.0 and a third to +0.0
+    rng = np.random.default_rng(11)
+    v, pick = rng.standard_normal(shape), rng.integers(0, 3, shape)
+    v[pick == 1], v[pick == 2] = -0.0, 0.0
+    return v
 
 
 def grad_max_norm(f):
@@ -345,6 +364,49 @@ class TestGradient:
         np.testing.assert_array_equal(g.dx, dx)
         np.testing.assert_array_equal(g.dy, dy)
 
+    @pytest.mark.parametrize("h", [1.0, 0.5, 3.0])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2), (3, 3), (33, 65), (256, 256)])
+    def test_bit_for_bit_np_gradient_and_its_magnitude(self, shape, h):
+        # np.gradient is the reference, sign of zero included: a third of the
+        # nodes hold -0.0 and a third +0.0, so some differences are -0.0
+        v = signed_zeros(shape)
+        dy, dx = np.gradient(v, h)
+        assert (np.signbit(dx) & (dx == 0)).any() or shape[1] == 2
+        for values in (v, np.asfortranarray(v)):  # a field keeps its array's order
+            g = gradient(Field2D(values), h)
+            assert same_bits(g.dx, dx) and same_bits(g.dy, dy)
+            assert same_bits(_gradient_magnitude(Field2D(values), h), np.hypot(dx, dy))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2), (3, 3), (33, 65)])
+    def test_rows_of_any_block_match_the_whole_grid(self, shape):
+        # each block lo:hi, edge rows included, as np.gradient's rows lo:hi
+        v = signed_zeros(shape)
+        dy, dx = np.gradient(v, 0.5)
+        cuts = sorted({0, 1, 2, 16, 17, 31, 32} & set(range(shape[0])) | {shape[0]})
+        for lo in cuts:
+            for hi in (c for c in cuts if c > lo):
+                bx, by = np.full((hi - lo, shape[1]), np.nan), np.full((hi - lo, shape[1]), np.nan)
+                _gradient_rows(v, 0.5, lo, hi, bx, by)
+                assert same_bits(bx, dx[lo:hi]) and same_bits(by, dy[lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("shape", [(33, 600), (3, 4100)])
+    def test_magnitude_in_row_blocks_matches_the_whole_grid(self, shape):
+        # 6 rows a 32 KiB block with a last block of 3; one row, past 32 KiB, a block
+        v = signed_zeros(shape)
+        assert same_bits(_gradient_magnitude(Field2D(v), 3.0), np.hypot(*np.gradient(v, 3.0)))
+
+    @pytest.mark.parametrize("v, text", [
+        (np.where(np.indices((8, 8)).sum(axis=0) % 2, 1e308, -1e308), "gradient"),
+        (np.pad([[-1.5e308]], ((0, 7), (0, 7))), "magnitude"),
+    ], ids=["gradient", "magnitude"])
+    def test_magnitude_overflow_raises_the_reference_text(self, v, text):
+        # a difference past float range, or a finite gradient whose hypot is not
+        want = rf"^{text} overflow: result contains non-finite values$"
+        with pytest.raises(NumericalError, match=want):
+            magnitude(gradient(Field2D(v)))
+        with pytest.raises(NumericalError, match=want):
+            _gradient_magnitude(Field2D(v), 1.0)
+
     def test_linearity(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 5))
@@ -436,6 +498,27 @@ class TestTemporalDerivative:
     def test_bad_dt(self):
         with pytest.raises(ParameterError):
             temporal_derivative(Field2D.zeros(3, 3), Field2D.zeros(3, 3), -1.0)
+
+
+@pytest.mark.parametrize("call, outputs", [
+    (lambda f, g: gradient(f, 0.5), 2),
+    (lambda f, g: temporal_derivative(f, g, 0.5), 1),
+], ids=["gradient", "temporal_derivative"])
+def test_derivative_allocates_its_outputs_and_64_kib(call, outputs):
+    # at 256x256 each result array is built in place, and the finite check
+    # reads its min and max: no difference, quotient or mask the size of a grid
+    rng = np.random.default_rng(8)
+    f, g = Field2D(rng.standard_normal((256, 256))), Field2D(rng.standard_normal((256, 256)))
+    call(f, g)  # warm-up: numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(f, g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs * f.values.nbytes + 64 * 1024, peak
+    del result
 
 
 def test_magnitude():
